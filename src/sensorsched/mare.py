@@ -7,11 +7,20 @@ filter is bounded by the fixed point of the modified Riccati map
     g_q(X) = A X A^T + Q - q * A X C^T (C X C^T + R)^(-1) C X A^T,
 
 the ordinary Riccati update with the correction term scaled by q. This
-module computes g_q, its fixed points (by iterating the map, which is
-monotone and converges from any positive semidefinite start whenever a
-fixed point exists), the exact fixed point for scalar plants with delayed
-measurements, and the critical observation probability below which no
-fixed point exists.
+module computes g_q, its fixed points, the exact fixed point for scalar
+plants with delayed measurements, and the critical observation
+probability below which no fixed point exists.
+
+Fixed points are found by iterating the map, taking a Newton step in
+place of the plain step whenever the Newton iterate is certified: g_q is
+monotone and concave on the positive semidefinite cone, so a positive
+semidefinite Y with g_q(Y) <= Y proves that a fixed point exists below Y,
+and Newton steps from such a Y descend to it quadratically. Below the
+critical probability no such Y exists and the solver only iterates the
+map. The critical probability is 1 - 1/lambda^2 when A has a single
+unstable eigenvalue lambda, real, observable and driven by the process
+noise; other unstable targets are bisected from the lower bound
+1 - 1/rho(A)^2.
 
 Covariance matrices are plain numpy arrays; `check_covariance` enforces
 the symmetry and positive-semidefiniteness invariants where inputs enter
@@ -53,10 +62,17 @@ _RATIO_EPS = 1e-6
 _RATIO_STREAK = 50
 _RATIO_START = 200
 _RATIO_TRACE_FLOOR = 1e8
+# A Newton iterate Y is accepted when its eigenvalues, and those of
+# g_q(Y) - Y, clear 0 from the certified side by at most this much
+# relative to the largest entry of Y (floating-point slack).
+_CERTIFY_RTOL = 1e-10
+# Eigenvalues within this distance of the unit circle count as on it.
+_UNIT_CIRCLE_TOL = 1e-9
 
 
 class ConditioningWarning(UserWarning):
-    """Emitted when a solve runs close enough to criticality to be slow."""
+    """Emitted when a solve runs close enough to criticality that its fixed
+    point is large."""
 
 
 class MareStatus(enum.Enum):
@@ -137,17 +153,65 @@ def g_q(target: LtiTarget, q: float, X: np.ndarray, *, validate: bool = True) ->
     return symmetrize(out)
 
 
+def _spectral_radius(A: np.ndarray) -> float:
+    return float(np.max(np.abs(np.linalg.eigvals(A))))
+
+
 def _near_critical_check(target: LtiTarget, q: float) -> None:
-    # q^c is itself defined through solve_mare, so the warning can only use
-    # an estimate cached by an earlier critical_probability call.
+    # The warning uses the estimate cached by an earlier
+    # critical_probability call. Strictly stable targets cache q^c = 0 but
+    # have a bounded fixed point at every q, so only targets with a mode on
+    # or outside the unit circle can be near-critical.
     cached = [v for v in target._qc_cache.values() if v is not None]
-    if cached and 0.0 < q - min(cached) < 1e-3:
+    if (
+        cached
+        and 0.0 < q - min(cached) < 1e-3
+        and _spectral_radius(target.A) >= 1.0 - _UNIT_CIRCLE_TOL
+    ):
         warnings.warn(
             f"q = {q:.6g} is within 1e-3 of the critical probability; "
-            "convergence will be slow and the fixed point large",
+            "the fixed point is large",
             ConditioningWarning,
             stacklevel=3,
         )
+
+
+def _kron_self(M: np.ndarray) -> np.ndarray:
+    """M kron M, so that (M kron M) vec(H) = vec(M H M^T) for row-major vec."""
+    n = M.shape[0]
+    return (M[:, None, :, None] * M[None, :, None, :]).reshape(n * n, n * n)
+
+
+def _newton_step(
+    target: LtiTarget, q: float, base: np.ndarray, X: np.ndarray, G: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Certified Newton iterate from X, where G = g_q(X), with its image.
+
+    The derivative of g_q at X is H -> (1-q) A H A^T + q Abar H Abar^T with
+    Abar = A - L C and L = A X C^T (C X C^T + R)^(-1), so the step solves
+    (base - q Abar kron Abar) vec(H) = vec(G - X) with
+    base = I - (1-q) A kron A. Returns (Y, g_q(Y)) when Y = X + H is
+    positive semidefinite with g_q(Y) <= Y, else None.
+    """
+    A, C = target.A, target.C
+    n = A.shape[0]
+    try:
+        Abar = A - np.linalg.solve(C @ X @ C.T + target.R, C @ X @ A.T).T @ C
+        H = np.linalg.solve(base - q * _kron_self(Abar), (G - X).ravel())
+        Y = symmetrize(X + H.reshape(n, n))
+        scale = float(np.abs(Y).max())
+        # keeps trace(Y) under the divergence cap; also rejects inf and nan
+        if not scale <= TRACE_DIVERGENCE_CAP / n:
+            return None
+        slack = _CERTIFY_RTOL * max(1.0, scale)
+        if np.linalg.eigvalsh(Y)[0] < -slack:
+            return None
+        GY = g_q(target, q, Y, validate=False)
+        if np.linalg.eigvalsh(GY - Y)[-1] > slack:
+            return None
+    except np.linalg.LinAlgError:
+        return None
+    return Y, GY
 
 
 def solve_mare(
@@ -157,15 +221,21 @@ def solve_mare(
     max_iter: int = 100_000,
     x0: np.ndarray | None = None,
 ) -> MareResult:
-    """Fixed point of g_q by direct iteration.
+    """Fixed point of g_q by certified Newton steps and direct iteration.
 
-    Starts from X = Q (or `x0`) and iterates X <- g_q(X) until the step
-    ||X_next - X||_F falls below tol * (1 + ||X||_F). Divergence is
-    declared when the trace passes TRACE_DIVERGENCE_CAP, or when it grows
-    by a factor above 1 + 1e-6 for 50 consecutive iterations past
-    iteration 200 while already above 1e8 (slow blowups near the critical
-    probability). Exceeding `max_iter` returns MAX_ITERATIONS with the
-    last iterate; callers that need a certificate treat that as "no fixed
+    Starts from X = Q (or `x0`). Each iteration takes the Newton step when
+    its iterate Y is positive semidefinite with g_q(Y) <= Y (a certificate
+    that a fixed point exists below Y, which the Newton steps then reach
+    quadratically), and the plain step X <- g_q(X) otherwise. Below
+    q = 1 - 1/rho(A)^2 no Newton step is tried, since for positive
+    definite Q no certificate exists there. The solve stops when the step
+    ||X_next - X||_F falls below tol * (1 + ||X||_F).
+    Divergence is declared when the trace passes TRACE_DIVERGENCE_CAP, or
+    when it grows by a factor above 1 + 1e-6 for 50 consecutive iterations
+    past iteration 200 while already above 1e8 (slow blowups near the
+    critical probability, where no certificate exists and every step is
+    plain). Exceeding `max_iter` returns MAX_ITERATIONS with the last
+    iterate; callers that need a certificate treat that as "no fixed
     point found", never as convergence.
 
     The iteration converges from any positive semidefinite start when a
@@ -177,10 +247,17 @@ def solve_mare(
         raise ValueError("tol must be positive")
     _near_critical_check(target, q)
     X = check_covariance(target.Q, "Q") if x0 is None else check_covariance(x0, "x0")
+    # A super-solution Y >= (1-q) A Y A^T + Q needs (1-q) rho(A)^2 < 1
+    # (for positive definite Q), so below that bound every step is plain.
+    base = None
+    if (1.0 - q) * _spectral_radius(target.A) ** 2 < 1.0:
+        base = np.eye(target.n**2) - (1.0 - q) * _kron_self(target.A)
+    G = g_q(target, q, X, validate=False)
     tr_prev = float(np.trace(X))
     streak = 0
     for k in range(1, max_iter + 1):
-        Xn = g_q(target, q, X, validate=False)
+        step = None if base is None else _newton_step(target, q, base, X, G)
+        Xn, Gn = step or (G, None)
         tr = float(np.trace(Xn))
         if tr > TRACE_DIVERGENCE_CAP:
             return MareResult(MareStatus.DIVERGED, None, k, float("inf"))
@@ -190,12 +267,12 @@ def solve_mare(
                 return MareResult(MareStatus.DIVERGED, None, k, float("inf"))
         else:
             streak = 0
+        if Gn is None:
+            Gn = g_q(target, q, Xn, validate=False)
         if np.linalg.norm(Xn - X) <= tol * (1 + np.linalg.norm(X)):
-            residual = float(np.linalg.norm(g_q(target, q, Xn, validate=False) - Xn))
-            return MareResult(MareStatus.CONVERGED, Xn, k, residual)
-        X, tr_prev = Xn, tr
-    residual = float(np.linalg.norm(g_q(target, q, X, validate=False) - X))
-    return MareResult(MareStatus.MAX_ITERATIONS, X, max_iter, residual)
+            return MareResult(MareStatus.CONVERGED, Xn, k, float(np.linalg.norm(Gn - Xn)))
+        X, G, tr_prev = Xn, Gn, tr
+    return MareResult(MareStatus.MAX_ITERATIONS, X, max_iter, float(np.linalg.norm(G - X)))
 
 
 def closed_form_delay_chain(spec: DelayChainSpec, q: float) -> np.ndarray | None:
@@ -236,6 +313,20 @@ def closed_form_delay_chain(spec: DelayChainSpec, q: float) -> np.ndarray | None
     return symmetrize(X)
 
 
+def _analytic_critical_probability(target: LtiTarget, eigs: np.ndarray) -> float | None:
+    """1 - 1/lambda^2 when lambda is A's only eigenvalue on or outside the
+    unit circle, real with |lambda| > 1, observable, and driven by the
+    process noise; None otherwise."""
+    outside = eigs[np.abs(eigs) >= 1.0 - _UNIT_CIRCLE_TOL]
+    if len(outside) != 1 or outside[0].imag != 0.0 or abs(outside[0]) <= 1.0:
+        return None
+    lam = float(outside[0].real)
+    shifted = target.A - lam * np.eye(target.n)
+    observable = np.linalg.matrix_rank(np.vstack([shifted, target.C])) == target.n
+    driven = np.linalg.matrix_rank(np.hstack([shifted, target.Q])) == target.n
+    return 1.0 - 1.0 / lam**2 if observable and driven else None
+
+
 def critical_probability(
     target: LtiTarget,
     tol: float = 1e-4,
@@ -243,28 +334,38 @@ def critical_probability(
     mare_tol: float = 1e-9,
     mare_max_iter: int = 300_000,
 ) -> float:
-    """Least observation probability with a certified fixed point.
+    """Least observation probability with a fixed point.
 
     Stable and marginally stable targets (spectral radius <= 1) return 0.0
-    exactly. Otherwise the feasibility frontier is bracketed by bisection
-    on q with solve_mare convergence as the predicate, to width `tol`, and
-    the feasible endpoint is returned (so the result errs upward, never
-    below the true critical probability by more than the solver can
-    certify). If even q = 1 fails to converge the target cannot be
-    scheduled at all: returns 1.0 and emits a RuntimeWarning.
+    exactly. 1 - 1/rho(A)^2 is a lower bound for every target (Sinopoli et
+    al., IEEE TAC 2004), and it is the exact value when A has a single
+    eigenvalue lambda on or outside the unit circle that is real,
+    observable and driven by the process noise (Mo & Sinopoli, IEEE TAC
+    2012): then 1 - 1/lambda^2 is returned. Otherwise the feasibility frontier is bracketed by bisection
+    on q from that lower bound, with solve_mare convergence as the
+    predicate, to width `tol`, and the feasible endpoint is returned (so
+    the result errs upward, never below the true critical probability by
+    more than the solver can certify). If even q = 1 fails to converge the
+    target cannot be scheduled at all: returns 1.0 and emits a
+    RuntimeWarning.
 
-    Certifying convergence at distance delta above the frontier takes on
-    the order of 1/delta iterations, hence the larger default iteration
-    budget than solve_mare's. Results are cached on the target per tol.
+    Probes just below the frontier diverge slowly, hence the larger
+    default iteration budget than solve_mare's. Results are cached on the
+    target per tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if tol in target._qc_cache:
         return target._qc_cache[tol]
-    rho = float(np.max(np.abs(np.linalg.eigvals(target.A))))
+    eigs = np.linalg.eigvals(target.A)
+    rho = float(np.max(np.abs(eigs)))
     if rho <= 1.0:
         target._qc_cache[tol] = 0.0
         return 0.0
+    analytic = _analytic_critical_probability(target, eigs)
+    if analytic is not None:
+        target._qc_cache[tol] = analytic
+        return analytic
     if not solve_mare(target, 1.0, tol=mare_tol, max_iter=mare_max_iter).converged:
         warnings.warn(
             f"target {target.label or '?'}: no fixed point even at q = 1; "
@@ -274,7 +375,7 @@ def critical_probability(
         )
         target._qc_cache[tol] = 1.0
         return 1.0
-    lo, hi = 0.0, 1.0
+    lo, hi = 1.0 - 1.0 / rho**2, 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2
         if solve_mare(target, mid, tol=mare_tol, max_iter=mare_max_iter).converged:

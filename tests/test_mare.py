@@ -11,6 +11,8 @@ Frozen oracle values and where they come from:
 * always-observed fixed point: cross-checked against scipy's independent
   Riccati solver through the estimation-form duality X = dare(A^T, C^T, Q, R).
 """
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_are
@@ -116,8 +118,10 @@ class TestSolver:
         assert solve_mare(t, 0.005).status is MareStatus.DIVERGED
 
     def test_iteration_budget_is_reported(self):
+        # close enough to q^c = 0.75 that plain steps must run for hundreds
+        # of iterations before a Newton step can be certified
         t = scalar_target(2.0)
-        res = solve_mare(t, 0.7501, max_iter=50)
+        res = solve_mare(t, 0.750001, max_iter=50)
         assert res.status is MareStatus.MAX_ITERATIONS
         assert not res.converged
         assert res.X is not None
@@ -174,6 +178,14 @@ class TestCriticalProbability:
         qc = critical_probability(t, tol=1e-4)
         with pytest.warns(ConditioningWarning):
             solve_mare(t, qc + 5e-4, max_iter=300_000)
+
+    def test_stable_target_does_not_warn(self):
+        # q^c = 0 is cached, but a stable target's fixed point stays bounded
+        t = scalar_target(0.5)
+        assert critical_probability(t) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConditioningWarning)
+            assert solve_mare(t, 5e-4).converged
 
 
 class TestClosedForm:

@@ -1,0 +1,96 @@
+"""Properties of the fixed-point solver and the critical probability that
+the theory guarantees, checked on random targets.
+
+* Delay chains have an exact fixed point (`closed_form_delay_chain`), so the
+  solver must reproduce it even just above the critical probability, where
+  plain iteration contracts slowly and under-resolves the limit.
+* A target whose only unstable eigenvalue lambda is real, observable and
+  driven by the noise has critical probability exactly 1 - 1/lambda^2
+  (Mo & Sinopoli, IEEE TAC 2012): a fixed point exists above it and the
+  iteration diverges below it.
+* Every other unstable target is bisected, from the lower bound
+  1 - 1/rho(A)^2 (Sinopoli et al., IEEE TAC 2004), to a probability at
+  which the solver converges.
+"""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sensorsched import (
+    DelayChainSpec,
+    LtiTarget,
+    MareStatus,
+    closed_form_delay_chain,
+    critical_probability,
+    expand_delay_chain,
+    solve_mare,
+)
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.floats(0.2, 2.5),
+    negative=st.booleans(),
+    Q=st.floats(0.1, 10.0),
+    R=st.floats(0.1, 10.0),
+    d=st.integers(0, 3),
+    log_gap=st.floats(-4.0, -2.0),
+)
+def test_near_critical_solve_matches_closed_form(a, negative, Q, R, d, log_gap):
+    spec = DelayChainSpec(a=-a if negative else a, Q=Q, R=R, d=d)
+    q = max(0.0, 1.0 - 1.0 / a**2) + 10.0**log_gap
+    exact = closed_form_delay_chain(spec, q)
+    res = solve_mare(expand_delay_chain(spec), q)
+    assert res.converged
+    assert np.abs(res.X - exact).max() <= 1e-9 * np.abs(exact).max()
+
+
+def single_unstable_mode_target(seed: int) -> tuple[LtiTarget, float]:
+    """A random 2x2 or 3x3 target with one real unstable eigenvalue.
+
+    A = U T U^T with U orthogonal and T upper triangular, so the diagonal
+    of T is the spectrum; Q is positive definite and a random C observes
+    the unstable mode almost surely.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 4))
+    lam = rng.uniform(1.05, 3.0) * rng.choice([-1.0, 1.0])
+    T = np.triu(rng.normal(scale=0.5, size=(n, n)), 1)
+    T[np.diag_indices(n)] = np.r_[lam, rng.uniform(-0.9, 0.9, size=n - 1)]
+    U = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    G = rng.normal(size=(n, n))
+    target = LtiTarget(
+        A=U @ T @ U.T,
+        C=rng.normal(size=(1, n)),
+        Q=G @ G.T + 0.1 * np.eye(n),
+        R=[[rng.uniform(0.2, 2.0)]],
+    )
+    return target, lam
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds)
+def test_single_unstable_mode_has_analytic_critical_probability(seed):
+    target, lam = single_unstable_mode_target(seed)
+    shifted = target.A - lam * np.eye(target.n)
+    assert np.linalg.matrix_rank(np.vstack([shifted, target.C])) == target.n
+    qc = critical_probability(target)
+    # lam is the exact eigenvalue; qc comes from the computed one
+    assert abs(qc - (1.0 - 1.0 / lam**2)) <= 1e-12
+    assert solve_mare(target, qc + 1e-2).converged
+    assert solve_mare(target, qc - 1e-2).status is MareStatus.DIVERGED
+
+
+@settings(max_examples=5, deadline=None)
+@given(radius=st.floats(1.05, 1.4), angle=st.floats(0.4, 2.7))
+def test_unstable_rotation_is_bisected(radius, angle):
+    c, s = np.cos(angle), np.sin(angle)
+    A = radius * np.array([[c, -s], [s, c]])
+    target = LtiTarget(A=A, C=[[1.0, 0.0]], Q=np.eye(2), R=[[1.0]])
+    # a complex unstable pair lies outside the analytic branch; a coarse
+    # width and budget keep the probes just below the frontier cheap
+    qc = critical_probability(target, tol=1e-2, mare_max_iter=5_000)
+    assert 1.0 - 1.0 / radius**2 <= qc <= 1.0
+    assert solve_mare(target, qc).converged
