@@ -5,9 +5,10 @@ yet the network has to agree on a single distribution. The key
 observation is that the only global quantity the bisection needs, the
 total probability demand at a trial budget, is the network average of
 the per-node demands times the node count, and averages are exactly what
-linear consensus computes. So every node runs the same outer bisection
-in lockstep on an agreed starting bracket, computes its own inner demand
-each step, and replaces the sum with a consensus estimate.
+linear consensus computes. So the network runs the centralized solver's
+own nested bisection (`optimizer._nested_bisection`) in lockstep on an
+agreed starting bracket: each node computes its own inner demand each
+step, and the sum is replaced with a consensus estimate.
 
 Consensus uses Metropolis weights, which average correctly on any
 connected undirected graph. Disagreement decays geometrically, so
@@ -16,26 +17,17 @@ comparison against 1; all nodes then take the same branch and the
 network reproduces the centralized iterate for iterate. Setup (bracket
 growth in degenerate floor cases) and the final read-out of the full
 probability vector use plain neighbor flooding instead, which is exact
-after diameter-many exchanges.
+after diameter-many exchanges; the flooded total is the centralized
+solver's own sum, so the distribution comes out bit-identical.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LtiTarget, ScheduleDistribution
-from .optimizer import (
-    Constraints,
-    InfeasibilityWarning,
-    PerTargetReport,
-    SolveReport,
-    _bisect_min_q,
-    _bracket,
-    _CostOracle,
-    _critical_floor,
-)
+from .model import LtiTarget
+from .optimizer import Constraints, SolveReport, _nested_bisection
 
 __all__ = [
     "NodeState",
@@ -105,10 +97,7 @@ def _hop_counts(adj: np.ndarray) -> np.ndarray:
 
 
 def graph_diameter(adj: np.ndarray) -> int:
-    adj = np.asarray(adj, dtype=bool)
-    if adj.shape[0] == 1:
-        return 0
-    return int(_hop_counts(adj).max())
+    return int(_hop_counts(np.asarray(adj, dtype=bool)).max())
 
 
 def metropolis_weights(adj: np.ndarray) -> np.ndarray:
@@ -182,15 +171,6 @@ def average_consensus(
     return x, rounds
 
 
-def _flood_values(values: np.ndarray, adj: np.ndarray) -> int:
-    """Rounds for every node to learn every entry (diameter of the graph).
-
-    The values themselves travel unchanged, so the simulation only needs
-    to count rounds; after them each node holds the identical full vector.
-    """
-    return graph_diameter(adj)
-
-
 def _consensus_demand(local: np.ndarray, W: np.ndarray, tol: float, max_rounds: int):
     """Per-node estimates of the total demand, by averaging.
 
@@ -213,6 +193,51 @@ def _consensus_demand(local: np.ndarray, W: np.ndarray, tol: float, max_rounds: 
         rounds += 1
 
 
+class _ConsensusTotal:
+    """How a network of nodes totals the demand vector, one entry per node.
+
+    Exact totals (bracket growth, read-out) flood the demands, which takes
+    diameter-many rounds. An outer step averages them by consensus and
+    every node decides sum(qs) <= 1 on its own estimate; when averaging
+    cannot separate the total from 1, the demands are flooded instead.
+    Records each node's view of every outer step and the rounds spent.
+    """
+
+    def __init__(self, W: np.ndarray, diameter: int, tol: float, max_rounds: int):
+        self.W, self.diameter = W, diameter
+        self.tol, self.max_rounds = tol, max_rounds
+        self.trajectory: list[list[NodeState]] = [[] for _ in range(W.shape[0])]
+        self.step_rounds: list[int] = []
+        # Feasibility and the starting bracket need one exchange of scalars
+        # (floor, cost at q=1, cost at the padded floor): two floods.
+        self.total_rounds = 2 * diameter
+
+    def total(self, qs: list[float]) -> float:
+        self.total_rounds += self.diameter
+        return sum(qs)
+
+    def within_budget(self, qs: list[float], gamma: float, lo: float, hi: float) -> bool:
+        mu_est, rounds, decided = _consensus_demand(
+            np.array(qs), self.W, self.tol, self.max_rounds
+        )
+        if not decided:
+            # The total demand sits essentially on the threshold and
+            # averaging cannot separate it; flood the demands so the
+            # branch is exact and unanimous.
+            mu_est = np.full(len(qs), sum(qs))
+            rounds += self.diameter
+        verdicts = mu_est <= 1.0
+        if np.any(verdicts != verdicts[0]):
+            raise RuntimeError("nodes fell out of lockstep; consensus margin too small")
+        ok = bool(verdicts[0])
+        self.total_rounds += rounds
+        self.step_rounds.append(rounds)
+        lo, hi = (lo, gamma) if ok else (gamma, hi)
+        for i, q in enumerate(qs):
+            self.trajectory[i].append(NodeState(i, lo, hi, gamma, q, rounds))
+        return ok
+
+
 def solve_distributed(
     targets: list[LtiTarget],
     adjacency: np.ndarray | None = None,
@@ -225,9 +250,11 @@ def solve_distributed(
 ) -> DistributedReport:
     """Solve the shared-budget problem with one node per target.
 
-    Produces the same solution as `solve_distribution` on the same
-    tolerances (bit for bit when consensus settles every comparison,
-    which the decision margin enforces outside of razor-edge cases).
+    Runs the centralized solver's own bisection with the demand totals
+    formed by the network, so the solution equals `solve_distribution`'s
+    on the same tolerances bit for bit whenever consensus settles every
+    comparison (the decision margin enforces that outside of razor-edge
+    cases, and a node that would branch differently raises RuntimeError).
     Defaults to a complete graph; any connected undirected adjacency
     works. Node i knows only targets[i], its constraint entries, and the
     shared tolerances; the starting bracket is agreed during setup.
@@ -238,143 +265,13 @@ def solve_distributed(
     adj = complete_graph(n) if adjacency is None else _check_adjacency(np.asarray(adjacency))
     if adj.shape[0] != n:
         raise ValueError(f"adjacency is {adj.shape[0]} nodes, expected {n}")
-    W = metropolis_weights(adj) if n > 1 else np.ones((1, 1))
-    cons = constraints or Constraints()
-    for name in ("priorities", "loss"):
-        v = getattr(cons, name)
-        if v is not None and v.shape[0] != n:
-            raise ValueError(f"{name} has length {v.shape[0]}, expected {n}")
-
-    losses = [cons.loss_rate(i) for i in range(n)]
-    oracles = [_CostOracle(t, mare_tol, loss=losses[i]) for i, t in enumerate(targets)]
-    crit = [_critical_floor(t, losses[i], inner_tol, mare_tol) for i, t in enumerate(targets)]
-    qcs = [c[0] for c in crit]
-    floors = [max(cons.priority(i), crit[i][1]) for i in range(n)]
-    total_rounds = 0
-
-    # Feasibility and the starting bracket need one exchange of scalars
-    # (floor, cost at q=1, cost at the padded floor); flooding settles
-    # them exactly in diameter-many rounds.
-    total_rounds += 2 * _flood_values(np.array(floors), adj)
-    unstabilizable = any(not np.isfinite(o.cost(1.0)) for o in oracles)
-    if sum(floors) > 1.0 or unstabilizable:
-        reason = (
-            "a target diverges even under constant observation"
-            if unstabilizable
-            else "priorities and loss-adjusted critical probabilities "
-            f"demand total probability {sum(floors):.6g} > 1"
-        )
-        warnings.warn(reason, InfeasibilityWarning, stacklevel=2)
-        per = tuple(
-            PerTargetReport(q=float("nan"), cost=float("inf"), q_critical=qcs[i])
-            for i in range(n)
-        )
-        solution = SolveReport(
-            gamma_star=float("inf"),
-            q_star=None,
-            per_target=per,
-            outer_iterations=0,
-            inner_iterations=0,
-            feasible=False,
-        )
-        return DistributedReport(solution, tuple(() for _ in range(n)), (), total_rounds)
-
-    lo, hi = _bracket(oracles, floors, inner_tol)
-    inner_total = 0
-
-    def local_demands(gamma: float) -> np.ndarray:
-        nonlocal inner_total
-        qs = np.empty(n)
-        for i, o in enumerate(oracles):
-            q, steps, _ = _bisect_min_q(o, gamma, crit[i][1], inner_tol)
-            inner_total += steps
-            qs[i] = max(q, cons.priority(i))
-        return qs
-
-    # Bracket growth mirrors the centralized solver; these few decisions
-    # ride on flooded exact sums rather than averaging.
-    prev_mu = float("inf")
-    for _ in range(60):
-        mu_hi = float(local_demands(hi).sum())
-        total_rounds += _flood_values(np.empty(n), adj)
-        if mu_hi <= 1.0:
-            break
-        if mu_hi >= prev_mu:
-            warnings.warn(
-                "floors leave no slack; they are honored only to within "
-                "the inner tolerance",
-                InfeasibilityWarning,
-                stacklevel=2,
-            )
-            hi = lo
-            break
-        prev_mu = mu_hi
-        lo, hi = hi, 2.0 * hi
-
-    node_lo = np.full(n, lo)
-    node_hi = np.full(n, hi)
-    trajectory: list[list[NodeState]] = [[] for _ in range(n)]
-    rounds_per_step: list[int] = []
-    outer = 0
-
-    while float(node_hi[0] - node_lo[0]) > outer_tol:
-        # Lockstep check: every node must hold the same bracket, hence
-        # probe the same budget.
-        if np.any(node_lo != node_lo[0]) or np.any(node_hi != node_hi[0]):
-            raise RuntimeError("nodes fell out of lockstep; consensus margin too small")
-        gamma = (node_lo + node_hi) / 2.0
-        qs = local_demands(float(gamma[0]))
-        mu_est, rounds, decided = _consensus_demand(
-            qs, W, consensus_tol, max_consensus_rounds
-        )
-        if not decided:
-            # The total demand sits essentially on the threshold and
-            # averaging cannot separate it; fall back to flooding the
-            # demands so the branch is exact and unanimous.
-            mu_est = np.full(n, qs.sum())
-            rounds += _flood_values(qs, adj)
-        total_rounds += rounds
-        feasible_here = mu_est <= 1.0
-        node_hi = np.where(feasible_here, gamma, node_hi)
-        node_lo = np.where(feasible_here, node_lo, gamma)
-        outer += 1
-        rounds_per_step.append(rounds)
-        for i in range(n):
-            trajectory[i].append(
-                NodeState(
-                    node_id=i,
-                    lo=float(node_lo[i]),
-                    hi=float(node_hi[i]),
-                    gamma=float(gamma[i]),
-                    q_local=float(qs[i]),
-                    rounds=rounds,
-                )
-            )
-
-    gamma_star = float(node_hi[0])
-    qs = local_demands(gamma_star)
-    total_rounds += _flood_values(qs, adj)
-    mu = float(qs.sum())
-    q_star = qs / mu
-    per = tuple(
-        PerTargetReport(
-            q=float(q_star[i]),
-            cost=oracles[i].cost(float(q_star[i])),
-            q_critical=qcs[i],
-        )
-        for i in range(n)
+    network = _ConsensusTotal(
+        metropolis_weights(adj), graph_diameter(adj), consensus_tol, max_consensus_rounds
     )
-    solution = SolveReport(
-        gamma_star=gamma_star,
-        q_star=ScheduleDistribution(q_star),
-        per_target=per,
-        outer_iterations=outer,
-        inner_iterations=inner_total,
-        feasible=True,
-    )
+    solution = _nested_bisection(targets, constraints, outer_tol, inner_tol, mare_tol, network)
     return DistributedReport(
         solution=solution,
-        trajectory=tuple(tuple(t) for t in trajectory),
-        consensus_rounds=tuple(rounds_per_step),
-        total_rounds=total_rounds,
+        trajectory=tuple(tuple(t) for t in network.trajectory),
+        consensus_rounds=tuple(network.step_rounds),
+        total_rounds=network.total_rounds,
     )

@@ -7,9 +7,10 @@ filter is bounded by the fixed point of the modified Riccati map
     g_q(X) = A X A^T + Q - q * A X C^T (C X C^T + R)^(-1) C X A^T,
 
 the ordinary Riccati update with the correction term scaled by q. This
-module computes g_q, its fixed points, the exact fixed point for scalar
-plants with delayed measurements, and the critical observation
-probability below which no fixed point exists.
+module holds the one implementation of that update, which the filter and
+the simulations share, and computes g_q's fixed points, the exact fixed
+point for scalar plants with delayed measurements, and the critical
+observation probability below which no fixed point exists.
 
 Fixed points are found by iterating the map, taking a Newton step in
 place of the plain step whenever the Newton iterate is certified: g_q is
@@ -101,8 +102,9 @@ class MareResult:
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
-    """Average away the antisymmetric part accumulated by floating point."""
-    return (M + M.T) / 2
+    """Average away the antisymmetric part accumulated by floating point
+    (over the last two axes, so each matrix of a stack separately)."""
+    return (M + M.swapaxes(-1, -2)) / 2
 
 
 def check_covariance(X: np.ndarray, name: str = "X") -> np.ndarray:
@@ -146,31 +148,38 @@ def g_q(target: LtiTarget, q: float, X: np.ndarray, *, validate: bool = True) ->
         raise ValueError(f"q must lie in [0, 1], got {q!r}")
     if validate:
         X = check_covariance(X)
+    return _riccati_step(target, X, q)
+
+
+def _riccati_step(target: LtiTarget, P: np.ndarray, q: float | np.ndarray) -> np.ndarray:
+    """sym(A P A^T + Q - q * A P C^T (C P C^T + R)^(-1) C P A^T), unchecked.
+
+    The one Riccati update of the package: g_q, the filter's covariance
+    step and the batched simulations all call it. P may be a stack
+    [..., n, n] of covariances and q a scalar or an array that broadcasts
+    against it ([..., 1, 1]). A scalar q = 0 returns the open-loop
+    (Lyapunov) update without forming the gain.
+    """
     A, C, Q, R = target.A, target.C, target.Q, target.R
-    M = A @ X @ C.T
-    S = C @ X @ C.T + R
-    out = A @ X @ A.T + Q - q * (M @ np.linalg.solve(S, M.T))
-    return symmetrize(out)
+    AP = A @ P
+    out = AP @ A.T + Q
+    if not isinstance(q, np.ndarray) and q == 0:
+        return symmetrize(out)
+    M = AP @ C.T
+    S = C @ P @ C.T + R
+    return symmetrize(out - q * (M @ np.linalg.solve(S, M.swapaxes(-1, -2))))
 
 
-def _spectral_radius(A: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(A))))
-
-
-def _near_critical_check(target: LtiTarget, q: float) -> None:
-    # The warning uses the estimate cached by an earlier
-    # critical_probability call. Strictly stable targets cache q^c = 0 but
-    # have a bounded fixed point at every q, so only targets with a mode on
-    # or outside the unit circle can be near-critical.
-    cached = [v for v in target._qc_cache.values() if v is not None]
-    if (
-        cached
-        and 0.0 < q - min(cached) < 1e-3
-        and _spectral_radius(target.A) >= 1.0 - _UNIT_CIRCLE_TOL
-    ):
+def _near_critical_check(q: float, rho: float) -> None:
+    # Strictly stable targets have a bounded fixed point at every q, so only
+    # a mode on or outside the unit circle (spectral radius rho) can make a
+    # solve near-critical. The reference point is the lower bound
+    # 1 - 1/rho^2, which is the critical probability itself on the
+    # analytic branch (every unstable scalar and delay chain).
+    if rho >= 1.0 - _UNIT_CIRCLE_TOL and 0.0 < q - (1.0 - 1.0 / rho**2) < 1e-3:
         warnings.warn(
-            f"q = {q:.6g} is within 1e-3 of the critical probability; "
-            "the fixed point is large",
+            f"q = {q:.6g} is within 1e-3 of the lower bound 1 - 1/rho(A)^2 "
+            "on the critical probability; the fixed point may be large",
             ConditioningWarning,
             stacklevel=3,
         )
@@ -245,12 +254,13 @@ def solve_mare(
         raise ValueError(f"q must lie in [0, 1], got {q!r}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    _near_critical_check(target, q)
+    rho = float(np.max(np.abs(np.linalg.eigvals(target.A))))
+    _near_critical_check(q, rho)
     X = check_covariance(target.Q, "Q") if x0 is None else check_covariance(x0, "x0")
     # A super-solution Y >= (1-q) A Y A^T + Q needs (1-q) rho(A)^2 < 1
     # (for positive definite Q), so below that bound every step is plain.
     base = None
-    if (1.0 - q) * _spectral_radius(target.A) ** 2 < 1.0:
+    if (1.0 - q) * rho**2 < 1.0:
         base = np.eye(target.n**2) - (1.0 - q) * _kron_self(target.A)
     G = g_q(target, q, X, validate=False)
     tr_prev = float(np.trace(X))
@@ -282,15 +292,15 @@ def closed_form_delay_chain(spec: DelayChainSpec, q: float) -> np.ndarray | None
     point has the explicit form X[i, j] = a^|i-j| * x[min(i, j)] with the
     diagonal sequence
 
-        a = 1:      x_1 = (Q + sqrt(Q^2 + 4 q Q R)) / (2 q),
+        a^2 = 1:    x_1 = (Q + sqrt(Q^2 + 4 q Q R)) / (2 q),
                     x_j = x_1 + (j - 1) Q,
-        a != 1:     x_1 = (R a^2 - R + Q + sqrt((R a^2 - R + Q)^2
+        a^2 != 1:   x_1 = (R a^2 - R + Q + sqrt((R a^2 - R + Q)^2
                           - 4 (a^2 - 1 - a^2 q) Q R))
                           / (2 (1 + a^2 q - a^2)),
                     x_j = a^(2(j-1)) x_1 + (1 - a^(2(j-1))) / (1 - a^2) Q,
 
     and it exists exactly when a^2 (1 - q) < 1: stable chains always
-    converge, a marginally stable chain (a = 1) needs q > 0, and an
+    converge, a marginally stable chain (a = +-1) needs q > 0, and an
     unstable one needs q above 1 - 1/a^2. Indices above are 1-based.
     """
     if not 0.0 <= q <= 1.0:
@@ -299,7 +309,7 @@ def closed_form_delay_chain(spec: DelayChainSpec, q: float) -> np.ndarray | None
     n = spec.d + 1
     if a * a * (1.0 - q) >= 1.0:
         return None
-    if a == 1.0:
+    if a * a == 1.0:
         x1 = (Q + np.sqrt(Q * Q + 4.0 * q * Q * R)) / (2.0 * q)
         xs = x1 + Q * np.arange(n)
     else:
@@ -350,21 +360,16 @@ def critical_probability(
     RuntimeWarning.
 
     Probes just below the frontier diverge slowly, hence the larger
-    default iteration budget than solve_mare's. Results are cached on the
-    target per tol.
+    default iteration budget than solve_mare's.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if tol in target._qc_cache:
-        return target._qc_cache[tol]
     eigs = np.linalg.eigvals(target.A)
     rho = float(np.max(np.abs(eigs)))
     if rho <= 1.0:
-        target._qc_cache[tol] = 0.0
         return 0.0
     analytic = _analytic_critical_probability(target, eigs)
     if analytic is not None:
-        target._qc_cache[tol] = analytic
         return analytic
     if not solve_mare(target, 1.0, tol=mare_tol, max_iter=mare_max_iter).converged:
         warnings.warn(
@@ -373,7 +378,6 @@ def critical_probability(
             RuntimeWarning,
             stacklevel=2,
         )
-        target._qc_cache[tol] = 1.0
         return 1.0
     lo, hi = 1.0 - 1.0 / rho**2, 1.0
     while hi - lo > tol:
@@ -382,5 +386,4 @@ def critical_probability(
             hi = mid
         else:
             lo = mid
-    target._qc_cache[tol] = hi
     return hi

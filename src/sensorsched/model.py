@@ -8,7 +8,7 @@ target gets the sensor at each step, or with what probability.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,8 +58,6 @@ class LtiTarget:
     R: np.ndarray
     label: str = ""
     cost_weights: np.ndarray | None = None
-    # critical-probability estimates keyed by bisection width, filled lazily
-    _qc_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         A = _as_square("A", self.A)

@@ -9,6 +9,8 @@ runs two nested bisections: an outer one on gamma keeping the demand at
 the upper endpoint at most 1, and an inner one per target on q (the
 fixed-point cost is non-increasing in q). The final probabilities are
 rescaled to sum to one exactly, which can only lower each target's cost.
+The distributed solver runs this same bisection; only the way the
+demands are totalled differs (see `_nested_bisection`).
 
 Per-target costs are `target.cost_of` applied to the fixed point: the
 plain trace unless the target selects cost weights.
@@ -200,7 +202,7 @@ def total_demand(
     return total
 
 
-def _bracket(oracles, floors, inner_tol):
+def _bracket(oracles, floors):
     """Budget bracket [lo, hi] with mu(hi) <= 1 <= mu(lo).
 
     lo: even the largest single-target cost under constant observation
@@ -230,7 +232,18 @@ def bracket_gamma(
         raise ValueError(
             "critical probabilities sum above 1; the scenario is infeasible"
         )
-    return _bracket(oracles, floors, inner_tol)
+    return _bracket(oracles, floors)
+
+
+class _ExactTotal:
+    """How the centralized solver totals the demand vector: Python's
+    sequential sum, for bracket growth, outer steps and read-out alike."""
+
+    def total(self, qs: list[float]) -> float:
+        return sum(qs)
+
+    def within_budget(self, qs: list[float], gamma: float, lo: float, hi: float) -> bool:
+        return sum(qs) <= 1.0
 
 
 def solve_distribution(
@@ -249,6 +262,19 @@ def solve_distribution(
     feasible=False and no distribution, and an InfeasibilityWarning names
     the violated condition.
     """
+    return _nested_bisection(targets, constraints, outer_tol, inner_tol, mare_tol, _ExactTotal())
+
+
+def _nested_bisection(targets, constraints, outer_tol, inner_tol, mare_tol, demand) -> SolveReport:
+    """The solver shared by solve_distribution and solve_distributed.
+
+    `demand` says how the network totals the demand vector qs:
+    `demand.total(qs)` is the exact sum, used for bracket growth and the
+    read-out, and `demand.within_budget(qs, gamma, lo, hi)` is the verdict
+    sum(qs) <= 1 of the outer step probing gamma in [lo, hi]. Every
+    strategy totals with the same sequential sum, so all of them return
+    bit-identical reports whenever their verdicts agree.
+    """
     if not targets:
         raise ValueError("need at least one target")
     cons = constraints or Constraints()
@@ -261,7 +287,6 @@ def solve_distribution(
     losses = [cons.loss_rate(i) for i in range(n)]
     oracles = [_CostOracle(t, mare_tol, loss=losses[i]) for i, t in enumerate(targets)]
     crit = [_critical_floor(t, losses[i], inner_tol, mare_tol) for i, t in enumerate(targets)]
-    qcs = [c[0] for c in crit]
     floors = [max(cons.priority(i), crit[i][1]) for i in range(n)]
 
     # A target whose loss-adjusted critical probability reaches 1 cannot be
@@ -275,9 +300,9 @@ def solve_distribution(
             else "priorities and loss-adjusted critical probabilities "
             f"demand total probability {sum(floors):.6g} > 1"
         )
-        warnings.warn(reason, InfeasibilityWarning, stacklevel=2)
+        warnings.warn(reason, InfeasibilityWarning, stacklevel=3)
         per = tuple(
-            PerTargetReport(q=float("nan"), cost=float("inf"), q_critical=qcs[i])
+            PerTargetReport(q=float("nan"), cost=float("inf"), q_critical=crit[i][0])
             for i in range(n)
         )
         return SolveReport(
@@ -289,7 +314,7 @@ def solve_distribution(
             feasible=False,
         )
 
-    lo, hi = _bracket(oracles, floors, inner_tol)
+    lo, hi = _bracket(oracles, floors)
     outer = 0
     inner_total = 0
 
@@ -311,7 +336,7 @@ def solve_distribution(
     # and let the final rescale honor the floors to within the tolerance.
     prev_mu = float("inf")
     for _ in range(60):
-        mu_hi = sum(clamped_demands(hi))
+        mu_hi = demand.total(clamped_demands(hi))
         if mu_hi <= 1.0:
             break
         if mu_hi >= prev_mu:
@@ -319,7 +344,7 @@ def solve_distribution(
                 "floors leave no slack; they are honored only to within "
                 "the inner tolerance",
                 InfeasibilityWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
             hi = lo
             break
@@ -328,14 +353,14 @@ def solve_distribution(
 
     while hi - lo > outer_tol:
         gamma = (lo + hi) / 2
-        if sum(clamped_demands(gamma)) <= 1.0:
+        if demand.within_budget(clamped_demands(gamma), gamma, lo, hi):
             hi = gamma
         else:
             lo = gamma
         outer += 1
 
     qs = clamped_demands(hi)
-    mu = sum(qs)
+    mu = demand.total(qs)
     # Rescale so probabilities sum to one exactly; the factor is >= 1, so
     # every floor stays honored and every cost can only move down.
     q_star = np.array(qs) / mu
@@ -343,7 +368,7 @@ def solve_distribution(
         PerTargetReport(
             q=float(q_star[i]),
             cost=oracles[i].cost(float(q_star[i])),
-            q_critical=qcs[i],
+            q_critical=crit[i][0],
         )
         for i in range(n)
     )

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mare import _riccati_step
 from .model import LtiTarget, ScheduleDistribution
 from .schedule import ScheduleSequence
 
@@ -84,14 +85,7 @@ class MonteCarloReport:
 
 def covariance_step(target: LtiTarget, P: np.ndarray, observed: bool) -> np.ndarray:
     """One prediction-covariance update: correction applied only if observed."""
-    A, C, Q, R = target.A, target.C, target.Q, target.R
-    P = np.asarray(P, dtype=float)
-    out = A @ P @ A.T + Q
-    if observed:
-        M = A @ P @ C.T
-        S = C @ P @ C.T + R
-        out = out - M @ np.linalg.solve(S, M.T)
-    return (out + out.T) / 2.0
+    return _riccati_step(target, np.asarray(P, dtype=float), 1.0 if observed else 0.0)
 
 
 def kalman_step(
@@ -161,18 +155,6 @@ def evaluate_schedule(
     )
 
 
-def _batched_step(target: LtiTarget, P: np.ndarray, observed: np.ndarray) -> np.ndarray:
-    """covariance_step over a stack of covariances (leading batch axis)."""
-    A, C, Q, R = target.A, target.C, target.Q, target.R
-    AP = A @ P
-    out = AP @ A.T + Q
-    M = AP @ C.T
-    S = C @ P @ C.T + R
-    corr = M @ np.linalg.solve(S, M.transpose(0, 2, 1))
-    out = out - observed[:, None, None] * corr
-    return (out + out.transpose(0, 2, 1)) / 2.0
-
-
 def monte_carlo_expected_cost(
     targets: list[LtiTarget],
     q: ScheduleDistribution,
@@ -213,7 +195,7 @@ def monte_carlo_expected_cost(
         observed = schedules == i
         for k in range(T):
             traces[:, k] = np.trace(P, axis1=1, axis2=2)
-            P = _batched_step(target, P, observed[:, k])
+            P = _riccati_step(target, P, observed[:, k, None, None])
         emp[:, i] = traces[:, T - tail:].mean(axis=1)
         tavg[:, i] = traces[:, burn:].mean(axis=1)
         if keep_mean_series:
@@ -270,18 +252,12 @@ def sliding_window_schedule(
     for k in range(T):
         stacks = [P[None, :, :] for P in covs]
         for _ in range(window):
-            new_stacks = []
-            for i, target in enumerate(targets):
-                B = stacks[i].shape[0]
-                children = np.stack(
-                    [
-                        _batched_step(target, stacks[i], np.full(B, c == i))
-                        for c in range(n)
-                    ],
-                    axis=1,
-                )
-                new_stacks.append(children.reshape(B * n, *stacks[i].shape[1:]))
-            stacks = new_stacks
+            # leaf b branches into leaves b * n + c, c the target observed next
+            stacks = [
+                np.stack([_riccati_step(t, S, float(c == i)) for c in range(n)], axis=1)
+                .reshape(-1, t.n, t.n)
+                for i, (t, S) in enumerate(zip(targets, stacks))
+            ]
         scores = np.max(
             [np.trace(s, axis1=1, axis2=2) for s in stacks], axis=0
         )

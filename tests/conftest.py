@@ -51,8 +51,8 @@ def pair() -> list[LtiTarget]:
 def unstable_scalar() -> LtiTarget:
     """Scalar plant with a = 2, so q^c = 0.75.
 
-    Session-scoped on purpose: locating the critical probability is the
-    slowest computation in the suite and is memoized on the instance.
+    Session-scoped: the instance is immutable and carries no cached
+    state, so every test can share it.
     """
     return LtiTarget(A=[[2.0]], C=[[1.0]], Q=[[1.0]], R=[[1.0]], label="unstable")
 

@@ -161,10 +161,9 @@ class TestCriticalProbability:
         # bisection returns the certified-feasible endpoint: errs upward only
         assert exact - 1e-6 <= qc <= exact + 2.5e-4
 
-    def test_result_is_cached(self):
+    def test_result_is_deterministic(self):
         t = scalar_target(1.5)
         first = critical_probability(t, tol=1e-4)
-        assert t._qc_cache[1e-4] == first
         assert critical_probability(t, tol=1e-4) == first
 
     def test_hopeless_target_warns(self):
@@ -180,7 +179,7 @@ class TestCriticalProbability:
             solve_mare(t, qc + 5e-4, max_iter=300_000)
 
     def test_stable_target_does_not_warn(self):
-        # q^c = 0 is cached, but a stable target's fixed point stays bounded
+        # q^c = 0 here, and a stable target's fixed point stays bounded
         t = scalar_target(0.5)
         assert critical_probability(t) == 0.0
         with warnings.catch_warnings():
@@ -200,6 +199,13 @@ class TestClosedForm:
         res = solve_mare(expand_delay_chain(spec), q, tol=1e-12, max_iter=300_000)
         assert res.converged
         np.testing.assert_allclose(res.X, X, rtol=1e-6, atol=1e-9 * np.abs(X).max())
+
+    def test_negative_unit_root(self):
+        # a = -1 shares the a = 1 fixed point up to the sign of a^|i-j|
+        up = closed_form_delay_chain(DelayChainSpec(a=1.0, Q=1.0, R=1.0, d=2), 0.01)
+        down = closed_form_delay_chain(DelayChainSpec(a=-1.0, Q=1.0, R=1.0, d=2), 0.01)
+        i = np.arange(3)
+        np.testing.assert_array_equal(down, up * (-1.0) ** np.abs(i[:, None] - i[None, :]))
 
     @pytest.mark.parametrize("a,q", [(1.5, 0.1), (1.0, 0.0), (2.0, 0.74)])
     def test_none_when_no_fixed_point(self, a, q):

@@ -11,6 +11,8 @@ the theory guarantees, checked on random targets.
 * Every other unstable target is bisected, from the lower bound
   1 - 1/rho(A)^2 (Sinopoli et al., IEEE TAC 2004), to a probability at
   which the solver converges.
+* The map g_q itself is monotone: X1 <= X2 implies g_q(X1) <= g_q(X2),
+  and raising q can only lower g_q(X) (Sinopoli et al., IEEE TAC 2004).
 """
 import numpy as np
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from sensorsched import (
     closed_form_delay_chain,
     critical_probability,
     expand_delay_chain,
+    g_q,
     solve_mare,
 )
 
@@ -94,3 +97,31 @@ def test_unstable_rotation_is_bisected(radius, angle):
     qc = critical_probability(target, tol=1e-2, mare_max_iter=5_000)
     assert 1.0 - 1.0 / radius**2 <= qc <= 1.0
     assert solve_mare(target, qc).converged
+
+
+def random_psd(rng, n: int) -> np.ndarray:
+    G = rng.normal(size=(n, n))
+    return G @ G.T
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=seeds, n=st.integers(1, 3), q1=st.floats(0.0, 1.0), q2=st.floats(0.0, 1.0))
+def test_riccati_map_is_monotone(seed, n, q1, q2):
+    # g_q is order-preserving in X and non-increasing in q on the PSD cone
+    rng = np.random.default_rng(seed)
+    target = LtiTarget(
+        A=rng.normal(size=(n, n)),
+        C=rng.normal(size=(1, n)),
+        Q=random_psd(rng, n),
+        R=[[rng.uniform(0.1, 2.0)]],
+    )
+    X1 = random_psd(rng, n)
+    X2 = X1 + random_psd(rng, n)
+    lo, hi = sorted((q1, q2))
+
+    def least_eig(M, scale):
+        return np.linalg.eigvalsh(M)[0] / max(1.0, float(np.abs(scale).max()))
+
+    G1, G2 = g_q(target, lo, X1), g_q(target, lo, X2)
+    assert least_eig(G2 - G1, G2) >= -1e-9
+    assert least_eig(G1 - g_q(target, hi, X1), G1) >= -1e-9

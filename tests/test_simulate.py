@@ -24,7 +24,8 @@ from sensorsched import (
     sliding_window_schedule,
     solve_mare,
 )
-from sensorsched.simulate import _batched_step, default_burn_in
+from sensorsched.mare import _riccati_step
+from sensorsched.simulate import default_burn_in
 
 PAIR_Q = ScheduleDistribution([0.674, 0.326])
 
@@ -180,10 +181,14 @@ class TestBatchedStep:
         t = pair[0]
         stack = np.stack([np.eye(2) + g @ g.T for g in rng.normal(size=(6, 2, 2))])
         observed = np.array([True, False, True, True, False, False])
-        batched = _batched_step(t, stack, observed)
+        batched = _riccati_step(t, stack, observed[:, None, None])
         for b in range(6):
             single = covariance_step(t, stack[b], bool(observed[b]))
-            assert np.allclose(batched[b], single, rtol=1e-12)
+            assert np.array_equal(batched[b], single)
+        q = rng.uniform(size=6)
+        batched = _riccati_step(t, stack, q[:, None, None])
+        for b in range(6):
+            assert np.array_equal(batched[b], g_q(t, q[b], stack[b]))
 
 
 class TestMonteCarlo:
