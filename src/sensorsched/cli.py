@@ -16,6 +16,7 @@ import csv
 import json
 import sys
 import warnings
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,6 +78,7 @@ class Scenario:
     runs: int
     window: int | None
     sim_seed: int
+    key: str  # fingerprint of what the solution depends on
 
 
 def _check_keys(d: dict, allowed: set[str], context: str) -> None:
@@ -203,13 +205,18 @@ def load_scenario(path: str | Path) -> Scenario:
     sim = raw.get("simulate", {})
     _check_keys(sim, {"T", "runs", "window", "seed"}, "simulate")
 
+    tols = [float(solver.get(k, d)) for k, d in
+            (("outer_tol", 1e-3), ("inner_tol", 1e-5), ("mare_tol", 1e-9))]
+    # Topology, --distributed and consensus_tol stay out of the key: the
+    # distributed solve returns the centralized distribution bit for bit.
+    key = zlib.crc32(json.dumps([entries, raw.get("constraints"), tols], sort_keys=True).encode())
     return Scenario(
         targets=targets,
         constraints=constraints,
         adjacency=adjacency,
-        outer_tol=float(solver.get("outer_tol", 1e-3)),
-        inner_tol=float(solver.get("inner_tol", 1e-5)),
-        mare_tol=float(solver.get("mare_tol", 1e-9)),
+        outer_tol=tols[0],
+        inner_tol=tols[1],
+        mare_tol=tols[2],
         consensus_tol=float(solver.get("consensus_tol", 1e-12)),
         L=int(sched.get("L", 500)),
         schedule_seed=int(sched.get("seed", 1)),
@@ -220,6 +227,7 @@ def load_scenario(path: str | Path) -> Scenario:
         runs=int(sim.get("runs", 1000)),
         window=int(sim["window"]) if "window" in sim else None,
         sim_seed=int(sim.get("seed", 1)),
+        key=f"{key:08x}",
     )
 
 
@@ -275,30 +283,32 @@ def _write_solution(path: Path, scn: Scenario, report) -> None:
             _fmt(pt.q_critical),
             _fmt(report.gamma_star),
             "true" if report.feasible else "false",
+            scn.key,
         ]
         for i, pt in enumerate(report.per_target)
     ]
     _write_csv(
         path,
-        ["target", "label", "q_star", "cost", "q_critical", "gamma_star", "feasible"],
+        ["target", "label", "q_star", "cost", "q_critical", "gamma_star", "feasible", "scenario"],
         rows,
     )
 
 
 def _load_distribution(out_dir: Path, scn: Scenario, distributed: bool):
-    """Distribution from a prior solution.csv if present, else a fresh solve."""
+    """(gamma_star, q) from this scenario's own solution.csv, else from a fresh solve."""
     path = out_dir / "solution.csv"
     if path.exists():
         with open(path, newline="") as f:
             rows = list(csv.DictReader(f))
-        if len(rows) == len(scn.targets):
+        if len(rows) == len(scn.targets) and all(r.get("scenario") == scn.key for r in rows):
             q = np.array([float(r["q_star"]) for r in rows])
-            return ScheduleDistribution(q)
+            return float(rows[0]["gamma_star"]), ScheduleDistribution(q)
         print(
-            f"warning: {path} is for {len(rows)} targets, re-solving",
+            f"warning: {path} belongs to another scenario, re-solving",
             file=sys.stderr,
         )
-    return _solve(scn, distributed).q_star
+    report = _solve(scn, distributed)
+    return report.gamma_star, report.q_star
 
 
 def cmd_solve(scn: Scenario, args) -> int:
@@ -333,7 +343,7 @@ def _build_sequence(scn: Scenario, q: ScheduleDistribution, kind: str, length: i
 
 def cmd_schedule(scn: Scenario, args) -> int:
     out = Path(args.out)
-    q = _load_distribution(out, scn, args.distributed)
+    _, q = _load_distribution(out, scn, args.distributed)
     length = scn.duration if (args.kind == "csma" and scn.duration) else scn.L
     seq = _build_sequence(scn, q, args.kind, length, scn.schedule_seed)
     path = out / f"schedule_{args.kind}.txt"
@@ -353,7 +363,7 @@ def _tile_to(seq_steps: np.ndarray, T: int) -> np.ndarray:
 
 def cmd_simulate(scn: Scenario, args) -> int:
     out = Path(args.out)
-    q = _load_distribution(out, scn, args.distributed)
+    _, q = _load_distribution(out, scn, args.distributed)
     if args.kind == "random":
         mc = monte_carlo_expected_cost(
             scn.targets, q, scn.T, scn.runs, scn.sim_seed, keep_mean_series=True
@@ -390,11 +400,10 @@ def cmd_simulate(scn: Scenario, args) -> int:
 
 def cmd_compare(scn: Scenario, args) -> int:
     out = Path(args.out)
-    report = _solve(scn, args.distributed)
-    q = report.q_star
+    gamma_star, q = _load_distribution(out, scn, args.distributed)
     rows: list[list] = []
 
-    rows.append(["bound", _fmt(report.gamma_star), "", "optimized worst-case fixed-point trace"])
+    rows.append(["bound", _fmt(gamma_star), "", "optimized worst-case fixed-point trace"])
 
     mc = monte_carlo_expected_cost(scn.targets, q, scn.T, scn.runs, scn.sim_seed)
     hw = float(mc.expected.half_width[int(np.argmax(mc.expected.per_target_avg_trace))])
@@ -461,8 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if not hasattr(args, "window"):
-        args.window = None
     try:
         scn = load_scenario(args.config)
         if args.seed is not None:

@@ -63,7 +63,8 @@ def line_graph(n: int) -> np.ndarray:
     return adj
 
 
-def _check_adjacency(adj: np.ndarray) -> np.ndarray:
+def _check_adjacency(adj: np.ndarray) -> tuple[np.ndarray, int]:
+    """The adjacency as a boolean matrix, validated, and its diameter."""
     adj = np.asarray(adj, dtype=bool)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise ValueError("adjacency must be a square matrix")
@@ -71,33 +72,20 @@ def _check_adjacency(adj: np.ndarray) -> np.ndarray:
         raise ValueError("adjacency must be symmetric (undirected graph)")
     if np.any(np.diag(adj)):
         raise ValueError("adjacency must have no self loops")
-    if not np.all(_hop_counts(adj) < adj.shape[0] + 1):
-        raise ValueError("graph must be connected")
-    return adj
-
-
-def _hop_counts(adj: np.ndarray) -> np.ndarray:
-    """All-pairs hop distances by breadth-first search (small graphs)."""
-    n = adj.shape[0]
-    dist = np.full((n, n), n + 1, dtype=int)
-    for s in range(n):
-        dist[s, s] = 0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in np.nonzero(adj[u])[0]:
-                    if dist[s, v] > n:
-                        dist[s, v] = d
-                        nxt.append(v)
-            frontier = nxt
-    return dist
+    return adj, graph_diameter(adj)
 
 
 def graph_diameter(adj: np.ndarray) -> int:
-    return int(_hop_counts(np.asarray(adj, dtype=bool)).max())
+    """Most hops between two nodes: the rounds until every node reaches all."""
+    adj = np.asarray(adj, dtype=bool)
+    reach = np.eye(adj.shape[0], dtype=bool)
+    hops = 0
+    while not reach.all():
+        grown = reach | reach @ adj
+        if np.array_equal(grown, reach):
+            raise ValueError("graph must be connected")
+        reach, hops = grown, hops + 1
+    return hops
 
 
 def metropolis_weights(adj: np.ndarray) -> np.ndarray:
@@ -107,7 +95,10 @@ def metropolis_weights(adj: np.ndarray) -> np.ndarray:
     the remainder, so the all-ones vector is preserved in both directions
     and repeated application converges to the mean on any connected graph.
     """
-    adj = _check_adjacency(adj)
+    return _metropolis(_check_adjacency(adj)[0])
+
+
+def _metropolis(adj: np.ndarray) -> np.ndarray:
     deg = adj.sum(axis=1)
     W = np.zeros(adj.shape, dtype=float)
     ii, jj = np.nonzero(adj)
@@ -262,12 +253,10 @@ def solve_distributed(
     if not targets:
         raise ValueError("need at least one target")
     n = len(targets)
-    adj = complete_graph(n) if adjacency is None else _check_adjacency(np.asarray(adjacency))
+    adj, diameter = _check_adjacency(complete_graph(n) if adjacency is None else adjacency)
     if adj.shape[0] != n:
         raise ValueError(f"adjacency is {adj.shape[0]} nodes, expected {n}")
-    network = _ConsensusTotal(
-        metropolis_weights(adj), graph_diameter(adj), consensus_tol, max_consensus_rounds
-    )
+    network = _ConsensusTotal(_metropolis(adj), diameter, consensus_tol, max_consensus_rounds)
     solution = _nested_bisection(targets, constraints, outer_tol, inner_tol, mare_tol, network)
     return DistributedReport(
         solution=solution,

@@ -5,8 +5,8 @@ whether a measurement happened, so the estimation cost of any concrete
 schedule is deterministic: propagate each target's prediction covariance,
 apply the update exactly at its observation slots, and time-average the
 traces. Monte Carlo over sampled schedules estimates the expected cost of
-stochastic scheduling. A receding-horizon tree search serves as the
-deterministic planning baseline.
+stochastic scheduling. A receding-horizon tree search, whose lookahead
+tree is carried from step to step, is the deterministic planning baseline.
 
 Time averages drop a short burn-in prefix (min(T // 5, 200) steps) so the
 initial covariance choice does not bias finite-horizon readings of an
@@ -230,9 +230,10 @@ def sliding_window_schedule(
 ) -> tuple[ScheduleSequence, CostReport]:
     """Receding-horizon tree search baseline.
 
-    At each step, enumerate every observation sequence over the lookahead
-    window, score each by its end-of-window worst-case trace, commit only
-    the first element of the best, and slide forward one step. Ties break
+    At each step, score every observation sequence over the lookahead
+    window by its end-of-window worst-case trace, commit only the first
+    element of the best, and slide forward one step; the committed move's
+    subtree is kept, so each step grows just one new tree level. Ties break
     toward the lexicographically smallest window. The scoring choice makes
     this a self-contained baseline definition: it optimizes where the
     window ends up, not the running average inside it, and can therefore
@@ -246,27 +247,24 @@ def sliding_window_schedule(
             f"{n}^{window} window sequences is beyond the enumeration guard "
             "(1e6); use a smaller window"
         )
-    covs = _initial_covariances(targets, P0)
+    stacks = [P[None, :, :] for P in _initial_covariances(targets, P0)]
     committed = np.empty(T, dtype=np.int64)
-    branch_pow = n ** (window - 1)
-    for k in range(T):
-        stacks = [P[None, :, :] for P in covs]
-        for _ in range(window):
-            # leaf b branches into leaves b * n + c, c the target observed next
-            stacks = [
-                np.stack([_riccati_step(t, S, float(c == i)) for c in range(n)], axis=1)
-                .reshape(-1, t.n, t.n)
-                for i, (t, S) in enumerate(zip(targets, stacks))
-            ]
+    subtree = n ** (window - 1)
+    for k in range(1 - window, T):
+        # leaf b branches into leaves b * n + c, c the target observed next;
+        # target i is open loop on every branch but c = i
+        for i, t in enumerate(targets):
+            seen, unseen = (_riccati_step(t, stacks[i], q) for q in (1.0, 0.0))
+            stacks[i] = np.stack(
+                [seen if c == i else unseen for c in range(n)], axis=1
+            ).reshape(-1, t.n, t.n)
+        if k < 0:
+            continue  # still building the first tree
         scores = np.max(
             [np.trace(s, axis1=1, axis2=2) for s in stacks], axis=0
         )
-        best = int(np.argmin(scores))
-        move = best // branch_pow
+        move = int(np.argmin(scores)) // subtree
         committed[k] = move
-        covs = [
-            covariance_step(target, covs[i], move == i)
-            for i, target in enumerate(targets)
-        ]
+        stacks = [s[move * subtree:(move + 1) * subtree] for s in stacks]
     seq = ScheduleSequence(steps=committed, n_targets=n)
     return seq, evaluate_schedule(targets, seq, P0)

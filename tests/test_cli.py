@@ -161,7 +161,7 @@ class TestSolveCommand:
         assert "gamma_star = 59.07" in stdout
         assert "noisy" in stdout and "drifty" in stdout
         lines = (out / "solution.csv").read_text().splitlines()
-        assert lines[0] == "target,label,q_star,cost,q_critical,gamma_star,feasible"
+        assert lines[0] == "target,label,q_star,cost,q_critical,gamma_star,feasible,scenario"
         assert len(lines) == 3
         qs = [float(line.split(",")[2]) for line in lines[1:]]
         assert sum(qs) == pytest.approx(1.0, abs=1e-9)
@@ -249,6 +249,19 @@ class TestScheduleCommand:
         assert rc == 0
         assert "re-solving" in err
 
+    def test_solution_of_another_scenario_is_not_reused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path)
+        assert run(capsys, "solve", "--config", str(cfg), "--out", str(out))[0] == 0
+        quiet = [dict(PAIR_TARGETS[0], Q=[[0.1, 0.0], [0.0, 0.1]]), PAIR_TARGETS[1]]
+        cfg.write_text(json.dumps({"targets": quiet}))
+        rc, stdout, err = run(
+            capsys, "schedule", "--config", str(cfg), "--out", str(out), "--kind", "random"
+        )
+        assert rc == 0
+        assert "re-solving" in err
+        assert "noisy=0," in stdout
+
     def test_random_schedule_is_seed_stable(self, tmp_path, capsys):
         cfg = write_config(tmp_path, schedule={"L": 200, "seed": 3})
         out = tmp_path / "out"
@@ -325,6 +338,21 @@ class TestCompareCommand:
         assert bound == pytest.approx(59.0734, abs=0.02)
         for line in lines[1:]:
             assert line.split(",")[1] != ""
+
+    def test_reuses_solution_of_same_scenario(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, simulate={"T": 40, "runs": 2})
+        out = tmp_path / "out"
+        assert run(capsys, "solve", "--config", str(cfg), "--out", str(out))[0] == 0
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("compare re-solved a scenario solve already wrote")
+
+        monkeypatch.setattr(cli, "solve_distribution", no_solve)
+        rc, _, err = run(capsys, "compare", "--config", str(cfg), "--out", str(out))
+        assert rc == 0 and err == ""
+        gamma = (out / "solution.csv").read_text().splitlines()[1].split(",")[5]
+        bound = (out / "comparison.csv").read_text().splitlines()[1].split(",")[1]
+        assert bound == gamma
 
     def test_window_flag_overrides_config(self, tmp_path, capsys):
         cfg = write_config(tmp_path, simulate={"T": 40, "runs": 2})

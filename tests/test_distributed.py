@@ -12,6 +12,7 @@ from sensorsched import (
     InfeasibilityWarning,
     average_consensus,
     complete_graph,
+    distributed,
     graph_diameter,
     line_graph,
     metropolis_weights,
@@ -158,6 +159,25 @@ class TestSolveDistributed:
     def test_rejects_wrong_adjacency_size(self, pair):
         with pytest.raises(ValueError, match="expected 2"):
             solve_distributed(pair, adjacency=complete_graph(3))
+
+    def test_graph_checked_once_per_solve(self, pair, monkeypatch):
+        """One validation and one hop computation (the diameter, which also
+        proves the graph connected) serve the whole solve."""
+        calls = []
+
+        def counted(name):
+            original = getattr(distributed, name)
+
+            def wrapper(adj):
+                calls.append(name)
+                return original(adj)
+
+            monkeypatch.setattr(distributed, name, wrapper)
+
+        counted("_check_adjacency")
+        counted("graph_diameter")
+        solve_distributed(pair + pair[:1], adjacency=ring_graph(3))
+        assert sorted(calls) == ["_check_adjacency", "graph_diameter"]
 
     def test_rejects_disconnected_graph(self, pair):
         with pytest.raises(ValueError, match="connected"):

@@ -262,28 +262,46 @@ class TestSlidingWindow:
                 for i, t in enumerate(pair)
             ]
 
-    def test_window_two_matches_exhaustive_rolling_search(self, pair):
-        seq, _ = sliding_window_schedule(pair, window=2, T=6)
-        covs = [t.Q.copy() for t in pair]
-        expected = []
-        for _ in range(6):
-            best_score, best_plan = np.inf, None
-            for plan in itertools.product(range(2), repeat=2):
-                rolled = [P.copy() for P in covs]
-                for move in plan:
-                    rolled = [
-                        covariance_step(t, rolled[i], move == i)
-                        for i, t in enumerate(pair)
-                    ]
-                score = max(np.trace(P) for P in rolled)
-                if score < best_score:
-                    best_score, best_plan = score, plan
-            expected.append(best_plan[0])
-            covs = [
-                covariance_step(t, covs[i], best_plan[0] == i)
-                for i, t in enumerate(pair)
-            ]
-        assert seq.steps.tolist() == expected
+    def test_window_two_matches_exhaustive_rolling_search(self, pair, chain_trio):
+        for targets, window in ((pair, 2), (chain_trio, 3)):
+            n = len(targets)
+            seq, _ = sliding_window_schedule(targets, window=window, T=6)
+            covs = [t.Q.copy() for t in targets]
+            expected = []
+            for _ in range(6):
+                best_score, best_plan = np.inf, None
+                for plan in itertools.product(range(n), repeat=window):
+                    rolled = [P.copy() for P in covs]
+                    for move in plan:
+                        rolled = [
+                            covariance_step(t, rolled[i], move == i)
+                            for i, t in enumerate(targets)
+                        ]
+                    score = max(np.trace(P) for P in rolled)
+                    if score < best_score:
+                        best_score, best_plan = score, plan
+                expected.append(best_plan[0])
+                covs = [
+                    covariance_step(t, covs[i], best_plan[0] == i)
+                    for i, t in enumerate(targets)
+                ]
+            assert seq.steps.tolist() == expected
+
+    def test_one_new_level_per_step(self, chain_trio, monkeypatch):
+        """The first window - 1 levels are built once; each step then adds
+        one level (an observed and an open-loop update per target), and the
+        report re-evaluates the committed schedule (one update per target
+        and step)."""
+        calls = []
+
+        def counted(target, P, q):
+            calls.append(q)
+            return _riccati_step(target, P, q)
+
+        monkeypatch.setattr("sensorsched.simulate._riccati_step", counted)
+        n, window, T = 3, 3, 5
+        sliding_window_schedule(chain_trio, window=window, T=T)
+        assert len(calls) == 2 * n * (window - 1 + T) + n * T == 57
 
     def test_report_matches_reevaluation(self, pair):
         seq, rep = sliding_window_schedule(pair, window=2, T=30)
