@@ -295,7 +295,8 @@ def _write_solution(path: Path, scn: Scenario, report) -> None:
 
 
 def _load_distribution(out_dir: Path, scn: Scenario, distributed: bool):
-    """(gamma_star, q) from this scenario's own solution.csv, else from a fresh solve."""
+    """(gamma_star, q) from this scenario's own solution.csv, else from a
+    fresh solve, written to solution.csv so that later commands reuse it."""
     path = out_dir / "solution.csv"
     if path.exists():
         with open(path, newline="") as f:
@@ -304,10 +305,11 @@ def _load_distribution(out_dir: Path, scn: Scenario, distributed: bool):
             q = np.array([float(r["q_star"]) for r in rows])
             return float(rows[0]["gamma_star"]), ScheduleDistribution(q)
         print(
-            f"warning: {path} belongs to another scenario, re-solving",
+            f"warning: {path} belongs to another scenario, re-solving and replacing it",
             file=sys.stderr,
         )
     report = _solve(scn, distributed)
+    _write_solution(path, scn, report)
     return report.gamma_star, report.q_star
 
 
@@ -462,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("schedule", "simulate"):
             p.add_argument("--kind", choices=("random", "minconsec", "csma"),
                            default="random")
-        if name in ("simulate", "compare"):
+        if name == "compare":
             p.add_argument("--window", type=int, default=None,
                            help="lookahead window for the tree-search baseline")
     return parser

@@ -8,9 +8,14 @@ filter is bounded by the fixed point of the modified Riccati map
 
 the ordinary Riccati update with the correction term scaled by q. This
 module holds the one implementation of that update, which the filter and
-the simulations share, and computes g_q's fixed points, the exact fixed
-point for scalar plants with delayed measurements, and the critical
-observation probability below which no fixed point exists.
+the simulations share. It takes a stack of covariances and multiplies the
+whole stack by A and C in one matrix product each, which keeps Monte
+Carlo over thousands of runs cheap; scalar measurements, the common case,
+get the gain by division. A slice of a stacked update equals the update
+of that one matrix bit for bit. The module also computes g_q's fixed
+points, the exact fixed point for scalar plants with delayed
+measurements, and the critical observation probability below which no
+fixed point exists.
 
 Fixed points are found by iterating the map, taking a Newton step in
 place of the plain step whenever the Newton iterate is certified: g_q is
@@ -159,15 +164,39 @@ def _riccati_step(target: LtiTarget, P: np.ndarray, q: float | np.ndarray) -> np
     [..., n, n] of covariances and q a scalar or an array that broadcasts
     against it ([..., 1, 1]). A scalar q = 0 returns the open-loop
     (Lyapunov) update without forming the gain.
+
+    A and C are shared by the whole stack, so each product with them is
+    one matrix product over all rows of the stack (a single GEMM, not one
+    per matrix). With B = [A; C], rows of P times B^T give P B^T, and rows
+    of its transpose B P^T times B^T give Y = B P^T B^T, whose blocks are
+    A P^T A^T, A P^T C^T, C P^T A^T and C P^T C^T. From them the update is
+    formed for P^T with Q^T and R^T: that is the transpose of the update
+    of P, exactly, so no symmetry of P, Q or R is assumed, and symmetrize
+    maps both to the same bits. For a scalar measurement (p = 1) the
+    innovation covariance S is 1x1 and S^-1 C P^T A^T is a division.
+    Each entry of a row product depends on its own row alone, so a slice
+    of a stacked call equals the call on that slice bit for bit as long
+    as BLAS rounds a row the same whatever the row count; the property
+    tests check this for stacks of up to 2048 matrices.
     """
-    A, C, Q, R = target.A, target.C, target.Q, target.R
-    AP = A @ P
-    out = AP @ A.T + Q
-    if not isinstance(q, np.ndarray) and q == 0:
+    A, C = target.A, target.C
+    n = A.shape[0]
+    lead = P.shape[:-2]
+    open_loop = not isinstance(q, np.ndarray) and q == 0
+    Bt = A.T if open_loop else np.concatenate((A.T, C.T), axis=1)
+    m = Bt.shape[1]
+    PB = (P.reshape(-1, n) @ Bt).reshape(*lead, n, m)
+    Y = (PB.swapaxes(-1, -2).reshape(-1, n) @ Bt).reshape(*lead, m, m)
+    out = Y[..., :n, :n] + target.Q.T
+    if open_loop:
         return symmetrize(out)
-    M = AP @ C.T
-    S = C @ P @ C.T + R
-    return symmetrize(out - q * (M @ np.linalg.solve(S, M.swapaxes(-1, -2))))
+    M, N = Y[..., :n, n:], Y[..., n:, :n]
+    S = Y[..., n:, n:] + target.R.T
+    if S.shape[-1] == 1:
+        correction = M * (N / S)
+    else:
+        correction = M @ np.linalg.solve(S, N)
+    return symmetrize(out - q * correction)
 
 
 def _near_critical_check(q: float, rho: float) -> None:

@@ -3,7 +3,8 @@
 Two scenarios carry most of the frozen numbers: a pair of second-order
 stable systems with very different noise levels competing for one sensor,
 and a trio of marginally stable scalar plants observed through
-measurement delays.
+measurement delays. A third-order target with two measurements covers the
+vector-measurement branch of the Riccati update.
 """
 from __future__ import annotations
 
@@ -42,9 +43,26 @@ def make_chain_trio() -> list[LtiTarget]:
     return [expand_delay_chain(s, label=lbl) for s, lbl in specs]
 
 
+def make_two_sensor() -> LtiTarget:
+    """Three states, one mildly unstable (eigenvalue 1.05), read through
+    two correlated measurements, so the innovation covariance is 2x2."""
+    return LtiTarget(
+        A=[[1.05, 0.2, 0.0], [0.0, 0.9, 0.3], [0.0, 0.0, 0.7]],
+        C=[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+        Q=np.diag([1.0, 0.5, 2.0]),
+        R=[[1.0, 0.2], [0.2, 0.5]],
+        label="two_sensor",
+    )
+
+
 @pytest.fixture()
 def pair() -> list[LtiTarget]:
     return make_pair()
+
+
+@pytest.fixture()
+def two_sensor() -> LtiTarget:
+    return make_two_sensor()
 
 
 @pytest.fixture(scope="session")

@@ -262,6 +262,26 @@ class TestScheduleCommand:
         assert "re-solving" in err
         assert "noisy=0," in stdout
 
+    def test_resolved_solution_is_written_back(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path)
+        assert run(capsys, "solve", "--config", str(cfg), "--out", str(out))[0] == 0
+        quiet = [dict(PAIR_TARGETS[0], Q=[[0.1, 0.0], [0.0, 0.1]]), PAIR_TARGETS[1]]
+        cfg.write_text(json.dumps({"targets": quiet}))
+        argv = ["schedule", "--config", str(cfg), "--out", str(out), "--kind", "random"]
+        rc, first, err = run(capsys, *argv)
+        assert rc == 0
+        assert "re-solving" in err
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved again")
+
+        monkeypatch.setattr(cli, "solve_distribution", no_solve)
+        rc, second, err = run(capsys, *argv)
+        assert rc == 0
+        assert err == ""
+        assert second == first
+
     def test_random_schedule_is_seed_stable(self, tmp_path, capsys):
         cfg = write_config(tmp_path, schedule={"L": 200, "seed": 3})
         out = tmp_path / "out"
@@ -289,6 +309,14 @@ class TestScheduleCommand:
 
 
 class TestSimulateCommand:
+    def test_rejects_window_flag(self, tmp_path, capsys):
+        # the lookahead baseline runs only in compare
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path), "--window", "3"])
+        assert exc.value.code == 2
+        assert "--window" in capsys.readouterr().err
+
     def test_deterministic_traces(self, tmp_path, capsys):
         cfg = write_config(tmp_path, simulate={"T": 60, "runs": 5, "seed": 11})
         out = tmp_path / "out"

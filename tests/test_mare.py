@@ -82,10 +82,11 @@ class TestSolver:
         assert res.converged
         assert res.X[0, 0] == pytest.approx(2.0 / (1 - 0.81), rel=1e-8)
 
-    def test_matches_independent_riccati_solver(self, pair):
-        for t in pair:
+    def test_matches_independent_riccati_solver(self, pair, two_sensor):
+        for t in [*pair, two_sensor]:
             res = solve_mare(t, 1.0)
             assert res.converged
+            assert res.residual <= 1e-7 * (1 + np.linalg.norm(res.X))
             want = solve_discrete_are(t.A.T, t.C.T, t.Q, t.R)
             np.testing.assert_allclose(res.X, want, rtol=1e-7)
 

@@ -13,9 +13,13 @@ the theory guarantees, checked on random targets.
   which the solver converges.
 * The map g_q itself is monotone: X1 <= X2 implies g_q(X1) <= g_q(X2),
   and raising q can only lower g_q(X) (Sinopoli et al., IEEE TAC 2004).
+* The Riccati update of a stack of covariances treats each matrix alone:
+  every slice equals the update of that one matrix bit for bit, whatever
+  the stack size (the kernel multiplies the whole stack at once, and BLAS
+  may take other code paths as the row count grows).
 """
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sensorsched import (
@@ -28,6 +32,8 @@ from sensorsched import (
     g_q,
     solve_mare,
 )
+from sensorsched.mare import _riccati_step
+from sensorsched.simulate import covariance_step
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -125,3 +131,40 @@ def test_riccati_map_is_monotone(seed, n, q1, q2):
     G1, G2 = g_q(target, lo, X1), g_q(target, lo, X2)
     assert least_eig(G2 - G1, G2) >= -1e-9
     assert least_eig(G1 - g_q(target, hi, X1), G1) >= -1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=seeds,
+    stack=st.integers(1, 2048),
+    n=st.integers(1, 4),
+    p=st.integers(1, 2),
+    fractional=st.booleans(),
+)
+# the stack sizes of the Monte Carlo runs, and the largest size drawn
+@example(seed=1, stack=200, n=3, p=1, fractional=False)
+@example(seed=2, stack=1000, n=2, p=1, fractional=False)
+@example(seed=3, stack=2048, n=4, p=2, fractional=True)
+def test_stacked_step_equals_step_per_slice(seed, stack, n, p, fractional):
+    rng = np.random.default_rng(seed)
+    target = LtiTarget(
+        A=rng.normal(size=(n, n)),
+        C=rng.normal(size=(p, n)),
+        Q=random_psd(rng, n) + 0.1 * np.eye(n),
+        R=random_psd(rng, p) + 0.1 * np.eye(p),
+    )
+    G = rng.normal(size=(stack, n, n))
+    P = G @ G.swapaxes(1, 2)
+    P = (P + P.swapaxes(1, 2)) / 2  # exactly symmetric, so g_q's check keeps every bit
+    if fractional:
+        q = rng.uniform(size=stack)
+        out = _riccati_step(target, P, q[:, None, None])
+        for b in range(stack):
+            assert np.array_equal(out[b], g_q(target, q[b], P[b]))
+    else:
+        observed = rng.integers(2, size=stack).astype(bool)
+        out = _riccati_step(target, P, observed[:, None, None])
+        unobserved = _riccati_step(target, P, 0.0)
+        for b in range(stack):
+            assert np.array_equal(out[b], covariance_step(target, P[b], observed[b]))
+            assert np.array_equal(unobserved[b], covariance_step(target, P[b], False))

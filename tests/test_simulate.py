@@ -190,6 +190,21 @@ class TestBatchedStep:
         for b in range(6):
             assert np.array_equal(batched[b], g_q(t, q[b], stack[b]))
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_asymmetric_input_matches_textbook_formula(self, p):
+        # nothing in the kernel may lean on P, Q or R being symmetric
+        rng = np.random.default_rng(8)
+        A, C = rng.normal(size=(3, 3)), rng.normal(size=(p, 3))
+        Q, R = rng.normal(size=(3, 3)) + 4 * np.eye(3), rng.normal(size=(p, p)) + 4 * np.eye(p)
+        t = LtiTarget(A=A, C=C, Q=Q, R=R)
+        P = rng.normal(size=(5, 3, 3)) + 3 * np.eye(3)
+        q = rng.uniform(size=(5, 1, 1))
+        gain = A @ P @ C.T @ np.linalg.inv(C @ P @ C.T + R) @ C @ P @ A.T
+        want = A @ P @ A.T + Q - q * gain
+        want = (want + want.swapaxes(1, 2)) / 2
+        got = _riccati_step(t, P, q)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
 
 class TestMonteCarlo:
     def test_deterministic_per_seed(self, pair):
@@ -215,6 +230,15 @@ class TestMonteCarlo:
             assert emp <= bound + 3.0 * mc.expected.half_width[i] + 0.5
         assert mc.time_averaged.max_over_targets <= 59.1 + 1.0
         assert mc.runs == 200 and mc.T == 500
+
+    def test_mixes_scalar_and_vector_measurements(self, pair, two_sensor):
+        targets = [pair[0], two_sensor]
+        q = ScheduleDistribution([0.6, 0.4])
+        mc = monte_carlo_expected_cost(targets, q, T=500, runs=100, seed=4)
+        for i, t in enumerate(targets):
+            bound = t.cost_of(solve_mare(t, q.q[i]).X)
+            emp = mc.expected.per_target_avg_trace[i]
+            assert 0.0 < emp <= bound + 3.0 * mc.expected.half_width[i] + 0.5
 
     def test_single_run_has_zero_half_width(self, pair):
         mc = monte_carlo_expected_cost(pair, PAIR_Q, T=80, runs=1, seed=1)

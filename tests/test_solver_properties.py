@@ -7,6 +7,10 @@ bit-identical to the centralized ones, not merely close. Instances have
 8-12 targets because numpy's pairwise summation departs from sequential
 summation from 8 terms on, which is where a second way of totalling would
 show. When the nodes' verdicts disagree the solve raises instead.
+
+The centralized solve also treats targets symmetrically: permuting them
+permutes q* and leaves gamma* alone, to within the solver's tolerances
+(only the order of the demand sum changes).
 """
 import numpy as np
 import pytest
@@ -77,6 +81,21 @@ def test_distributed_is_bit_identical_to_centralized(seed, n, graph):
     assert central.feasible and dist.feasible
     assert dist.gamma_star == central.gamma_star
     assert np.array_equal(dist.q_star.q, central.q_star.q)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6))
+def test_permuting_targets_permutes_the_solution(seed, n):
+    rng = np.random.default_rng(seed)
+    targets = stable_targets(rng, n)
+    perm = rng.permutation(n)
+    outer_tol, inner_tol = 1e-3, 1e-5
+    base = solve_distribution(targets, outer_tol=outer_tol, inner_tol=inner_tol)
+    permuted = solve_distribution(
+        [targets[i] for i in perm], outer_tol=outer_tol, inner_tol=inner_tol
+    )
+    assert abs(permuted.gamma_star - base.gamma_star) <= outer_tol
+    assert np.abs(permuted.q_star.q - base.q_star.q[perm]).max() <= inner_tol
 
 
 def test_split_verdict_raises(pair, monkeypatch):
