@@ -32,15 +32,11 @@ from .optimizer import (
     InfeasibilityWarning,
     PerTargetReport,
     SolveReport,
-    bracket_gamma,
-    min_probability_for_budget,
     solve_distribution,
-    total_demand,
 )
 from .distributed import (
     DistributedReport,
     NodeState,
-    average_consensus,
     complete_graph,
     graph_diameter,
     line_graph,
@@ -90,13 +86,9 @@ __all__ = [
     "InfeasibilityWarning",
     "PerTargetReport",
     "SolveReport",
-    "bracket_gamma",
-    "min_probability_for_budget",
     "solve_distribution",
-    "total_demand",
     "DistributedReport",
     "NodeState",
-    "average_consensus",
     "complete_graph",
     "graph_diameter",
     "line_graph",

@@ -15,10 +15,11 @@ connected undirected graph. Disagreement decays geometrically, so
 iterations continue until the remaining spread cannot flip any node's
 comparison against 1; all nodes then take the same branch and the
 network reproduces the centralized iterate for iterate. Setup (bracket
-growth in degenerate floor cases) and the final read-out of the full
-probability vector use plain neighbor flooding instead, which is exact
-after diameter-many exchanges; the flooded total is the centralized
-solver's own sum, so the distribution comes out bit-identical.
+growth in degenerate floor cases), the final read-out of the full
+probability vector and any step that averaging leaves undecided after
+`_MAX_CONSENSUS_ROUNDS` rounds use plain neighbor flooding instead, which
+is exact after diameter-many exchanges; the flooded total is the
+centralized solver's own sum, so the distribution comes out bit-identical.
 """
 from __future__ import annotations
 
@@ -37,9 +38,10 @@ __all__ = [
     "line_graph",
     "metropolis_weights",
     "graph_diameter",
-    "average_consensus",
     "solve_distributed",
 ]
+
+_MAX_CONSENSUS_ROUNDS = 100_000
 
 
 def complete_graph(n: int) -> np.ndarray:
@@ -135,40 +137,14 @@ class DistributedReport:
     total_rounds: int
 
 
-def average_consensus(
-    values: np.ndarray,
-    weights: np.ndarray,
-    tol: float = 1e-12,
-    max_rounds: int = 100_000,
-) -> tuple[np.ndarray, int]:
-    """Iterative averaging x <- Wx until every node is within tol of the mean.
-
-    Returns the per-node values and the round count. The simulation knows
-    the exact mean and stops against it; a deployed node would instead
-    bound the rounds through the weight matrix's spectral gap. Raises if
-    max_rounds passes without settling.
-    """
-    x = np.asarray(values, dtype=float).copy()
-    mean = x.mean()
-    rounds = 0
-    while np.max(np.abs(x - mean)) > tol:
-        if rounds >= max_rounds:
-            raise RuntimeError(
-                f"consensus residual {np.max(np.abs(x - mean)):.3g} "
-                f"after {max_rounds} rounds"
-            )
-        x = weights @ x
-        rounds += 1
-    return x, rounds
-
-
-def _consensus_demand(local: np.ndarray, W: np.ndarray, tol: float, max_rounds: int):
+def _consensus_demand(local: np.ndarray, W: np.ndarray, tol: float):
     """Per-node estimates of the total demand, by averaging.
 
     Iterates x <- W x until the spread is below tol and no node's implied
     total (n times its average) lies within ten worst-case errors of the
     feasibility threshold 1, so every node is guaranteed to branch the
-    same way. Returns (estimates, rounds, decided).
+    same way. Returns (estimates, rounds, decided); decided is False when
+    `_MAX_CONSENSUS_ROUNDS` rounds pass first.
     """
     n = local.shape[0]
     x = local.astype(float).copy()
@@ -178,7 +154,7 @@ def _consensus_demand(local: np.ndarray, W: np.ndarray, tol: float, max_rounds: 
         margin = 10.0 * n * spread
         if spread <= tol and not np.any(np.abs(n * x - 1.0) <= margin):
             return n * x, rounds, True
-        if rounds >= max_rounds:
+        if rounds >= _MAX_CONSENSUS_ROUNDS:
             return n * x, rounds, False
         x = W @ x
         rounds += 1
@@ -194,9 +170,8 @@ class _ConsensusTotal:
     Records each node's view of every outer step and the rounds spent.
     """
 
-    def __init__(self, W: np.ndarray, diameter: int, tol: float, max_rounds: int):
-        self.W, self.diameter = W, diameter
-        self.tol, self.max_rounds = tol, max_rounds
+    def __init__(self, W: np.ndarray, diameter: int, tol: float):
+        self.W, self.diameter, self.tol = W, diameter, tol
         self.trajectory: list[list[NodeState]] = [[] for _ in range(W.shape[0])]
         self.step_rounds: list[int] = []
         # Feasibility and the starting bracket need one exchange of scalars
@@ -208,9 +183,7 @@ class _ConsensusTotal:
         return sum(qs)
 
     def within_budget(self, qs: list[float], gamma: float, lo: float, hi: float) -> bool:
-        mu_est, rounds, decided = _consensus_demand(
-            np.array(qs), self.W, self.tol, self.max_rounds
-        )
+        mu_est, rounds, decided = _consensus_demand(np.array(qs), self.W, self.tol)
         if not decided:
             # The total demand sits essentially on the threshold and
             # averaging cannot separate it; flood the demands so the
@@ -237,7 +210,6 @@ def solve_distributed(
     inner_tol: float = 1e-5,
     mare_tol: float = 1e-9,
     consensus_tol: float = 1e-12,
-    max_consensus_rounds: int = 100_000,
 ) -> DistributedReport:
     """Solve the shared-budget problem with one node per target.
 
@@ -256,7 +228,7 @@ def solve_distributed(
     adj, diameter = _check_adjacency(complete_graph(n) if adjacency is None else adjacency)
     if adj.shape[0] != n:
         raise ValueError(f"adjacency is {adj.shape[0]} nodes, expected {n}")
-    network = _ConsensusTotal(_metropolis(adj), diameter, consensus_tol, max_consensus_rounds)
+    network = _ConsensusTotal(_metropolis(adj), diameter, consensus_tol)
     solution = _nested_bisection(targets, constraints, outer_tol, inner_tol, mare_tol, network)
     return DistributedReport(
         solution=solution,

@@ -10,7 +10,8 @@ the upper endpoint at most 1, and an inner one per target on q (the
 fixed-point cost is non-increasing in q). The final probabilities are
 rescaled to sum to one exactly, which can only lower each target's cost.
 The distributed solver runs this same bisection; only the way the
-demands are totalled differs (see `_nested_bisection`).
+demands are totalled differs. `_nested_bisection` is the only driver, so
+floors and channel loss reach every inversion, demand total and bracket.
 
 Per-target costs are `target.cost_of` applied to the fixed point: the
 plain trace unless the target selects cost weights.
@@ -30,9 +31,6 @@ __all__ = [
     "PerTargetReport",
     "SolveReport",
     "InfeasibilityWarning",
-    "min_probability_for_budget",
-    "total_demand",
-    "bracket_gamma",
     "solve_distribution",
 ]
 
@@ -112,7 +110,7 @@ class _CostOracle:
     certified fixed point may satisfy a budget.
     """
 
-    def __init__(self, target: LtiTarget, mare_tol: float, loss: float = 0.0):
+    def __init__(self, target: LtiTarget, mare_tol: float, loss: float):
         self.target = target
         self.mare_tol = mare_tol
         self.loss = loss
@@ -131,15 +129,15 @@ class _CostOracle:
 def _bisect_min_q(oracle: _CostOracle, gamma: float, q_floor: float, tol: float):
     """Least assigned q in [q_floor, 1] with cost <= gamma, and step count.
 
-    Returns (1.0, steps, False) when even q = 1 misses the budget. The
-    floor itself is never evaluated: when every probed midpoint is
-    feasible the bisection collapses onto the floor from above, which
-    keeps the usual width-tol guarantee without paying for a solve at the
-    (typically near-critical, slowest) endpoint.
+    Returns (1.0, 0) when even q = 1 misses the budget, which the driver
+    never asks. The floor itself is never evaluated: when every probed
+    midpoint is feasible the bisection collapses onto the floor from above,
+    which keeps the usual width-tol guarantee without paying for a solve at
+    the (typically near-critical, slowest) endpoint.
     """
     steps = 0
     if oracle.cost(1.0) > gamma:
-        return 1.0, steps, False
+        return 1.0, steps
     lo, hi = q_floor, 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2
@@ -148,7 +146,7 @@ def _bisect_min_q(oracle: _CostOracle, gamma: float, q_floor: float, tol: float)
         else:
             lo = mid
         steps += 1
-    return hi, steps, True
+    return hi, steps
 
 
 def _critical_floor(target: LtiTarget, loss: float, inner_tol: float, mare_tol: float) -> tuple[float, float]:
@@ -156,50 +154,6 @@ def _critical_floor(target: LtiTarget, loss: float, inner_tol: float, mare_tol: 
     qc_eff = critical_probability(target, tol=inner_tol, mare_tol=mare_tol)
     qc_assigned = min(qc_eff / (1.0 - loss), 1.0)
     return qc_assigned, min(qc_assigned + inner_tol, 1.0)
-
-
-def min_probability_for_budget(
-    target: LtiTarget,
-    gamma: float,
-    tol: float = 1e-5,
-    *,
-    mare_tol: float = 1e-9,
-) -> float:
-    """Least q in (q^c, 1] whose fixed-point cost stays within gamma.
-
-    Located by bisection to width `tol`, exploiting that the cost is
-    non-increasing in q. Returns 1.0 and emits an InfeasibilityWarning
-    when even constant observation misses the budget.
-    """
-    if gamma <= 0:
-        raise ValueError("budget must be positive")
-    oracle = _CostOracle(target, mare_tol)
-    _, floor = _critical_floor(target, 0.0, tol, mare_tol)
-    q, _, feasible = _bisect_min_q(oracle, gamma, floor, tol)
-    if not feasible:
-        warnings.warn(
-            f"budget {gamma:.6g} is below the cost under constant observation",
-            InfeasibilityWarning,
-            stacklevel=2,
-        )
-    return q
-
-
-def total_demand(
-    targets: list[LtiTarget],
-    gamma: float,
-    tol: float = 1e-5,
-    *,
-    mare_tol: float = 1e-9,
-) -> float:
-    """Total probability demand at budget gamma (non-increasing in gamma)."""
-    total = 0.0
-    for t in targets:
-        oracle = _CostOracle(t, mare_tol)
-        _, floor = _critical_floor(t, 0.0, tol, mare_tol)
-        q, _, _ = _bisect_min_q(oracle, gamma, floor, tol)
-        total += q
-    return total
 
 
 def _bracket(oracles, floors):
@@ -217,22 +171,6 @@ def _bracket(oracles, floors):
     hi = max(o.cost(min(f + slack, 1.0)) for o, f in zip(oracles, floors))
     # Costs are non-increasing in q, so hi >= lo up to roundoff.
     return lo, max(hi, lo)
-
-
-def bracket_gamma(
-    targets: list[LtiTarget],
-    inner_tol: float = 1e-5,
-    *,
-    mare_tol: float = 1e-9,
-) -> tuple[float, float]:
-    """Initial outer-bisection bracket for an unconstrained scenario."""
-    oracles = [_CostOracle(t, mare_tol) for t in targets]
-    floors = [_critical_floor(t, 0.0, inner_tol, mare_tol)[1] for t in targets]
-    if sum(floors) > 1.0:
-        raise ValueError(
-            "critical probabilities sum above 1; the scenario is infeasible"
-        )
-    return _bracket(oracles, floors)
 
 
 class _ExactTotal:
@@ -322,7 +260,7 @@ def _nested_bisection(targets, constraints, outer_tol, inner_tol, mare_tol, dema
         nonlocal inner_total
         qs = []
         for i, o in enumerate(oracles):
-            q, steps, _ = _bisect_min_q(o, gamma, crit[i][1], inner_tol)
+            q, steps = _bisect_min_q(o, gamma, crit[i][1], inner_tol)
             inner_total += steps
             qs.append(max(q, cons.priority(i)))
         return qs

@@ -39,6 +39,14 @@ def default_burn_in(T: int) -> int:
     return min(T // 5, 200)
 
 
+def _burn_in(T: int, burn_in: int | None) -> int:
+    """burn_in, or the default for T, checked to leave at least one step."""
+    burn = default_burn_in(T) if burn_in is None else burn_in
+    if not 0 <= burn < T:
+        raise ValueError(f"burn_in must lie in [0, {T})")
+    return burn
+
+
 @dataclass(frozen=True, eq=False)
 class FilterState:
     """Estimate x_hat[k|k] together with the next prediction covariance P[k+1|k]."""
@@ -136,9 +144,7 @@ def evaluate_schedule(
     if seq.n_targets != len(targets):
         raise ValueError(f"sequence is over {seq.n_targets} targets, got {len(targets)}")
     T = len(seq)
-    burn = default_burn_in(T) if burn_in is None else burn_in
-    if not 0 <= burn < T:
-        raise ValueError(f"burn_in must lie in [0, {T})")
+    burn = _burn_in(T, burn_in)
     traces = np.empty((T, len(targets)))
     covs = _initial_covariances(targets, P0)
     for i, target in enumerate(targets):
@@ -176,7 +182,7 @@ def monte_carlo_expected_cost(
         raise ValueError(f"distribution is over {len(q)} targets, got {len(targets)}")
     if T < 1 or runs < 1:
         raise ValueError("T and runs must be at least 1")
-    burn = default_burn_in(T) if burn_in is None else burn_in
+    burn = _burn_in(T, burn_in)
     tail = max(1, T // 5)
 
     children = np.random.SeedSequence(seed).spawn(runs)

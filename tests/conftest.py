@@ -80,6 +80,18 @@ def chain_trio() -> list[LtiTarget]:
     return make_chain_trio()
 
 
+@pytest.fixture(scope="session")
+def no_slack_pair() -> list[LtiTarget]:
+    """Two copies of a scalar plant with q^c = 1 - 0.500012 = 0.499988.
+
+    At the default inner_tol of 1e-5 the floors q^c + tol sum to
+    0.999996, so inner bisections of width 1e-5 cannot bring the demand
+    total at any budget down to 1.
+    """
+    t = LtiTarget(A=[[1 / np.sqrt(0.500012)]], C=[[1.0]], Q=[[1.0]], R=[[1.0]], label="tight")
+    return [t, t]
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Print the acceptance-criteria outcome table after the run."""
     mod = sys.modules.get("test_acceptance")

@@ -10,7 +10,6 @@ import pytest
 
 from sensorsched import (
     InfeasibilityWarning,
-    average_consensus,
     complete_graph,
     distributed,
     graph_diameter,
@@ -84,20 +83,18 @@ class TestMetropolisWeights:
 class TestAverageConsensus:
     def test_reaches_the_mean(self):
         W = metropolis_weights(ring_graph(4))
-        x, rounds = average_consensus(np.array([0.0, 1.0, 2.0, 3.0]), W)
-        assert np.allclose(x, 1.5, atol=1e-11)
+        values = np.array([0.0, 1.0, 2.0, 3.0])
+        est, rounds, decided = distributed._consensus_demand(values, W, 1e-12)
+        assert decided
+        assert np.allclose(est, 6.0, atol=1e-11)
         assert rounds > 1
 
     def test_pair_averages_in_one_round(self):
         W = metropolis_weights(line_graph(2))
-        x, rounds = average_consensus(np.array([0.0, 1.0]), W)
+        est, rounds, decided = distributed._consensus_demand(np.array([0.0, 0.6]), W, 1e-12)
+        assert decided
         assert rounds == 1
-        assert x[0] == x[1] == 0.5
-
-    def test_round_budget_enforced(self):
-        W = metropolis_weights(line_graph(2))
-        with pytest.raises(RuntimeError, match="consensus residual"):
-            average_consensus(np.array([0.0, 1.0]), W, max_rounds=0)
+        assert est[0] == est[1] == 0.6
 
 
 class TestSolveDistributed:
@@ -155,6 +152,19 @@ class TestSolveDistributed:
         assert dist.solution.q_star is None
         assert dist.trajectory == ((), ())
         assert dist.consensus_rounds == ()
+
+    @pytest.mark.filterwarnings("ignore::sensorsched.ConditioningWarning")
+    def test_floors_without_slack_match_centralized(self, no_slack_pair):
+        with pytest.warns(InfeasibilityWarning, match="floors leave no slack"):
+            central = solve_distribution(no_slack_pair)
+        with pytest.warns(InfeasibilityWarning, match="floors leave no slack"):
+            dist = solve_distributed(no_slack_pair, adjacency=line_graph(2))
+        assert dist.solution.feasible
+        assert dist.solution.gamma_star == central.gamma_star
+        assert np.array_equal(dist.solution.q_star.q, central.q_star.q)
+        # no outer step, so no consensus: only floods
+        assert dist.consensus_rounds == ()
+        assert dist.trajectory == ((), ())
 
     def test_rejects_wrong_adjacency_size(self, pair):
         with pytest.raises(ValueError, match="expected 2"):

@@ -14,17 +14,23 @@ from sensorsched import (
     Constraints,
     InfeasibilityWarning,
     LtiTarget,
-    bracket_gamma,
-    min_probability_for_budget,
     solve_distribution,
     solve_mare,
-    total_demand,
+)
+from sensorsched.optimizer import (
+    _bisect_min_q,
+    _bracket,
+    _CostOracle,
+    _critical_floor,
+    _ExactTotal,
+    _nested_bisection,
 )
 
 PAIR_GAMMA = 59.0734
 PAIR_Q = (0.6740, 0.3260)
 TRIO_GAMMA = 17.3415
 TRIO_Q = (0.0649, 0.1612, 0.7739)
+INNER_TOL, MARE_TOL = 1e-5, 1e-9
 
 
 def scalar_target(a: float) -> LtiTarget:
@@ -36,42 +42,69 @@ def cost_at(target: LtiTarget, q: float) -> float:
     return target.cost_of(res.X) if res.converged else float("inf")
 
 
+def min_q(target: LtiTarget, gamma: float) -> tuple[float, int]:
+    """The driver's inner inversion of one lossless target at its own floor."""
+    _, floor = _critical_floor(target, 0.0, INNER_TOL, MARE_TOL)
+    return _bisect_min_q(_CostOracle(target, MARE_TOL, 0.0), gamma, floor, INNER_TOL)
+
+
+class RecordingTotal(_ExactTotal):
+    """The centralized demand strategy, recording every total it forms:
+    `totals` for bracket growth and read-out, `steps` as (lo, hi, gamma,
+    total) per outer step."""
+
+    def __init__(self):
+        self.totals, self.steps = [], []
+
+    def total(self, qs):
+        self.totals.append(sum(qs))
+        return super().total(qs)
+
+    def within_budget(self, qs, gamma, lo, hi):
+        self.steps.append((lo, hi, gamma, sum(qs)))
+        return super().within_budget(qs, gamma, lo, hi)
+
+
+def recorded_solve(targets) -> RecordingTotal:
+    demand = RecordingTotal()
+    _nested_bisection(targets, None, 1e-3, INNER_TOL, MARE_TOL, demand)
+    return demand
+
+
 class TestBudgetInversion:
     def test_meets_budget_tightly(self, pair):
         t = pair[0]
         gamma = 55.0
-        q = min_probability_for_budget(t, gamma, tol=1e-5)
+        q, _ = min_q(t, gamma)
         assert cost_at(t, q) <= gamma
         assert cost_at(t, q - 5e-4) > gamma
 
     def test_monotone_in_budget(self, pair):
         t = pair[1]
-        qs = [min_probability_for_budget(t, g) for g in (20.0, 40.0, 80.0)]
+        qs = [min_q(t, g)[0] for g in (20.0, 40.0, 80.0)]
         assert qs[0] > qs[1] > qs[2]
 
-    def test_rejects_nonpositive_budget(self, pair):
-        with pytest.raises(ValueError):
-            min_probability_for_budget(pair[0], 0.0)
-
-    def test_unreachable_budget_warns(self, pair):
+    def test_unreachable_budget_returns_one(self, pair):
         # constant observation of the noisy system still costs ~46
-        with pytest.warns(InfeasibilityWarning):
-            q = min_probability_for_budget(pair[0], 10.0)
-        assert q == 1.0
+        assert min_q(pair[0], 10.0) == (1.0, 0)
 
     def test_total_demand_decreases(self, pair):
-        demands = [total_demand(pair, g) for g in (50.0, 59.0, 80.0)]
-        assert demands[0] > demands[1] > demands[2]
+        probes = sorted((gamma, mu) for _, _, gamma, mu in recorded_solve(pair).steps)
+        demands = [mu for _, mu in probes]
+        assert all(a >= b for a, b in zip(demands, demands[1:]))
+        # the probes straddle the threshold, so the ordering is not vacuous
+        assert demands[0] > 1.0 >= demands[-1]
 
     def test_bracket_encloses_unit_demand(self, pair):
-        lo, hi = bracket_gamma(pair, inner_tol=1e-5)
+        demand = recorded_solve(pair)
+        floors = [_critical_floor(t, 0.0, INNER_TOL, MARE_TOL)[1] for t in pair]
+        lo, hi = _bracket([_CostOracle(t, MARE_TOL, 0.0) for t in pair], floors)
+        # the first outer step bisects the initial bracket, not a grown one
+        assert demand.steps[0][:2] == (lo, hi)
         assert lo <= hi
-        assert total_demand(pair, lo) >= 1.0 - 1e-9
-        assert total_demand(pair, hi) <= 1.0 + 2 * 1e-5
-
-    def test_bracket_rejects_infeasible(self, unstable_scalar):
-        with pytest.raises(ValueError, match="infeasible"):
-            bracket_gamma([unstable_scalar, unstable_scalar])
+        assert sum(min_q(t, lo)[0] for t in pair) >= 1.0 - 1e-9
+        # bracket growth first totals the demand at hi
+        assert demand.totals[0] == sum(min_q(t, hi)[0] for t in pair) <= 1.0 + 2 * INNER_TOL
 
 
 class TestSolve:
@@ -179,6 +212,19 @@ class TestInfeasible:
                 [unstable_scalar], constraints=Constraints(loss=[0.6])
             )
         assert not report.feasible
+
+    @pytest.mark.filterwarnings("ignore::sensorsched.ConditioningWarning")
+    def test_floors_without_slack_warn(self, no_slack_pair):
+        with pytest.warns(InfeasibilityWarning, match="floors leave no slack"):
+            report = solve_distribution(no_slack_pair)
+        # the stalled bracket growth leaves nothing to bisect, and the
+        # read-out's rescale still gives a distribution within the budget
+        assert report.feasible
+        assert report.outer_iterations == 0
+        assert report.q_star.q.tolist() == [0.5, 0.5]
+        for pt in report.per_target:
+            assert pt.q_critical < pt.q
+            assert pt.cost <= report.gamma_star
 
     def test_feasible_solve_emits_no_warning(self, pair):
         with warnings.catch_warnings():

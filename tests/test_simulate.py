@@ -163,6 +163,11 @@ class TestEvaluateSchedule:
             evaluate_schedule(pair, seq, burn_in=-1)
         rep = evaluate_schedule(pair, seq, burn_in=0)
         assert rep.per_target_avg_trace.shape == (2,)
+        # the Monte Carlo shares the check: a burn-in of T would average
+        # nothing, and a negative one would average only the last steps
+        for burn_in in (10, -3):
+            with pytest.raises(ValueError, match="burn_in"):
+                monte_carlo_expected_cost(pair, PAIR_Q, T=10, runs=2, seed=0, burn_in=burn_in)
 
     def test_rejects_mismatched_sequence(self, pair):
         seq = ScheduleSequence(np.zeros(10, dtype=np.int64), 3)

@@ -10,7 +10,9 @@ show. When the nodes' verdicts disagree the solve raises instead.
 
 The centralized solve also treats targets symmetrically: permuting them
 permutes q* and leaves gamma* alone, to within the solver's tolerances
-(only the order of the demand sum changes).
+(only the order of the demand sum changes), and two copies of one target
+get the same q bit for bit. Scaling (Q, R) by c scales every fixed point
+by c, so together with outer_tol it scales gamma* by c and leaves q*.
 """
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ import sensorsched.distributed as distributed
 from sensorsched import (
     LtiTarget,
     complete_graph,
+    graph_diameter,
     line_graph,
     ring_graph,
     solve_distributed,
@@ -105,3 +108,45 @@ def test_split_verdict_raises(pair, monkeypatch):
     )
     with pytest.raises(RuntimeError, match="lockstep"):
         solve_distributed(pair)
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5))
+def test_duplicated_target_gets_the_same_probability(seed, n):
+    rng = np.random.default_rng(seed)
+    targets = stable_targets(rng, n)
+    j, at = int(rng.integers(n)), int(rng.integers(n + 1))
+    t = targets[j]
+    copy = LtiTarget(A=t.A, C=t.C, Q=t.Q, R=t.R)
+    targets.insert(at, copy)
+    q = solve_distribution(targets).q_star.q
+    assert q[at] == q[j + (at <= j)]
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), k=st.integers(-2, 2))
+def test_scaling_the_noise_scales_the_budget(seed, n, k):
+    rng = np.random.default_rng(seed)
+    targets = stable_targets(rng, n)
+    c, outer_tol, inner_tol = 2.0**k, 1e-3, 1e-5
+    scaled = [LtiTarget(A=t.A, C=t.C, Q=c * t.Q, R=c * t.R) for t in targets]
+    base = solve_distribution(targets, outer_tol=outer_tol, inner_tol=inner_tol)
+    moved = solve_distribution(scaled, outer_tol=c * outer_tol, inner_tol=inner_tol)
+    assert abs(moved.gamma_star - c * base.gamma_star) <= c * outer_tol
+    assert np.abs(moved.q_star.q - base.q_star.q).max() <= inner_tol
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_undecided_steps_flood(seed, monkeypatch):
+    """A step that averaging leaves undecided floods the demands: it costs
+    one diameter of rounds and returns the centralized verdict."""
+    monkeypatch.setattr(distributed, "_MAX_CONSENSUS_ROUNDS", 0)
+    targets = stable_targets(np.random.default_rng(seed), 6)
+    adj = ring_graph(6)
+    central = solve_distribution(targets)
+    dist = solve_distributed(targets, adjacency=adj)
+    diameter = graph_diameter(adj)
+    assert len(dist.consensus_rounds) == central.outer_iterations > 0
+    assert set(dist.consensus_rounds) == {diameter}
+    assert dist.solution.gamma_star == central.gamma_star
+    assert np.array_equal(dist.solution.q_star.q, central.q_star.q)
