@@ -267,7 +267,10 @@ def solve_mare(
     quadratically), and the plain step X <- g_q(X) otherwise. Below
     q = 1 - 1/rho(A)^2 no Newton step is tried, since for positive
     definite Q no certificate exists there. The solve stops when the step
-    ||X_next - X||_F falls below tol * (1 + ||X||_F).
+    ||X_next - X||_F falls below tol * (1 + ||X||_F), or when a Newton
+    step from a certified iterate raises the trace by a step within the
+    certificate's slack: rounding then outweighs the step, and that
+    iterate is returned.
     Divergence is declared when the trace passes TRACE_DIVERGENCE_CAP, or
     when it grows by a factor above 1 + 1e-6 for 50 consecutive iterations
     past iteration 200 while already above 1e8 (slow blowups near the
@@ -277,7 +280,9 @@ def solve_mare(
     point found", never as convergence.
 
     The iteration converges from any positive semidefinite start when a
-    fixed point exists, so x0 only affects the iteration count.
+    fixed point exists, so x0 only affects the iteration count. A
+    super-solution x0 (g_q(x0) <= x0, as the fixed point at a smaller q is)
+    makes the first Newton candidate certifiable.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q!r}")
@@ -294,6 +299,7 @@ def solve_mare(
     G = g_q(target, q, X, validate=False)
     tr_prev = float(np.trace(X))
     streak = 0
+    certified = False
     for k in range(1, max_iter + 1):
         step = None if base is None else _newton_step(target, q, base, X, G)
         Xn, Gn = step or (G, None)
@@ -310,6 +316,11 @@ def solve_mare(
             Gn = g_q(target, q, Xn, validate=False)
         if np.linalg.norm(Xn - X) <= tol * (1 + np.linalg.norm(X)):
             return MareResult(MareStatus.CONVERGED, Xn, k, float(np.linalg.norm(Gn - Xn)))
+        # Newton steps from a certified X descend; a rise within its slack is rounding
+        rise = certified and step is not None and tr >= tr_prev
+        if rise and np.linalg.norm(Xn - X) <= _CERTIFY_RTOL * (1 + np.linalg.norm(X)):
+            return MareResult(MareStatus.CONVERGED, X, k, float(np.linalg.norm(G - X)))
+        certified = step is not None
         X, G, tr_prev = Xn, Gn, tr
     return MareResult(MareStatus.MAX_ITERATIONS, X, max_iter, float(np.linalg.norm(G - X)))
 

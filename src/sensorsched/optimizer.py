@@ -108,6 +108,11 @@ class _CostOracle:
     mu(gamma) evaluations cheap and exactly consistent. Non-converged
     solves (diverged or out of budget) count as cost infinity: only a
     certified fixed point may satisfy a budget.
+
+    `cache` maps each assigned q to its cost, `fixed_points` each converged
+    one to its fixed point X; a solve starts from X at the largest smaller
+    q (g_q is non-increasing in q, so g_q(X) <= X: Newton's certificate).
+    `iterations` counts MARE iterations and `warm_starts` such starts.
     """
 
     def __init__(self, target: LtiTarget, mare_tol: float, loss: float):
@@ -115,12 +120,21 @@ class _CostOracle:
         self.mare_tol = mare_tol
         self.loss = loss
         self.cache: dict[float, float] = {}
+        self.fixed_points: dict[float, np.ndarray] = {}
+        self.iterations = 0
+        self.warm_starts = 0
 
     def cost(self, q_assigned: float) -> float:
         c = self.cache.get(q_assigned)
         if c is None:
             q_eff = q_assigned * (1.0 - self.loss)
-            res = solve_mare(self.target, q_eff, tol=self.mare_tol)
+            below = [p for p in self.fixed_points if p < q_assigned]
+            x0 = self.fixed_points[max(below)] if below else None
+            res = solve_mare(self.target, q_eff, tol=self.mare_tol, x0=x0)
+            self.iterations += res.iterations
+            self.warm_starts += x0 is not None
+            if res.converged:
+                self.fixed_points[q_assigned] = res.X
             c = self.target.cost_of(res.X) if res.converged else float("inf")
             self.cache[q_assigned] = c
         return c

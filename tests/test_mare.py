@@ -128,6 +128,26 @@ class TestSolver:
         assert res.X is not None
         assert res.iterations == 50
 
+    @pytest.mark.parametrize("a,gap,budget", [(1.3, 1e-5, 300), (1.3, 1e-7, 1500), (2.0, 1e-7, 1000)])
+    def test_newton_rounding_floor_converges(self, a, gap, budget):
+        # At q^c + 1e-5 for a = 1.3 the fixed point is ~1e5, and g_q's rounding
+        # (one ulp, ~1.5e-11) amplified by the near-singular Newton system
+        # exceeds the tol = 1e-12 step test: the certified iterates alternate
+        # between two values ~9e-7 apart, so that rise must end the solve.
+        # At q^c + 1e-7 the first certified iterate overshoots to a trace of
+        # ~1e10 and the next lands ~2e-6 relative below the fixed point, still
+        # inside the certificate's slack; the step after that rises by far
+        # more than rounding, so the solve must go on.
+        q = 1 - 1 / a**2 + gap
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            res = solve_mare(scalar_target(a), q, tol=1e-12, max_iter=3000)
+        assert res.converged
+        assert res.iterations <= budget
+        exact = closed_form_delay_chain(DelayChainSpec(a=a, Q=1.0, R=1.0, d=0), q)
+        # the conditioning near q^c amplifies rounding to ~1e-9 relative
+        np.testing.assert_allclose(res.X, exact, rtol=1e-8)
+
     def test_monotone_in_probability(self):
         """More frequent observation never increases the fixed point."""
         rng = np.random.default_rng(17)

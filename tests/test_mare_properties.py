@@ -11,6 +11,9 @@ the theory guarantees, checked on random targets.
 * Every other unstable target is bisected, from the lower bound
   1 - 1/rho(A)^2 (Sinopoli et al., IEEE TAC 2004), to a probability at
   which the solver converges.
+* Warm and cold starts agree: the fixed point at a smaller q' is a
+  super-solution at q (g_q is non-increasing in q), and solving from it
+  reaches the same closed-form fixed point as solving from Q.
 * The map g_q itself is monotone: X1 <= X2 implies g_q(X1) <= g_q(X2),
   and raising q can only lower g_q(X) (Sinopoli et al., IEEE TAC 2004).
 * The Riccati update of a stack of covariances treats each matrix alone:
@@ -32,7 +35,7 @@ from sensorsched import (
     g_q,
     solve_mare,
 )
-from sensorsched.mare import _riccati_step
+from sensorsched.mare import _CERTIFY_RTOL, _riccati_step
 from sensorsched.simulate import covariance_step
 
 seeds = st.integers(0, 2**32 - 1)
@@ -54,6 +57,32 @@ def test_near_critical_solve_matches_closed_form(a, negative, Q, R, d, log_gap):
     res = solve_mare(expand_delay_chain(spec), q)
     assert res.converged
     assert np.abs(res.X - exact).max() <= 1e-9 * np.abs(exact).max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    a=st.floats(0.2, 2.5),
+    negative=st.booleans(),
+    Q=st.floats(0.1, 10.0),
+    R=st.floats(0.1, 10.0),
+    d=st.integers(0, 3),
+    log_gap=st.floats(-4.0, -1.0),
+    ratio=st.floats(1.5, 100.0),
+)
+def test_warm_start_cold_start_and_closed_form_agree(a, negative, Q, R, d, log_gap, ratio):
+    spec = DelayChainSpec(a=-a if negative else a, Q=Q, R=R, d=d)
+    target = expand_delay_chain(spec)
+    qc = max(0.0, 1.0 - 1.0 / a**2)
+    q_below = qc + 10.0**log_gap
+    q = min(qc + 10.0**log_gap * ratio, 1.0)
+    below = solve_mare(target, q_below)
+    assert below.converged
+    scale = max(1.0, float(np.abs(below.X).max()))
+    assert np.linalg.eigvalsh(g_q(target, q, below.X) - below.X)[-1] <= _CERTIFY_RTOL * scale
+    exact = closed_form_delay_chain(spec, q)
+    for res in (solve_mare(target, q, x0=below.X), solve_mare(target, q)):
+        assert res.converged
+        assert np.abs(res.X - exact).max() <= 1e-6 * np.abs(exact).max()
 
 
 def single_unstable_mode_target(seed: int) -> tuple[LtiTarget, float]:

@@ -17,6 +17,7 @@ from sensorsched import (
     solve_distribution,
     solve_mare,
 )
+from sensorsched import optimizer
 from sensorsched.optimizer import (
     _bisect_min_q,
     _bracket,
@@ -142,6 +143,24 @@ class TestSolve:
         # both certify feasible budgets, the finer one certifies a lower one
         assert fine.gamma_star <= rough.gamma_star + 1e-12
         assert rough.gamma_star - fine.gamma_star < 0.1 + 1e-3
+
+    def test_solves_start_from_smaller_fixed_points(self, pair, monkeypatch):
+        oracles = []
+
+        class CountedOracle(_CostOracle):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                oracles.append(self)
+
+        monkeypatch.setattr(optimizer, "_CostOracle", CountedOracle)
+        report = solve_distribution(pair)
+        assert sum(len(o.cache) for o in oracles) == 249
+        # 1480 iterations when every solve starts from Q
+        assert sum(o.iterations for o in oracles) <= 700
+        assert sum(o.warm_starts for o in oracles) >= 1
+        # the README's printed solution
+        assert f"{report.gamma_star:.4f}" == "59.0734"
+        assert [f"{q:.4f}" for q in report.q_star.q] == ["0.6740", "0.3260"]
 
     def test_costs_equalize(self, pair):
         """At the optimum every target sits essentially on the budget."""
