@@ -9,7 +9,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import make_pair, make_two_sensor
 from sensorsched import (
     FilterState,
     LtiTarget,
@@ -36,6 +39,34 @@ def random_target(rng) -> LtiTarget:
     G = rng.normal(size=(n, n))
     C = rng.normal(size=(1, n))
     return LtiTarget(A=A, C=C, Q=G @ G.T + 0.1 * np.eye(n), R=[[0.5]])
+
+
+def per_run_monte_carlo(targets, q, T, runs, seed):
+    """The Monte Carlo one run at a time: each run's schedule drawn from
+    its own child seed, each covariance advanced alone."""
+    n, burn, tail = len(targets), default_burn_in(T), max(1, T // 5)
+    traces = np.empty((n, runs, T))
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(runs)):
+        steps = np.random.default_rng(child).choice(n, size=T, p=q.q)
+        for i, t in enumerate(targets):
+            P = t.Q
+            for k in range(T):
+                traces[i, r, k] = np.trace(P)
+                P = covariance_step(t, P, steps[k] == i)
+
+    def report(per_run):  # [i, r], summed in the reports' [r, i] layout
+        stat = np.ascontiguousarray(per_run.T)
+        hw = 1.96 * stat.std(axis=0, ddof=1) / np.sqrt(runs) if runs > 1 else np.zeros(n)
+        return stat.mean(axis=0), hw
+
+    expected = report(traces[:, :, T - tail:].mean(axis=2))
+    time_averaged = report(traces[:, :, burn:].mean(axis=2))
+    return expected, time_averaged, traces.mean(axis=1).T
+
+
+# exact 0 and 1 entries make every step uniform, near-0 and near-1 entries
+# split a group now and then, and balanced entries split every group
+weights = st.one_of(st.sampled_from([0.0, 1e-3, 1.0]), st.floats(0.05, 1.0))
 
 
 class TestCovarianceStep:
@@ -262,6 +293,53 @@ class TestMonteCarlo:
         assert monte_carlo_expected_cost(
             pair, PAIR_Q, T=60, runs=4, seed=2
         ).mean_trace_series is None
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        pool=st.lists(st.integers(0, 2), min_size=1, max_size=3),
+        w=st.lists(weights, min_size=3, max_size=3),
+        runs=st.integers(1, 64),
+        T=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(pool=[0, 2], w=[1.0, 1e-3, 0.0], runs=64, T=60, seed=1)
+    @example(pool=[2, 1, 0], w=[1.0, 0.0, 0.0], runs=17, T=40, seed=2)
+    @example(pool=[0, 1, 2], w=[0.5, 0.3, 0.2], runs=64, T=60, seed=3)
+    def test_grouped_runs_equal_per_run_reference(self, pool, w, runs, T, seed):
+        """Sharing a covariance between the runs with one observation
+        history must give every run its own covariances bit for bit."""
+        everyone = [*make_pair(), make_two_sensor()]
+        targets = [everyone[j] for j in pool]
+        w = np.array(w[:len(targets)])
+        if not w.any():
+            w[0] = 1.0
+        q = ScheduleDistribution(w / w.sum())
+        mc = monte_carlo_expected_cost(targets, q, T, runs, seed, keep_mean_series=True)
+        expected, time_averaged, series = per_run_monte_carlo(targets, q, T, runs, seed)
+        assert np.array_equal(mc.mean_trace_series, series)
+        for rep, (mean, hw) in ((mc.expected, expected), (mc.time_averaged, time_averaged)):
+            assert np.array_equal(rep.per_target_avg_trace, mean)
+            assert np.array_equal(rep.half_width, hw)
+
+    def test_kernel_rows_follow_histories(self, pair, monkeypatch):
+        """One kernel call per target and step, with one row per distinct
+        observation history: the rarely observed target's runs share a
+        row until they are seen, so a split never costs a second call."""
+        calls, rows = [], []
+
+        def counted(target, P, q):
+            calls.append(q)
+            rows.append(len(P))
+            return _riccati_step(target, P, q)
+
+        monkeypatch.setattr("sensorsched.simulate._riccati_step", counted)
+        n, runs, T = 2, 200, 200
+        q = ScheduleDistribution([1 - 1e-3, 1e-3])
+        monte_carlo_expected_cost(pair, q, T=T, runs=runs, seed=5)
+        assert len(calls) == n * T
+        # 6172 rows at this seed, against runs * T * n = 80000 when every
+        # run has a row of its own
+        assert sum(rows) < runs * T * n // 10
 
     @pytest.mark.parametrize("T, runs", [(0, 5), (5, 0)])
     def test_rejects_degenerate_sizes(self, pair, T, runs):
