@@ -217,7 +217,7 @@ def monte_carlo_expected_cost(
             obs = observed[k]
             seen = obs[first]
             # once every run has a group of its own, no group can split
-            moved = np.flatnonzero(obs != seen[group]) if len(first) < runs else ()
+            moved = np.flatnonzero(obs != seen[group]) if len(P) < runs else ()
             if len(moved):
                 # the runs that disagree with their group's first run leave
                 # it together, for a new group that starts as a copy of it
@@ -226,7 +226,12 @@ def monte_carlo_expected_cost(
                 )
                 group[moved] = len(first) + new
                 first = np.concatenate((first, moved[at]))
-                P, seen = np.concatenate((P, P[old])), obs[first]
+                P = np.concatenate((P, P[old]))
+                if len(P) == runs:
+                    # rows in run order make both gathers views, so a fully
+                    # split Monte Carlo costs what a plain stack of runs does
+                    P, group, first = P[group], slice(None), slice(None)
+                seen = obs[first]
             # a scalar q when all groups agree: q = 0 skips the gain
             n_seen = np.count_nonzero(seen)
             q_k = seen[:, None, None] if 0 < n_seen < len(seen) else float(n_seen > 0)

@@ -1,19 +1,19 @@
 #!/usr/bin/env python3
 """Record the benchmark of a parent ref against the working tree.
 
-    python3 tools/bench_pairs.py --parent REF --out RECORD.json \\
-        [--pairs 10] [--seconds 32] [--first-seed 101] [--workload NAME ...]
+    python3 tools/bench_pairs.py --parent REF --out RECORD.json [--first-seed 101]
 
 This is how the BENCH_*.json records at the root of the repository are
 made. The parent ref is checked out with `git worktree add` into a temporary
-directory (removed afterwards). For each workload of BENCHMARK.json, pair
-i runs `python3 perfbench/run.py --workload W --seed S --seconds N
---trace 0` once in the parent checkout and once in the working tree,
-with the parent first in odd pairs and second in even ones, so that a
-drift in the host's speed falls on both sides alike. Workload j (from 0)
-uses the seeds first_seed + 100 j, first_seed + 100 j + 1, ...; pick
-seeds that were not used while writing the change. After the pairs, one
-`--trace 1` run at seed 1 per side records the per-layer counters.
+directory (removed afterwards). For every workload of BENCHMARK.json, pair
+i of 10 runs `python3 perfbench/run.py --workload W --seed S --seconds N
+--trace 0`, with N the benchmark's `run_seconds`, once in the parent
+checkout and once in the working tree, with the parent first in odd pairs
+and second in even ones, so that a drift in the host's speed falls on both
+sides alike. Workload j (from 0) uses the seeds first_seed + 100 j,
+first_seed + 100 j + 1, ...; pick seeds that were not used while writing
+the change. After the pairs, one `--trace 1` run at seed 1 per side
+records the per-layer counters.
 
 The record keeps every result line (the last line of each run's
 output), and summarizes each end-to-end metric per workload: median and
@@ -33,19 +33,14 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", required=True, help="git ref of the parent commit")
     p.add_argument("--out", required=True, type=Path, help="JSON file to write")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=32.0)
     p.add_argument("--first-seed", type=int, default=101)
-    p.add_argument("--workload", action="append",
-                   help="workload to run (repeatable); default: all of BENCHMARK.json")
-    p.add_argument("--tmpdir", type=Path, default=None,
-                   help="where to put the parent checkout; default: the system's")
     return p.parse_args(argv)
 
 
@@ -89,49 +84,42 @@ def summarize(pairs: list[dict], metrics: list[str]) -> dict:
 
 
 def host() -> str:
-    cpu = platform.processor() or platform.machine()
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                cpu = line.split(":", 1)[1].strip()
-                break
-    except OSError:
-        pass
     import numpy
 
-    return (f"{cpu}, {os.cpu_count()} cores, Python {platform.python_version()}, "
-            f"numpy {numpy.__version__}, one BLAS thread")
+    return (f"{platform.processor() or platform.machine()}, {os.cpu_count()} cores, "
+            f"Python {platform.python_version()}, numpy {numpy.__version__}")
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     metrics = [m["name"] for m in spec["end_to_end"]]
     sha = git("rev-parse", "--short", args.parent)
     record = {
         "what": (f"perfbench/run.py result lines, parent {sha} against the working tree; "
-                 f"{args.pairs} alternating untraced pairs per workload "
-                 f"({args.seconds:g} s runs, odd pairs run the parent first), "
+                 f"{PAIRS} alternating untraced pairs per workload "
+                 f"({seconds:g} s runs, odd pairs run the parent first), "
                  "plus the traced seed-1 counters of both sides"),
         "host": host(),
         "pairs": {},
         "summary": {},
         "traced_seed_1": {},
     }
-    with tempfile.TemporaryDirectory(dir=args.tmpdir) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         parent = Path(tmp) / "parent"
         git("worktree", "add", "--detach", str(parent), args.parent)
         try:
             sides = {"parent": parent, "change": ROOT}
             for j, workload in enumerate(workloads):
                 pairs = []
-                for i in range(args.pairs):
+                for i in range(PAIRS):
                     seed = args.first_seed + 100 * j + i
                     order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                     pair = {"seed": seed, "first": order[0]}
                     for side in order:
-                        pair[side] = bench(sides[side], workload, seed, args.seconds, 0)
+                        pair[side] = bench(sides[side], workload, seed, seconds, 0)
                     pairs.append(pair)
                     print(f"{workload} seed {seed}: session_s "
                           f"{pair['parent']['metrics']['session_s']['value']:.4f} -> "
@@ -140,7 +128,7 @@ def main(argv=None) -> int:
                 record["pairs"][workload] = pairs
                 record["summary"][workload] = summarize(pairs, metrics)
                 record["traced_seed_1"][workload] = {
-                    side: bench(sides[side], workload, 1, args.seconds, 1)
+                    side: bench(sides[side], workload, 1, seconds, 1)
                     for side in ("parent", "change")
                 }
         finally:
