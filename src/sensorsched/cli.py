@@ -68,7 +68,6 @@ class Scenario:
     outer_tol: float
     inner_tol: float
     mare_tol: float
-    consensus_tol: float
     L: int
     schedule_seed: int
     alpha: float
@@ -82,6 +81,8 @@ class Scenario:
 
 
 def _check_keys(d: dict, allowed: set[str], context: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{context}: expected an object")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {context}: {', '.join(sorted(unknown))}")
@@ -114,6 +115,8 @@ def _parse_target(entry: dict, index: int) -> LtiTarget:
             )
         except KeyError as e:
             raise ConfigError(f"{context}.chain: missing key {e}") from None
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"{context}.chain: {e}") from None
         return expand_delay_chain(spec, label=entry.get("label", f"chain-{index}"))
     _check_keys(entry, {"A", "C", "Q", "R", "label", "cost_weights"}, context)
     try:
@@ -127,7 +130,7 @@ def _parse_target(entry: dict, index: int) -> LtiTarget:
         )
     except KeyError as e:
         raise ConfigError(f"{context}: missing matrix {e}") from None
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"{context}: {e}") from None
     return target
 
@@ -145,6 +148,8 @@ def _parse_topology(value, n: int) -> np.ndarray:
         raise ConfigError(f"topology: need one neighbor list per target ({n})")
     adj = np.zeros((n, n), dtype=bool)
     for i, neighbors in enumerate(value):
+        if not isinstance(neighbors, list):
+            raise ConfigError(f"topology[{i}]: expected a list of neighbors")
         for j in neighbors:
             if not isinstance(j, int) or not 0 <= j < n or j == i:
                 raise ConfigError(f"topology[{i}]: invalid neighbor {j!r}")
@@ -167,8 +172,8 @@ def load_scenario(path: str | Path) -> Scenario:
         "config",
     )
     entries = raw.get("targets")
-    if not entries:
-        raise ConfigError("config declares no targets")
+    if not entries or not isinstance(entries, list):
+        raise ConfigError("config declares no targets (expected a nonempty list)")
     targets = [_parse_target(e, i) for i, e in enumerate(entries)]
     for i, t in enumerate(targets):
         report = validate_target(t)
@@ -195,9 +200,7 @@ def load_scenario(path: str | Path) -> Scenario:
         adjacency = _parse_topology(raw["topology"], len(targets))
 
     solver = raw.get("solver", {})
-    _check_keys(
-        solver, {"outer_tol", "inner_tol", "mare_tol", "consensus_tol"}, "solver"
-    )
+    _check_keys(solver, {"outer_tol", "inner_tol", "mare_tol"}, "solver")
     sched = raw.get("schedule", {})
     _check_keys(
         sched, {"L", "seed", "alpha", "epsilon_jitter", "duration"}, "schedule"
@@ -207,8 +210,8 @@ def load_scenario(path: str | Path) -> Scenario:
 
     tols = [float(solver.get(k, d)) for k, d in
             (("outer_tol", 1e-3), ("inner_tol", 1e-5), ("mare_tol", 1e-9))]
-    # Topology, --distributed and consensus_tol stay out of the key: the
-    # distributed solve returns the centralized distribution bit for bit.
+    # Topology and --distributed stay out of the key: the distributed
+    # solve returns the centralized distribution bit for bit.
     key = zlib.crc32(json.dumps([entries, raw.get("constraints"), tols], sort_keys=True).encode())
     return Scenario(
         targets=targets,
@@ -217,7 +220,6 @@ def load_scenario(path: str | Path) -> Scenario:
         outer_tol=tols[0],
         inner_tol=tols[1],
         mare_tol=tols[2],
-        consensus_tol=float(solver.get("consensus_tol", 1e-12)),
         L=int(sched.get("L", 500)),
         schedule_seed=int(sched.get("seed", 1)),
         alpha=float(sched.get("alpha", 0.01)),
@@ -255,7 +257,6 @@ def _solve(scn: Scenario, distributed: bool):
                 outer_tol=scn.outer_tol,
                 inner_tol=scn.inner_tol,
                 mare_tol=scn.mare_tol,
-                consensus_tol=scn.consensus_tol,
             ).solution
         else:
             report = solve_distribution(

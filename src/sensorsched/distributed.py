@@ -1,25 +1,21 @@
 """Peer-to-peer version of the probability solver.
 
 Each node owns one target model and talks only to its graph neighbors,
-yet the network has to agree on a single distribution. The key
-observation is that the only global quantity the bisection needs, the
-total probability demand at a trial budget, is the network average of
-the per-node demands times the node count, and averages are exactly what
-linear consensus computes. So the network runs the centralized solver's
-own nested bisection (`optimizer._nested_bisection`) in lockstep on an
-agreed starting bracket: each node computes its own inner demand each
-step, and the sum is replaced with a consensus estimate.
+yet the network must agree on one distribution. The only global quantity
+the bisection needs is the total demand at a trial budget: n times the
+network average of the per-node demands, which linear consensus computes.
+So the network runs the centralized solver's own nested bisection
+(`optimizer._nested_bisection`) in lockstep on an agreed starting
+bracket, and consensus decides each outer step's verdict sum <= 1.
 
 Consensus uses Metropolis weights, which average correctly on any
-connected undirected graph. Disagreement decays geometrically, so
-iterations continue until the remaining spread cannot flip any node's
-comparison against 1; all nodes then take the same branch and the
-network reproduces the centralized iterate for iterate. Setup (bracket
-growth in degenerate floor cases), the final read-out of the full
-probability vector and any step that averaging leaves undecided after
-`_MAX_CONSENSUS_ROUNDS` rounds use plain neighbor flooding instead, which
-is exact after diameter-many exchanges; the flooded total is the
-centralized solver's own sum, so the distribution comes out bit-identical.
+connected undirected graph. Averaging stops once the spread certifies
+every node's estimate on one side of 1, not once the estimates converge,
+so all nodes take the exact branch. Setup, the read-out and any step
+that averaging leaves undecided after `_MAX_CONSENSUS_ROUNDS` rounds
+flood the demands instead, which is exact after diameter-many exchanges;
+the flooded total is the centralized solver's own sum, so the
+distribution comes out bit-identical.
 """
 from __future__ import annotations
 
@@ -137,22 +133,22 @@ class DistributedReport:
     total_rounds: int
 
 
-def _consensus_demand(local: np.ndarray, W: np.ndarray, tol: float):
+def _consensus_demand(local: np.ndarray, W: np.ndarray):
     """Per-node estimates of the total demand, by averaging.
 
-    Iterates x <- W x until the spread is below tol and no node's implied
-    total (n times its average) lies within ten worst-case errors of the
-    feasibility threshold 1, so every node is guaranteed to branch the
-    same way. Returns (estimates, rounds, decided); decided is False when
-    `_MAX_CONSENSUS_ROUNDS` rounds pass first.
+    Iterates x <- W x until no node's implied total (n times its average)
+    lies within ten spreads of the feasibility threshold 1. The mean stays
+    within the spread of every node's value, so each node's verdict
+    `estimate <= 1` is then the exact one; the estimates themselves need
+    not have converged. Returns (estimates, rounds, decided); decided is
+    False when `_MAX_CONSENSUS_ROUNDS` rounds pass first.
     """
     n = local.shape[0]
     x = local.astype(float).copy()
     rounds = 0
     while True:
-        spread = float(x.max() - x.min())
-        margin = 10.0 * n * spread
-        if spread <= tol and not np.any(np.abs(n * x - 1.0) <= margin):
+        margin = 10.0 * n * float(x.max() - x.min())
+        if not np.any(np.abs(n * x - 1.0) <= margin):
             return n * x, rounds, True
         if rounds >= _MAX_CONSENSUS_ROUNDS:
             return n * x, rounds, False
@@ -170,8 +166,8 @@ class _ConsensusTotal:
     Records each node's view of every outer step and the rounds spent.
     """
 
-    def __init__(self, W: np.ndarray, diameter: int, tol: float):
-        self.W, self.diameter, self.tol = W, diameter, tol
+    def __init__(self, W: np.ndarray, diameter: int):
+        self.W, self.diameter = W, diameter
         self.trajectory: list[list[NodeState]] = [[] for _ in range(W.shape[0])]
         self.step_rounds: list[int] = []
         # Feasibility and the starting bracket need one exchange of scalars
@@ -183,7 +179,7 @@ class _ConsensusTotal:
         return sum(qs)
 
     def within_budget(self, qs: list[float], gamma: float, lo: float, hi: float) -> bool:
-        mu_est, rounds, decided = _consensus_demand(np.array(qs), self.W, self.tol)
+        mu_est, rounds, decided = _consensus_demand(np.array(qs), self.W)
         if not decided:
             # The total demand sits essentially on the threshold and
             # averaging cannot separate it; flood the demands so the
@@ -209,15 +205,15 @@ def solve_distributed(
     outer_tol: float = 1e-3,
     inner_tol: float = 1e-5,
     mare_tol: float = 1e-9,
-    consensus_tol: float = 1e-12,
 ) -> DistributedReport:
     """Solve the shared-budget problem with one node per target.
 
     Runs the centralized solver's own bisection with the demand totals
     formed by the network, so the solution equals `solve_distribution`'s
-    on the same tolerances bit for bit whenever consensus settles every
-    comparison (the decision margin enforces that outside of razor-edge
-    cases, and a node that would branch differently raises RuntimeError).
+    on the same tolerances bit for bit: each step averages only until
+    every node's verdict is certified, floods the demands when averaging
+    cannot certify it, and raises RuntimeError should nodes still
+    disagree.
     Defaults to a complete graph; any connected undirected adjacency
     works. Node i knows only targets[i], its constraint entries, and the
     shared tolerances; the starting bracket is agreed during setup.
@@ -228,7 +224,7 @@ def solve_distributed(
     adj, diameter = _check_adjacency(complete_graph(n) if adjacency is None else adjacency)
     if adj.shape[0] != n:
         raise ValueError(f"adjacency is {adj.shape[0]} nodes, expected {n}")
-    network = _ConsensusTotal(_metropolis(adj), diameter, consensus_tol)
+    network = _ConsensusTotal(_metropolis(adj), diameter)
     solution = _nested_bisection(targets, constraints, outer_tol, inner_tol, mare_tol, network)
     return DistributedReport(
         solution=solution,

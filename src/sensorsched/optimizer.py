@@ -229,6 +229,8 @@ def _nested_bisection(targets, constraints, outer_tol, inner_tol, mare_tol, dema
     """
     if not targets:
         raise ValueError("need at least one target")
+    if not outer_tol > 0:
+        raise ValueError("outer_tol must be positive")
     cons = constraints or Constraints()
     for name in ("priorities", "loss"):
         v = getattr(cons, name)

@@ -74,6 +74,7 @@ class TestConfigValidation:
         [
             (None, "budget"),
             ("solver", "tolerance"),
+            ("solver", "consensus_tol"),
             ("schedule", "length"),
             ("simulate", "horizon"),
             ("constraints", "weights"),
@@ -132,6 +133,7 @@ class TestConfigValidation:
             ([[1]], "one neighbor list per target"),
             ([[1], [5]], "invalid neighbor"),
             ([[0], [1]], "invalid neighbor"),
+            ([[1], 0], "expected a list of neighbors"),
         ],
     )
     def test_bad_topology(self, tmp_path, capsys, topology, fragment):
@@ -139,6 +141,34 @@ class TestConfigValidation:
         rc, _, err = run(capsys, "solve", "--config", str(cfg))
         assert rc == cli.EXIT_CONFIG
         assert fragment in err
+
+    @pytest.mark.parametrize(
+        "sections, fragment",
+        [
+            ({"targets": 5}, "no targets"),
+            ({"targets": [{"chain": 5}]}, "targets[0].chain: expected an object"),
+            ({"solver": []}, "solver: expected an object"),
+            ({"solver": 5}, "solver: expected an object"),
+            ({"constraints": [1]}, "constraints: expected an object"),
+            (
+                {"targets": [dict(PAIR_TARGETS[0], cost_weights={"a": 1})]},
+                "targets[0]",
+            ),
+        ],
+        ids=["targets", "chain", "solver-list", "solver-number", "constraints", "cost-weights"],
+    )
+    def test_malformed_section(self, tmp_path, capsys, sections, fragment):
+        cfg = write_config(tmp_path, **sections)
+        rc, _, err = run(capsys, "solve", "--config", str(cfg))
+        assert rc == cli.EXIT_CONFIG
+        assert fragment in err
+
+    @pytest.mark.parametrize("outer_tol", [0, -1, float("nan")])
+    def test_outer_tol_must_be_positive(self, tmp_path, capsys, outer_tol):
+        cfg = write_config(tmp_path, solver={"outer_tol": outer_tol})
+        rc, _, err = run(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path))
+        assert rc == cli.EXIT_CONFIG
+        assert "outer_tol must be positive" in err
 
     def test_runtime_value_error_maps_to_config_exit(self, tmp_path, capsys):
         # jitter above the smallest probability is caught inside the run

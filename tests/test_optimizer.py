@@ -14,6 +14,7 @@ from sensorsched import (
     Constraints,
     InfeasibilityWarning,
     LtiTarget,
+    solve_distributed,
     solve_distribution,
     solve_mare,
 )
@@ -143,6 +144,17 @@ class TestSolve:
         # both certify feasible budgets, the finer one certifies a lower one
         assert fine.gamma_star <= rough.gamma_star + 1e-12
         assert rough.gamma_star - fine.gamma_star < 0.1 + 1e-3
+
+    @pytest.mark.parametrize("outer_tol", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize(
+        "solve",
+        [solve_distribution, lambda targets, **kw: solve_distributed(targets, **kw).solution],
+        ids=["centralized", "distributed"],
+    )
+    def test_outer_tol_must_be_positive(self, pair, solve, outer_tol):
+        # at 0 or below the bisection would never end; NaN would skip it
+        with pytest.raises(ValueError, match="outer_tol must be positive"):
+            solve(pair, outer_tol=outer_tol)
 
     def test_solves_start_from_smaller_fixed_points(self, pair, monkeypatch):
         oracles = []

@@ -14,6 +14,8 @@ permutes q* and leaves gamma* alone, to within the solver's tolerances
 get the same q bit for bit. Scaling (Q, R) by c scales every fixed point
 by c, so together with outer_tol it scales gamma* by c and leaves q*.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,28 @@ def test_split_verdict_raises(pair, monkeypatch):
     )
     with pytest.raises(RuntimeError, match="lockstep"):
         solve_distributed(pair)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 20),
+    graph=st.sampled_from(sorted(GRAPHS)),
+    log_delta=st.floats(-9.0, 0.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_a_decided_verdict_is_the_exact_verdict(seed, n, graph, log_delta, sign):
+    """Averaging stops once each node's margin certifies its verdict, long
+    before the estimates converge; the certified verdict must still be
+    the exact one, even for totals within 1e-9 of the threshold."""
+    rng = np.random.default_rng(seed)
+    local = rng.uniform(0.0, 1.0, size=n)
+    total = 1.0 + sign * 10.0**log_delta
+    local = np.clip(local * (total / local.sum()), 0.0, 1.0)
+    W = distributed.metropolis_weights(GRAPHS[graph](rng, n))
+    est, _, decided = distributed._consensus_demand(local, W)
+    assert decided
+    assert np.all((est <= 1.0) == (math.fsum(local) <= 1.0))
 
 
 @settings(max_examples=6, deadline=None)
