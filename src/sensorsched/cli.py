@@ -67,10 +67,8 @@ class Scenario:
     adjacency: np.ndarray | None
     outer_tol: float
     inner_tol: float
-    mare_tol: float
     L: int
     schedule_seed: int
-    alpha: float
     epsilon_jitter: float
     duration: int | None
     T: int
@@ -86,6 +84,18 @@ def _check_keys(d: dict, allowed: set[str], context: str) -> None:
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {context}: {', '.join(sorted(unknown))}")
+
+
+def _scalar(section: dict, key: str, context: str, kind: type, default=None):
+    """section[key] as kind (float, or int, which takes integral numbers
+    only), default when the key is absent; anything else is a ConfigError."""
+    if key not in section:
+        return default
+    value = section[key]
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (kind is int and isinstance(value, float) and not value.is_integer())):
+        raise ConfigError(f"{context}.{key}: expected {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def _matrix(value, context: str) -> np.ndarray:
@@ -104,19 +114,15 @@ def _parse_target(entry: dict, index: int) -> LtiTarget:
         raise ConfigError(f"{context}: expected an object")
     if "chain" in entry:
         _check_keys(entry, {"chain", "label"}, context)
-        chain = entry["chain"]
-        _check_keys(chain, {"a", "Q", "R", "d"}, f"{context}.chain")
+        chain, ctx = entry["chain"], f"{context}.chain"
+        _check_keys(chain, {"a", "Q", "R", "d"}, ctx)
+        if missing := {"a", "Q", "R"} - set(chain):
+            raise ConfigError(f"{ctx}: missing key(s) {', '.join(sorted(missing))}")
         try:
-            spec = DelayChainSpec(
-                a=float(chain["a"]),
-                Q=float(chain["Q"]),
-                R=float(chain["R"]),
-                d=int(chain.get("d", 0)),
-            )
-        except KeyError as e:
-            raise ConfigError(f"{context}.chain: missing key {e}") from None
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"{context}.chain: {e}") from None
+            spec = DelayChainSpec(*(_scalar(chain, k, ctx, float) for k in ("a", "Q", "R")),
+                                  d=_scalar(chain, "d", ctx, int, 0))
+        except ValueError as e:
+            raise ConfigError(f"{ctx}: {e}") from None
         return expand_delay_chain(spec, label=entry.get("label", f"chain-{index}"))
     _check_keys(entry, {"A", "C", "Q", "R", "label", "cost_weights"}, context)
     try:
@@ -200,16 +206,14 @@ def load_scenario(path: str | Path) -> Scenario:
         adjacency = _parse_topology(raw["topology"], len(targets))
 
     solver = raw.get("solver", {})
-    _check_keys(solver, {"outer_tol", "inner_tol", "mare_tol"}, "solver")
+    _check_keys(solver, {"outer_tol", "inner_tol"}, "solver")
     sched = raw.get("schedule", {})
-    _check_keys(
-        sched, {"L", "seed", "alpha", "epsilon_jitter", "duration"}, "schedule"
-    )
+    _check_keys(sched, {"L", "seed", "epsilon_jitter", "duration"}, "schedule")
     sim = raw.get("simulate", {})
     _check_keys(sim, {"T", "runs", "window", "seed"}, "simulate")
 
-    tols = [float(solver.get(k, d)) for k, d in
-            (("outer_tol", 1e-3), ("inner_tol", 1e-5), ("mare_tol", 1e-9))]
+    tols = [_scalar(solver, k, "solver", float, d) for k, d in
+            (("outer_tol", 1e-3), ("inner_tol", 1e-5))]
     # Topology and --distributed stay out of the key: the distributed
     # solve returns the centralized distribution bit for bit.
     key = zlib.crc32(json.dumps([entries, raw.get("constraints"), tols], sort_keys=True).encode())
@@ -219,16 +223,14 @@ def load_scenario(path: str | Path) -> Scenario:
         adjacency=adjacency,
         outer_tol=tols[0],
         inner_tol=tols[1],
-        mare_tol=tols[2],
-        L=int(sched.get("L", 500)),
-        schedule_seed=int(sched.get("seed", 1)),
-        alpha=float(sched.get("alpha", 0.01)),
-        epsilon_jitter=float(sched.get("epsilon_jitter", 1e-3)),
-        duration=int(sched["duration"]) if "duration" in sched else None,
-        T=int(sim.get("T", 500)),
-        runs=int(sim.get("runs", 1000)),
-        window=int(sim["window"]) if "window" in sim else None,
-        sim_seed=int(sim.get("seed", 1)),
+        L=_scalar(sched, "L", "schedule", int, 500),
+        schedule_seed=_scalar(sched, "seed", "schedule", int, 1),
+        epsilon_jitter=_scalar(sched, "epsilon_jitter", "schedule", float, 1e-3),
+        duration=_scalar(sched, "duration", "schedule", int),
+        T=_scalar(sim, "T", "simulate", int, 500),
+        runs=_scalar(sim, "runs", "simulate", int, 1000),
+        window=_scalar(sim, "window", "simulate", int),
+        sim_seed=_scalar(sim, "seed", "simulate", int, 1),
         key=f"{key:08x}",
     )
 
@@ -256,7 +258,6 @@ def _solve(scn: Scenario, distributed: bool):
                 constraints=scn.constraints,
                 outer_tol=scn.outer_tol,
                 inner_tol=scn.inner_tol,
-                mare_tol=scn.mare_tol,
             ).solution
         else:
             report = solve_distribution(
@@ -264,7 +265,6 @@ def _solve(scn: Scenario, distributed: bool):
                 constraints=scn.constraints,
                 outer_tol=scn.outer_tol,
                 inner_tol=scn.inner_tol,
-                mare_tol=scn.mare_tol,
             )
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
@@ -336,11 +336,7 @@ def _build_sequence(scn: Scenario, q: ScheduleDistribution, kind: str, length: i
         return sample_stochastic_schedule(q, length, seed)
     if kind == "minconsec":
         return build_min_consecutive_schedule(q, length)
-    cfg = BackoffConfig(
-        alpha=scn.alpha,
-        epsilon_jitter=scn.epsilon_jitter,
-        duration=length,
-    )
+    cfg = BackoffConfig(epsilon_jitter=scn.epsilon_jitter, duration=length)
     return simulate_csma_schedule(q, cfg, seed)
 
 

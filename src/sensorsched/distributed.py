@@ -204,7 +204,6 @@ def solve_distributed(
     constraints: Constraints | None = None,
     outer_tol: float = 1e-3,
     inner_tol: float = 1e-5,
-    mare_tol: float = 1e-9,
 ) -> DistributedReport:
     """Solve the shared-budget problem with one node per target.
 
@@ -225,7 +224,7 @@ def solve_distributed(
     if adj.shape[0] != n:
         raise ValueError(f"adjacency is {adj.shape[0]} nodes, expected {n}")
     network = _ConsensusTotal(_metropolis(adj), diameter)
-    solution = _nested_bisection(targets, constraints, outer_tol, inner_tol, mare_tol, network)
+    solution = _nested_bisection(targets, constraints, outer_tol, inner_tol, network)
     return DistributedReport(
         solution=solution,
         trajectory=tuple(tuple(t) for t in network.trajectory),

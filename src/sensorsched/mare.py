@@ -286,7 +286,7 @@ def solve_mare(
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q!r}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     rho = float(np.max(np.abs(np.linalg.eigvals(target.A))))
     _near_critical_check(q, rho)
@@ -381,7 +381,6 @@ def critical_probability(
     target: LtiTarget,
     tol: float = 1e-4,
     *,
-    mare_tol: float = 1e-9,
     mare_max_iter: int = 300_000,
 ) -> float:
     """Least observation probability with a fixed point.
@@ -402,7 +401,7 @@ def critical_probability(
     Probes just below the frontier diverge slowly, hence the larger
     default iteration budget than solve_mare's.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     eigs = np.linalg.eigvals(target.A)
     rho = float(np.max(np.abs(eigs)))
@@ -411,7 +410,7 @@ def critical_probability(
     analytic = _analytic_critical_probability(target, eigs)
     if analytic is not None:
         return analytic
-    if not solve_mare(target, 1.0, tol=mare_tol, max_iter=mare_max_iter).converged:
+    if not solve_mare(target, 1.0, max_iter=mare_max_iter).converged:
         warnings.warn(
             f"target {target.label or '?'}: no fixed point even at q = 1; "
             "it cannot be stabilized by any schedule",
@@ -422,7 +421,7 @@ def critical_probability(
     lo, hi = 1.0 - 1.0 / rho**2, 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if solve_mare(target, mid, tol=mare_tol, max_iter=mare_max_iter).converged:
+        if solve_mare(target, mid, max_iter=mare_max_iter).converged:
             hi = mid
         else:
             lo = mid

@@ -97,12 +97,15 @@ class LtiTarget:
         """Measurement dimension."""
         return self.C.shape[0]
 
-    def cost_of(self, X: np.ndarray) -> float:
-        """Estimation cost of an error covariance: weighted trace."""
-        d = np.diag(np.asarray(X))
+    def cost_of(self, X: np.ndarray) -> float | np.ndarray:
+        """Estimation cost of an error covariance: its weighted trace.
+
+        X may also be a stack of covariances (shape (..., n, n)); the
+        result then has one cost per covariance.
+        """
         if self.cost_weights is None:
-            return float(d.sum())
-        return float(self.cost_weights @ d)
+            return X.trace(axis1=-2, axis2=-1)
+        return np.diagonal(X, axis1=-2, axis2=-1) @ self.cost_weights
 
 
 @dataclass(frozen=True)

@@ -115,9 +115,8 @@ class _CostOracle:
     `iterations` counts MARE iterations and `warm_starts` such starts.
     """
 
-    def __init__(self, target: LtiTarget, mare_tol: float, loss: float):
+    def __init__(self, target: LtiTarget, loss: float):
         self.target = target
-        self.mare_tol = mare_tol
         self.loss = loss
         self.cache: dict[float, float] = {}
         self.fixed_points: dict[float, np.ndarray] = {}
@@ -130,12 +129,12 @@ class _CostOracle:
             q_eff = q_assigned * (1.0 - self.loss)
             below = [p for p in self.fixed_points if p < q_assigned]
             x0 = self.fixed_points[max(below)] if below else None
-            res = solve_mare(self.target, q_eff, tol=self.mare_tol, x0=x0)
+            res = solve_mare(self.target, q_eff, x0=x0)
             self.iterations += res.iterations
             self.warm_starts += x0 is not None
             if res.converged:
                 self.fixed_points[q_assigned] = res.X
-            c = self.target.cost_of(res.X) if res.converged else float("inf")
+            c = float(self.target.cost_of(res.X)) if res.converged else float("inf")
             self.cache[q_assigned] = c
         return c
 
@@ -163,9 +162,9 @@ def _bisect_min_q(oracle: _CostOracle, gamma: float, q_floor: float, tol: float)
     return hi, steps
 
 
-def _critical_floor(target: LtiTarget, loss: float, inner_tol: float, mare_tol: float) -> tuple[float, float]:
+def _critical_floor(target: LtiTarget, loss: float, inner_tol: float) -> tuple[float, float]:
     """(q_critical on the assigned scale, bisection floor just above it)."""
-    qc_eff = critical_probability(target, tol=inner_tol, mare_tol=mare_tol)
+    qc_eff = critical_probability(target, tol=inner_tol)
     qc_assigned = min(qc_eff / (1.0 - loss), 1.0)
     return qc_assigned, min(qc_assigned + inner_tol, 1.0)
 
@@ -203,7 +202,6 @@ def solve_distribution(
     constraints: Constraints | None = None,
     outer_tol: float = 1e-3,
     inner_tol: float = 1e-5,
-    mare_tol: float = 1e-9,
 ) -> SolveReport:
     """Minimize the worst per-target fixed-point cost over distributions.
 
@@ -214,10 +212,10 @@ def solve_distribution(
     feasible=False and no distribution, and an InfeasibilityWarning names
     the violated condition.
     """
-    return _nested_bisection(targets, constraints, outer_tol, inner_tol, mare_tol, _ExactTotal())
+    return _nested_bisection(targets, constraints, outer_tol, inner_tol, _ExactTotal())
 
 
-def _nested_bisection(targets, constraints, outer_tol, inner_tol, mare_tol, demand) -> SolveReport:
+def _nested_bisection(targets, constraints, outer_tol, inner_tol, demand) -> SolveReport:
     """The solver shared by solve_distribution and solve_distributed.
 
     `demand` says how the network totals the demand vector qs:
@@ -229,8 +227,9 @@ def _nested_bisection(targets, constraints, outer_tol, inner_tol, mare_tol, dema
     """
     if not targets:
         raise ValueError("need at least one target")
-    if not outer_tol > 0:
-        raise ValueError("outer_tol must be positive")
+    for name, tol in (("outer_tol", outer_tol), ("inner_tol", inner_tol)):
+        if not tol > 0:
+            raise ValueError(f"{name} must be positive")
     cons = constraints or Constraints()
     for name in ("priorities", "loss"):
         v = getattr(cons, name)
@@ -239,8 +238,8 @@ def _nested_bisection(targets, constraints, outer_tol, inner_tol, mare_tol, dema
 
     n = len(targets)
     losses = [cons.loss_rate(i) for i in range(n)]
-    oracles = [_CostOracle(t, mare_tol, loss=losses[i]) for i, t in enumerate(targets)]
-    crit = [_critical_floor(t, losses[i], inner_tol, mare_tol) for i, t in enumerate(targets)]
+    oracles = [_CostOracle(t, loss=losses[i]) for i, t in enumerate(targets)]
+    crit = [_critical_floor(t, losses[i], inner_tol) for i, t in enumerate(targets)]
     floors = [max(cons.priority(i), crit[i][1]) for i in range(n)]
 
     # A target whose loss-adjusted critical probability reaches 1 cannot be

@@ -57,23 +57,17 @@ class ScheduleSequence:
 
 @dataclass(frozen=True)
 class BackoffConfig:
-    """Timing knobs for the contention simulation.
+    """Knobs for the contention simulation.
 
-    alpha is the backoff time unit and must be far below the sampling
-    period (normalized to 1 here; checked as alpha <= 0.01).
     epsilon_jitter bounds the random probability nudge used to break
     timer collisions. duration is the number of sampling periods, i.e.
     the length of the returned sequence.
     """
 
-    alpha: float = 0.01
     epsilon_jitter: float = 1e-3
     duration: int = 1000
 
     def __post_init__(self):
-        if not 0 < self.alpha <= 0.01:
-            raise ValueError("alpha must be in (0, 0.01]: one backoff tick "
-                             "must be much shorter than a sampling period")
         if self.epsilon_jitter <= 0:
             raise ValueError("epsilon_jitter must be positive")
         if self.duration < 1:
@@ -181,16 +175,18 @@ def simulate_csma_schedule(
     seed: int,
     with_diagnostics: bool = False,
 ):
-    """Contention-based schedule: timers T_i = alpha / q_i race per slot.
+    """Contention-based schedule: timers T_i = 1 / q_i race per slot.
 
     Every estimator counts its timer down while the channel is idle and
     freezes it while the channel is busy; the first timer to expire takes
-    the next whole sampling period and resets to alpha / q_i. Expiries
-    closer together than the time resolution (alpha * 1e-9) collide; the
-    colliders redraw with probability nudged down by a random epsilon in
-    (0, epsilon_jitter] and race again. Over many periods each target's
-    observation frequency approaches q_i. Returns the sequence, plus the
-    collision count when with_diagnostics is set.
+    the next whole sampling period and resets to 1 / q_i. Expiries closer
+    together than the time resolution (1e-9) collide; the colliders redraw
+    with probability nudged down by a random epsilon in (0, epsilon_jitter]
+    and race again. Over many periods each target's observation frequency
+    approaches q_i. The timers need no time unit: a win always takes one
+    whole period, and scaling every timer and the resolution by the same
+    unit leaves every race with the same winner. Returns the sequence, plus
+    the collision count when with_diagnostics is set.
     """
     probs = q.q
     if np.any(probs <= 0):
@@ -201,26 +197,25 @@ def simulate_csma_schedule(
             f"got {cfg.epsilon_jitter} vs {probs.min():.4g}"
         )
     rng = np.random.default_rng(seed)
-    resolution = cfg.alpha * 1e-9
-    remaining = cfg.alpha / probs
+    remaining = 1.0 / probs
     steps = np.empty(cfg.duration, dtype=np.int64)
     collisions = 0
     for k in range(cfg.duration):
         while True:
             t_min = remaining.min()
-            contenders = np.flatnonzero(remaining - t_min <= resolution)
+            contenders = np.flatnonzero(remaining - t_min <= 1e-9)
             if contenders.size == 1:
                 break
             collisions += 1
             eps = rng.uniform(0.0, cfg.epsilon_jitter, size=contenders.size)
             # uniform() can return 0.0; the nudge must be strictly positive.
             eps = np.maximum(eps, cfg.epsilon_jitter * 1e-12)
-            remaining[contenders] = cfg.alpha / (probs[contenders] - eps)
+            remaining[contenders] = 1.0 / (probs[contenders] - eps)
         winner = int(contenders[0])
         # Idle time t_min elapses for everyone, then the channel is busy
         # for the period and frozen timers carry over.
         remaining -= t_min
-        remaining[winner] = cfg.alpha / probs[winner]
+        remaining[winner] = 1.0 / probs[winner]
         steps[k] = winner
     seq = ScheduleSequence(steps=steps, n_targets=len(q))
     return (seq, collisions) if with_diagnostics else seq

@@ -2,17 +2,18 @@
 
 The error covariance recursion never looks at measured values, only at
 whether a measurement happened, so the estimation cost of any concrete
-schedule is deterministic: propagate each target's prediction covariance,
-apply the update exactly at its observation slots, and time-average the
-traces. Monte Carlo over sampled schedules estimates the expected cost of
-stochastic scheduling; it advances one covariance per distinct observation
-history rather than one per run. A receding-horizon tree search, whose
-lookahead tree is carried from step to step, is the deterministic planning
-baseline.
+schedule is deterministic: propagate each target's prediction covariance
+from its Q, apply the update exactly at its observation slots, and
+time-average its cost (`LtiTarget.cost_of`, the trace unless the target
+selects cost weights), the quantity the optimizer bounds. Monte Carlo over
+sampled schedules estimates the expected cost of stochastic scheduling; it
+advances one covariance per distinct observation history rather than one
+per run. A receding-horizon tree search, whose lookahead tree is carried
+from step to step, is the deterministic planning baseline.
 
 Time averages drop a short burn-in prefix (min(T // 5, 200) steps) so the
-initial covariance choice does not bias finite-horizon readings of an
-asymptotic quantity.
+initial covariance does not bias finite-horizon readings of an asymptotic
+quantity.
 """
 from __future__ import annotations
 
@@ -41,14 +42,6 @@ def default_burn_in(T: int) -> int:
     return min(T // 5, 200)
 
 
-def _burn_in(T: int, burn_in: int | None) -> int:
-    """burn_in, or the default for T, checked to leave at least one step."""
-    burn = default_burn_in(T) if burn_in is None else burn_in
-    if not 0 <= burn < T:
-        raise ValueError(f"burn_in must lie in [0, {T})")
-    return burn
-
-
 @dataclass(frozen=True, eq=False)
 class FilterState:
     """Estimate x_hat[k|k] together with the next prediction covariance P[k+1|k]."""
@@ -59,13 +52,14 @@ class FilterState:
 
 @dataclass(frozen=True, eq=False)
 class CostReport:
-    """Time-averaged trace cost of a schedule.
+    """Time-averaged estimation cost of a schedule.
 
     per_target_avg_trace holds each target's average prediction-covariance
-    trace after burn-in; max_over_targets is their maximum (the min-max
+    cost (`cost_of`: the trace unless the target selects cost weights)
+    after burn-in; max_over_targets is their maximum (the min-max
     objective this toolkit optimizes). half_width carries 95% confidence
     half-widths when the numbers are Monte Carlo estimates. trace_series
-    is the optional full per-step trace matrix, one column per target.
+    is the optional full per-step cost matrix, one column per target.
     """
 
     per_target_avg_trace: np.ndarray
@@ -78,11 +72,11 @@ class CostReport:
 class MonteCarloReport:
     """Monte Carlo cost of stochastic scheduling.
 
-    expected: terminal-window estimator (mean trace over the final 20% of
+    expected: terminal-window estimator (mean cost over the final 20% of
     steps, averaged over runs), the steady-state "empirical cost"
     reading. time_averaged: the same machinery applied to the whole
     post-burn-in horizon, which is the quantity the fixed-point bound
-    speaks about. mean_trace_series averages the per-step traces across
+    speaks about. mean_trace_series averages the per-step costs across
     runs (one column per target).
     """
 
@@ -120,46 +114,34 @@ def kalman_step(
     return FilterState(x_hat=x_post, P=covariance_step(target, P, measurement is not None))
 
 
-def _initial_covariances(targets, P0):
-    if P0 is None:
-        return [t.Q.copy() for t in targets]
-    if len(P0) != len(targets):
-        raise ValueError(f"got {len(P0)} initial covariances for {len(targets)} targets")
-    return [np.asarray(P, dtype=float).copy() for P in P0]
-
-
 def evaluate_schedule(
     targets: list[LtiTarget],
     seq: ScheduleSequence,
-    P0: list[np.ndarray] | None = None,
     *,
-    burn_in: int | None = None,
     keep_series: bool = False,
 ) -> CostReport:
     """Deterministic cost of a concrete schedule.
 
-    Propagates every target's prediction covariance across the sequence
-    (observed exactly at its slots) and averages the traces after
+    Propagates every target's prediction covariance from Q across the
+    sequence (observed exactly at its slots) and averages its cost after
     burn-in. The sequence is used as given; tile it beforehand to
     approximate long-run behavior of a periodic schedule.
     """
     if seq.n_targets != len(targets):
         raise ValueError(f"sequence is over {seq.n_targets} targets, got {len(targets)}")
     T = len(seq)
-    burn = _burn_in(T, burn_in)
-    traces = np.empty((T, len(targets)))
-    covs = _initial_covariances(targets, P0)
+    costs = np.empty((T, len(targets)))
     for i, target in enumerate(targets):
-        P = covs[i]
+        P = target.Q
         observed = np.equal(seq.steps, i)
         for k in range(T):
-            traces[k, i] = np.trace(P)
+            costs[k, i] = target.cost_of(P)
             P = covariance_step(target, P, bool(observed[k]))
-    avg = traces[burn:].mean(axis=0)
+    avg = costs[default_burn_in(T):].mean(axis=0)
     return CostReport(
         per_target_avg_trace=avg,
         max_over_targets=float(avg.max()),
-        trace_series=traces if keep_series else None,
+        trace_series=costs if keep_series else None,
     )
 
 
@@ -170,7 +152,6 @@ def monte_carlo_expected_cost(
     runs: int,
     seed: int,
     *,
-    burn_in: int | None = None,
     keep_mean_series: bool = False,
 ) -> MonteCarloReport:
     """Expected scheduling cost under i.i.d. random target selection.
@@ -181,7 +162,7 @@ def monte_carlo_expected_cost(
     the runs that share a history share one covariance: each step makes
     one stacked kernel call with one row per distinct history, and a
     group of runs splits in two only at a step where its runs disagree.
-    Each run's traces are gathered from its group's row. A slice of a
+    Each run's costs are gathered from its group's row. A slice of a
     stacked call has the bits of the call on that slice alone (and a
     scalar q = 0 or 1 the bits of the mask), so every run reads exactly
     the covariances it would on its own, at a fraction of the work when
@@ -191,7 +172,6 @@ def monte_carlo_expected_cost(
         raise ValueError(f"distribution is over {len(q)} targets, got {len(targets)}")
     if T < 1 or runs < 1:
         raise ValueError("T and runs must be at least 1")
-    burn = _burn_in(T, burn_in)
     tail = max(1, T // 5)
 
     children = np.random.SeedSequence(seed).spawn(runs)
@@ -210,10 +190,10 @@ def monte_carlo_expected_cost(
         P = target.Q[None]
         group = np.zeros(runs, dtype=np.intp)
         first = np.zeros(1, dtype=np.intp)
-        traces = np.empty((runs, T))
+        costs = np.empty((runs, T))
         observed = np.equal(schedules.T, i, order="C")  # one row per step
         for k in range(T):
-            traces[:, k] = P.trace(axis1=1, axis2=2)[group]
+            costs[:, k] = target.cost_of(P)[group]
             obs = observed[k]
             seen = obs[first]
             # once every run has a group of its own, no group can split
@@ -236,10 +216,10 @@ def monte_carlo_expected_cost(
             n_seen = np.count_nonzero(seen)
             q_k = seen[:, None, None] if 0 < n_seen < len(seen) else float(n_seen > 0)
             P = _riccati_step(target, P, q_k)
-        emp[:, i] = traces[:, T - tail:].mean(axis=1)
-        tavg[:, i] = traces[:, burn:].mean(axis=1)
+        emp[:, i] = costs[:, T - tail:].mean(axis=1)
+        tavg[:, i] = costs[:, default_burn_in(T):].mean(axis=1)
         if keep_mean_series:
-            mean_series[:, i] = traces.mean(axis=0)
+            mean_series[:, i] = costs.mean(axis=0)
 
     def report(stat: np.ndarray) -> CostReport:
         mean = stat.mean(axis=0)
@@ -266,12 +246,11 @@ def sliding_window_schedule(
     targets: list[LtiTarget],
     window: int,
     T: int,
-    P0: list[np.ndarray] | None = None,
 ) -> tuple[ScheduleSequence, CostReport]:
     """Receding-horizon tree search baseline.
 
     At each step, score every observation sequence over the lookahead
-    window by its end-of-window worst-case trace, commit only the first
+    window by its end-of-window worst-case cost, commit only the first
     element of the best, and slide forward one step; the committed move's
     subtree is kept, so each step grows just one new tree level. Ties break
     toward the lexicographically smallest window. The scoring choice makes
@@ -287,7 +266,7 @@ def sliding_window_schedule(
             f"{n}^{window} window sequences is beyond the enumeration guard "
             "(1e6); use a smaller window"
         )
-    stacks = [P[None, :, :] for P in _initial_covariances(targets, P0)]
+    stacks = [t.Q[None] for t in targets]
     committed = np.empty(T, dtype=np.int64)
     subtree = n ** (window - 1)
     for k in range(1 - window, T):
@@ -300,11 +279,9 @@ def sliding_window_schedule(
             ).reshape(-1, t.n, t.n)
         if k < 0:
             continue  # still building the first tree
-        scores = np.max(
-            [np.trace(s, axis1=1, axis2=2) for s in stacks], axis=0
-        )
+        scores = np.max([t.cost_of(s) for t, s in zip(targets, stacks)], axis=0)
         move = int(np.argmin(scores)) // subtree
         committed[k] = move
         stacks = [s[move * subtree:(move + 1) * subtree] for s in stacks]
     seq = ScheduleSequence(steps=committed, n_targets=n)
-    return seq, evaluate_schedule(targets, seq, P0)
+    return seq, evaluate_schedule(targets, seq)

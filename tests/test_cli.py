@@ -75,6 +75,8 @@ class TestConfigValidation:
             (None, "budget"),
             ("solver", "tolerance"),
             ("solver", "consensus_tol"),
+            ("solver", "mare_tol"),
+            ("schedule", "alpha"),
             ("schedule", "length"),
             ("simulate", "horizon"),
             ("constraints", "weights"),
@@ -169,6 +171,39 @@ class TestConfigValidation:
         rc, _, err = run(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path))
         assert rc == cli.EXIT_CONFIG
         assert "outer_tol must be positive" in err
+
+    @pytest.mark.parametrize("inner_tol", [0, -1, float("nan")])
+    def test_inner_tol_must_be_positive(self, tmp_path, capsys, inner_tol):
+        cfg = write_config(tmp_path, solver={"inner_tol": inner_tol})
+        rc, _, err = run(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path))
+        assert rc == cli.EXIT_CONFIG
+        assert "inner_tol must be positive" in err
+
+    @pytest.mark.parametrize(
+        "sections, fragment",
+        [
+            ({"schedule": {"L": [1]}}, "schedule.L"),
+            ({"schedule": {"L": 12.9}}, "schedule.L"),
+            ({"schedule": {"L": "12"}}, "schedule.L"),
+            ({"schedule": {"seed": True}}, "schedule.seed"),
+            ({"schedule": {"duration": None}}, "schedule.duration"),
+            ({"schedule": {"epsilon_jitter": "x"}}, "schedule.epsilon_jitter"),
+            ({"solver": {"inner_tol": None}}, "solver.inner_tol"),
+            ({"solver": {"outer_tol": [1e-3]}}, "solver.outer_tol"),
+            ({"simulate": {"T": 1.5}}, "simulate.T"),
+            ({"simulate": {"runs": False}}, "simulate.runs"),
+            ({"simulate": {"window": [3]}}, "simulate.window"),
+            ({"simulate": {"seed": None}}, "simulate.seed"),
+            ({"targets": [{"chain": {"a": 1, "Q": 1, "R": 1, "d": 1.5}}]}, "targets[0].chain.d"),
+            ({"targets": [{"chain": {"a": "1", "Q": 1, "R": 1}}]}, "targets[0].chain.a"),
+        ],
+    )
+    def test_mistyped_scalar(self, tmp_path, capsys, sections, fragment):
+        # each used to crash with a TypeError or be truncated to an int
+        cfg = write_config(tmp_path, **sections)
+        rc, _, err = run(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path))
+        assert rc == cli.EXIT_CONFIG
+        assert fragment in err
 
     def test_runtime_value_error_maps_to_config_exit(self, tmp_path, capsys):
         # jitter above the smallest probability is caught inside the run

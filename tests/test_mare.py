@@ -104,8 +104,10 @@ class TestSolver:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             solve_mare(UNIT_SCALAR, -0.2)
-        with pytest.raises(ValueError):
-            solve_mare(UNIT_SCALAR, 0.5, tol=0.0)
+        # NaN fails every comparison, so a NaN tolerance would certify any step
+        for tol in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                solve_mare(UNIT_SCALAR, 0.5, tol=tol)
 
     def test_divergence_below_threshold(self):
         # scalar boundary: fixed point exists iff q > 1 - 1/a^2
@@ -186,6 +188,13 @@ class TestCriticalProbability:
         t = scalar_target(1.5)
         first = critical_probability(t, tol=1e-4)
         assert critical_probability(t, tol=1e-4) == first
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_tol_must_be_positive(self, tol):
+        # two unstable modes, so the bisection runs; NaN would skip it
+        t = LtiTarget(A=[[1.1, 1.0], [0.0, 1.2]], C=[[1.0, 0.0]], Q=np.eye(2), R=[[1.0]])
+        with pytest.raises(ValueError, match="tol must be positive"):
+            critical_probability(t, tol=tol)
 
     def test_hopeless_target_warns(self):
         # unobservable: C = 0 makes every measurement useless

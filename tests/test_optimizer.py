@@ -32,7 +32,7 @@ PAIR_GAMMA = 59.0734
 PAIR_Q = (0.6740, 0.3260)
 TRIO_GAMMA = 17.3415
 TRIO_Q = (0.0649, 0.1612, 0.7739)
-INNER_TOL, MARE_TOL = 1e-5, 1e-9
+INNER_TOL = 1e-5
 
 
 def scalar_target(a: float) -> LtiTarget:
@@ -46,8 +46,8 @@ def cost_at(target: LtiTarget, q: float) -> float:
 
 def min_q(target: LtiTarget, gamma: float) -> tuple[float, int]:
     """The driver's inner inversion of one lossless target at its own floor."""
-    _, floor = _critical_floor(target, 0.0, INNER_TOL, MARE_TOL)
-    return _bisect_min_q(_CostOracle(target, MARE_TOL, 0.0), gamma, floor, INNER_TOL)
+    _, floor = _critical_floor(target, 0.0, INNER_TOL)
+    return _bisect_min_q(_CostOracle(target, 0.0), gamma, floor, INNER_TOL)
 
 
 class RecordingTotal(_ExactTotal):
@@ -69,7 +69,7 @@ class RecordingTotal(_ExactTotal):
 
 def recorded_solve(targets) -> RecordingTotal:
     demand = RecordingTotal()
-    _nested_bisection(targets, None, 1e-3, INNER_TOL, MARE_TOL, demand)
+    _nested_bisection(targets, None, 1e-3, INNER_TOL, demand)
     return demand
 
 
@@ -99,8 +99,8 @@ class TestBudgetInversion:
 
     def test_bracket_encloses_unit_demand(self, pair):
         demand = recorded_solve(pair)
-        floors = [_critical_floor(t, 0.0, INNER_TOL, MARE_TOL)[1] for t in pair]
-        lo, hi = _bracket([_CostOracle(t, MARE_TOL, 0.0) for t in pair], floors)
+        floors = [_critical_floor(t, 0.0, INNER_TOL)[1] for t in pair]
+        lo, hi = _bracket([_CostOracle(t, 0.0) for t in pair], floors)
         # the first outer step bisects the initial bracket, not a grown one
         assert demand.steps[0][:2] == (lo, hi)
         assert lo <= hi
@@ -155,6 +155,18 @@ class TestSolve:
         # at 0 or below the bisection would never end; NaN would skip it
         with pytest.raises(ValueError, match="outer_tol must be positive"):
             solve(pair, outer_tol=outer_tol)
+
+    @pytest.mark.parametrize("inner_tol", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize(
+        "solve",
+        [solve_distribution, lambda targets, **kw: solve_distributed(targets, **kw).solution],
+        ids=["centralized", "distributed"],
+    )
+    def test_inner_tol_must_be_positive(self, solve, inner_tol):
+        # a NaN inner_tol used to skip every bisection and return (0.5, 0.5)
+        targets = [scalar_target(1.1), scalar_target(0.9)]
+        with pytest.raises(ValueError, match="inner_tol must be positive"):
+            solve(targets, inner_tol=inner_tol)
 
     def test_solves_start_from_smaller_fixed_points(self, pair, monkeypatch):
         oracles = []

@@ -4,6 +4,7 @@ Frozen sequences below were worked out by hand from the interleaving
 rules (backbone of the most frequent target, others dealt every m-th
 slot, stragglers folded into the tail).
 """
+import hashlib
 import itertools
 
 import numpy as np
@@ -213,6 +214,24 @@ class TestCsmaSchedule:
         assert len(seq) == 50
         assert set(np.unique(seq.steps)) <= {0, 1}
 
+    @pytest.mark.parametrize(
+        "probs, digest, collisions",
+        [
+            ((0.5, 0.5), "b409f4c492389c86", 1),
+            ((0.2, 0.3, 0.5), "0d179c23dd821efb", 1),
+            ((0.6739520248317206, 0.3260479751682795), "804ce928b3154aac", 0),
+        ],
+        ids=["even-pair", "trio", "readme-q-star"],
+    )
+    def test_sequence_is_pinned(self, probs, digest, collisions):
+        # recorded with timers alpha / q_i at alpha = 0.01: the race never
+        # compared a timer with the period, so the unit cannot matter
+        seq, count = simulate_csma_schedule(
+            dist(*probs), BackoffConfig(duration=2000), seed=1, with_diagnostics=True
+        )
+        assert hashlib.sha256(seq.steps.tobytes()).hexdigest()[:16] == digest
+        assert count == collisions
+
     def test_rejects_zero_probability(self):
         with pytest.raises(ValueError, match="positive"):
             simulate_csma_schedule(dist(1.0, 0.0), BackoffConfig(duration=10), seed=0)
@@ -225,7 +244,7 @@ class TestCsmaSchedule:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(alpha=0.0), dict(alpha=0.05), dict(epsilon_jitter=0.0), dict(duration=0)],
+        [dict(epsilon_jitter=0.0), dict(duration=0)],
     )
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
