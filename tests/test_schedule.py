@@ -244,7 +244,7 @@ class TestCsmaSchedule:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(epsilon_jitter=0.0), dict(duration=0)],
+        [dict(epsilon_jitter=-1e-3), dict(duration=-5), dict(epsilon_jitter=0.0), dict(duration=0)],
     )
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
