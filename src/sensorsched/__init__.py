@@ -36,7 +36,6 @@ from .optimizer import (
 )
 from .distributed import (
     DistributedReport,
-    NodeState,
     complete_graph,
     graph_diameter,
     line_graph,
@@ -56,11 +55,9 @@ from .schedule import (
 )
 from .simulate import (
     CostReport,
-    FilterState,
     MonteCarloReport,
     covariance_step,
     evaluate_schedule,
-    kalman_step,
     monte_carlo_expected_cost,
     sliding_window_schedule,
 )
@@ -88,7 +85,6 @@ __all__ = [
     "SolveReport",
     "solve_distribution",
     "DistributedReport",
-    "NodeState",
     "complete_graph",
     "graph_diameter",
     "line_graph",
@@ -104,11 +100,9 @@ __all__ = [
     "simulate_csma_schedule",
     "write_sequence",
     "CostReport",
-    "FilterState",
     "MonteCarloReport",
     "covariance_step",
     "evaluate_schedule",
-    "kalman_step",
     "monte_carlo_expected_cost",
     "sliding_window_schedule",
     "__version__",

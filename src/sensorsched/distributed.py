@@ -27,7 +27,6 @@ from .model import LtiTarget
 from .optimizer import Constraints, SolveReport, _nested_bisection
 
 __all__ = [
-    "NodeState",
     "DistributedReport",
     "complete_graph",
     "ring_graph",
@@ -105,30 +104,17 @@ def _metropolis(adj: np.ndarray) -> np.ndarray:
     return W
 
 
-@dataclass(frozen=True)
-class NodeState:
-    """One node's view after an outer bisection step."""
-
-    node_id: int
-    lo: float
-    hi: float
-    gamma: float
-    q_local: float
-    rounds: int
-
-
 @dataclass(frozen=True, eq=False)
 class DistributedReport:
     """Distributed solution plus protocol accounting.
 
-    `solution` has the same shape a centralized solve returns. The
-    trajectory lists one NodeState per node per outer step, and
-    consensus_rounds the message rounds each step spent agreeing on the
-    demand (flooding rounds for setup and read-out are in total_rounds).
+    `solution` has the same shape a centralized solve returns.
+    consensus_rounds lists the message rounds each outer step spent
+    agreeing on the demand (flooding rounds for setup and read-out are in
+    total_rounds).
     """
 
     solution: SolveReport
-    trajectory: tuple[tuple[NodeState, ...], ...]
     consensus_rounds: tuple[int, ...]
     total_rounds: int
 
@@ -163,12 +149,11 @@ class _ConsensusTotal:
     diameter-many rounds. An outer step averages them by consensus and
     every node decides sum(qs) <= 1 on its own estimate; when averaging
     cannot separate the total from 1, the demands are flooded instead.
-    Records each node's view of every outer step and the rounds spent.
+    Records the rounds each outer step spent.
     """
 
     def __init__(self, W: np.ndarray, diameter: int):
         self.W, self.diameter = W, diameter
-        self.trajectory: list[list[NodeState]] = [[] for _ in range(W.shape[0])]
         self.step_rounds: list[int] = []
         # Feasibility and the starting bracket need one exchange of scalars
         # (floor, cost at q=1, cost at the padded floor): two floods.
@@ -192,9 +177,6 @@ class _ConsensusTotal:
         ok = bool(verdicts[0])
         self.total_rounds += rounds
         self.step_rounds.append(rounds)
-        lo, hi = (lo, gamma) if ok else (gamma, hi)
-        for i, q in enumerate(qs):
-            self.trajectory[i].append(NodeState(i, lo, hi, gamma, q, rounds))
         return ok
 
 
@@ -227,7 +209,6 @@ def solve_distributed(
     solution = _nested_bisection(targets, constraints, outer_tol, inner_tol, network)
     return DistributedReport(
         solution=solution,
-        trajectory=tuple(tuple(t) for t in network.trajectory),
         consensus_rounds=tuple(network.step_rounds),
         total_rounds=network.total_rounds,
     )

@@ -23,10 +23,13 @@ monotone and concave on the positive semidefinite cone, so a positive
 semidefinite Y with g_q(Y) <= Y proves that a fixed point exists below Y,
 and Newton steps from such a Y descend to it quadratically. Below the
 critical probability no such Y exists and the solver only iterates the
-map. The critical probability is 1 - 1/lambda^2 when A has a single
-unstable eigenvalue lambda, real, observable and driven by the process
-noise; other unstable targets are bisected from the lower bound
-1 - 1/rho(A)^2.
+map. For a target with one output whose eigenvalues on or outside the
+unit circle all lie strictly outside it, are observable and are driven by
+the process noise, the critical probability is exactly 1 - 1/M(A)^2,
+with M(A) the product of their moduli; with more outputs the same holds
+for a single real unstable eigenvalue. Other unstable targets are
+bisected from the lower bound 1 - 1/rho(A)^2 to the feasible end of the
+bracket, so their value errs upward.
 
 Covariance matrices are plain numpy arrays; `check_covariance` enforces
 the symmetry and positive-semidefiniteness invariants where inputs enter
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DelayChainSpec, LtiTarget
+from .model import DelayChainSpec, LtiTarget, _pbh_rank
 
 __all__ = [
     "MareStatus",
@@ -203,8 +206,8 @@ def _near_critical_check(q: float, rho: float) -> None:
     # Strictly stable targets have a bounded fixed point at every q, so only
     # a mode on or outside the unit circle (spectral radius rho) can make a
     # solve near-critical. The reference point is the lower bound
-    # 1 - 1/rho^2, which is the critical probability itself on the
-    # analytic branch (every unstable scalar and delay chain).
+    # 1 - 1/rho^2, which is the critical probability itself when a single
+    # real mode is unstable (every unstable scalar and delay chain).
     if rho >= 1.0 - _UNIT_CIRCLE_TOL and 0.0 < q - (1.0 - 1.0 / rho**2) < 1e-3:
         warnings.warn(
             f"q = {q:.6g} is within 1e-3 of the lower bound 1 - 1/rho(A)^2 "
@@ -364,42 +367,44 @@ def closed_form_delay_chain(spec: DelayChainSpec, q: float) -> np.ndarray | None
 
 
 def _analytic_critical_probability(target: LtiTarget, eigs: np.ndarray) -> float | None:
-    """1 - 1/lambda^2 when lambda is A's only eigenvalue on or outside the
-    unit circle, real with |lambda| > 1, observable, and driven by the
-    process noise; None otherwise."""
+    """1 - 1/M^2, with M the product of |lambda| over A's eigenvalues on or
+    outside the unit circle, when each of them lies strictly outside it,
+    is observable and is driven by the process noise, and either the
+    target has one output or lambda is a single real eigenvalue; None
+    otherwise."""
     outside = eigs[np.abs(eigs) >= 1.0 - _UNIT_CIRCLE_TOL]
-    if len(outside) != 1 or outside[0].imag != 0.0 or abs(outside[0]) <= 1.0:
+    if np.any(np.abs(outside) <= 1.0):
         return None
-    lam = float(outside[0].real)
-    shifted = target.A - lam * np.eye(target.n)
-    observable = np.linalg.matrix_rank(np.vstack([shifted, target.C])) == target.n
-    driven = np.linalg.matrix_rank(np.hstack([shifted, target.Q])) == target.n
-    return 1.0 - 1.0 / lam**2 if observable and driven else None
+    if target.p > 1 and (len(outside) != 1 or outside[0].imag != 0.0):
+        return None
+    for lam in outside:
+        shifted = target.A - lam * np.eye(target.n)
+        if (_pbh_rank(np.vstack([shifted, target.C])) < target.n
+                or _pbh_rank(np.hstack([shifted, target.Q])) < target.n):
+            return None
+    return 1.0 - 1.0 / float(np.prod(np.abs(outside))) ** 2
 
 
-def critical_probability(
-    target: LtiTarget,
-    tol: float = 1e-4,
-    *,
-    mare_max_iter: int = 300_000,
-) -> float:
-    """Least observation probability with a fixed point.
+def critical_probability(target: LtiTarget, tol: float = 1e-4) -> float:
+    """Infimum of the observation probabilities with a fixed point.
 
     Stable and marginally stable targets (spectral radius <= 1) return 0.0
-    exactly. 1 - 1/rho(A)^2 is a lower bound for every target (Sinopoli et
-    al., IEEE TAC 2004), and it is the exact value when A has a single
-    eigenvalue lambda on or outside the unit circle that is real,
-    observable and driven by the process noise (Mo & Sinopoli, IEEE TAC
-    2012): then 1 - 1/lambda^2 is returned. Otherwise the feasibility frontier is bracketed by bisection
-    on q from that lower bound, with solve_mare convergence as the
-    predicate, to width `tol`, and the feasible endpoint is returned (so
-    the result errs upward, never below the true critical probability by
-    more than the solver can certify). If even q = 1 fails to converge the
+    exactly. For one output (p = 1) the exact infimum is 1 - 1/M(A)^2,
+    with M(A) the product of |lambda| over the eigenvalues on or outside
+    the unit circle, when each of them lies strictly outside it, is
+    observable and is driven by the process noise (Sinopoli et al., IEEE
+    TAC 2004; the dual of Elia, Systems & Control Letters 2005). With more
+    outputs the same value is returned for a single real such eigenvalue
+    (Mo & Sinopoli, IEEE TAC 2012). At the infimum itself no fixed point
+    exists; every q above it has one.
+
+    Every other target is bisected on q from the lower bound
+    1 - 1/rho(A)^2 (Sinopoli et al.), with solve_mare convergence as the
+    predicate, to width `tol`, and the feasible endpoint is returned: the
+    result errs upward, never below the true critical probability by more
+    than the solver can certify. If even q = 1 fails to converge the
     target cannot be scheduled at all: returns 1.0 and emits a
     RuntimeWarning.
-
-    Probes just below the frontier diverge slowly, hence the larger
-    default iteration budget than solve_mare's.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -410,7 +415,7 @@ def critical_probability(
     analytic = _analytic_critical_probability(target, eigs)
     if analytic is not None:
         return analytic
-    if not solve_mare(target, 1.0, max_iter=mare_max_iter).converged:
+    if not solve_mare(target, 1.0).converged:
         warnings.warn(
             f"target {target.label or '?'}: no fixed point even at q = 1; "
             "it cannot be stabilized by any schedule",
@@ -421,7 +426,7 @@ def critical_probability(
     lo, hi = 1.0 - 1.0 / rho**2, 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if solve_mare(target, mid, max_iter=mare_max_iter).converged:
+        if solve_mare(target, mid).converged:
             hi = mid
         else:
             lo = mid

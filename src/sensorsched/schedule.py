@@ -68,7 +68,7 @@ class BackoffConfig:
     duration: int = 1000
 
     def __post_init__(self):
-        if self.epsilon_jitter <= 0:
+        if not self.epsilon_jitter > 0:
             raise ValueError("epsilon_jitter must be positive")
         if self.duration < 1:
             raise ValueError("duration must be at least 1")

@@ -26,11 +26,9 @@ from .model import LtiTarget, ScheduleDistribution
 from .schedule import ScheduleSequence
 
 __all__ = [
-    "FilterState",
     "CostReport",
     "MonteCarloReport",
     "covariance_step",
-    "kalman_step",
     "evaluate_schedule",
     "monte_carlo_expected_cost",
     "sliding_window_schedule",
@@ -40,14 +38,6 @@ __all__ = [
 
 def default_burn_in(T: int) -> int:
     return min(T // 5, 200)
-
-
-@dataclass(frozen=True, eq=False)
-class FilterState:
-    """Estimate x_hat[k|k] together with the next prediction covariance P[k+1|k]."""
-
-    x_hat: np.ndarray
-    P: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,28 +80,6 @@ class MonteCarloReport:
 def covariance_step(target: LtiTarget, P: np.ndarray, observed: bool) -> np.ndarray:
     """One prediction-covariance update: correction applied only if observed."""
     return _riccati_step(target, np.asarray(P, dtype=float), 1.0 if observed else 0.0)
-
-
-def kalman_step(
-    target: LtiTarget, state: FilterState, measurement: np.ndarray | None = None
-) -> FilterState:
-    """Advance the filter one step, fusing the measurement when present.
-
-    The covariance track is exactly covariance_step applied to state.P, so
-    filtering a schedule and evaluating it report identical traces.
-    """
-    A, C, R = target.A, target.C, target.R
-    P = state.P
-    x_prior = A @ state.x_hat
-    if measurement is None:
-        x_post = x_prior
-    else:
-        y = np.asarray(measurement, dtype=float).reshape(-1)
-        if y.shape[0] != target.p:
-            raise ValueError(f"measurement has dimension {y.shape[0]}, expected {target.p}")
-        K = np.linalg.solve(C @ P @ C.T + R, C @ P).T
-        x_post = x_prior + K @ (y - C @ x_prior)
-    return FilterState(x_hat=x_post, P=covariance_step(target, P, measurement is not None))
 
 
 def evaluate_schedule(

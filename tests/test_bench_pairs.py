@@ -1,6 +1,10 @@
-"""The BENCH record summary: quartiles per side and pairs won per metric."""
+"""The BENCH record tool: the summary's quartiles per side and pairs won per
+metric, and the parent worktree's cleanup when the run is terminated."""
 import importlib.util
+import signal
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
@@ -28,3 +32,28 @@ def test_summary_counts_pairs_the_change_won():
     }
     assert summary["failed"] == {"parent": 0, "change": 1}
     assert summary["correct"] == {"parent": True, "change": False}
+
+
+def test_sigterm_still_removes_the_worktree(tmp_path, monkeypatch):
+    calls = []
+
+    def git(*args):
+        calls.append(args)
+        return "abc1234"
+
+    def bench(*args):
+        # without a handler SIGTERM would end the test process itself
+        if not callable(signal.getsignal(signal.SIGTERM)):
+            pytest.fail("no SIGTERM handler is installed during the runs")
+        signal.raise_signal(signal.SIGTERM)
+
+    monkeypatch.setattr(bench_pairs, "git", git)
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    handler = signal.getsignal(signal.SIGTERM)
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--parent", "HEAD", "--out", str(tmp_path / "record.json")])
+    commands = [c[:2] for c in calls]
+    assert commands.index(("worktree", "prune")) < commands.index(("worktree", "add"))
+    assert commands[-1] == ("worktree", "remove")
+    assert signal.getsignal(signal.SIGTERM) is handler
+    assert not (tmp_path / "record.json").exists()

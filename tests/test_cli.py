@@ -205,6 +205,15 @@ class TestConfigValidation:
         assert rc == cli.EXIT_CONFIG
         assert fragment in err
 
+    def test_nan_jitter_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, schedule={"epsilon_jitter": float("nan")})
+        out = tmp_path / "out"
+        rc, _, err = run(
+            capsys, "schedule", "--config", str(cfg), "--out", str(out), "--kind", "csma"
+        )
+        assert rc == cli.EXIT_CONFIG
+        assert "epsilon_jitter must be positive" in err
+
     def test_runtime_value_error_maps_to_config_exit(self, tmp_path, capsys):
         # jitter above the smallest probability is caught inside the run
         cfg = write_config(tmp_path, schedule={"L": 100, "epsilon_jitter": 0.5})

@@ -191,10 +191,27 @@ class TestCriticalProbability:
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
     def test_tol_must_be_positive(self, tol):
-        # two unstable modes, so the bisection runs; NaN would skip it
+        # the target has a closed form, which needs no tol; it is checked first
         t = LtiTarget(A=[[1.1, 1.0], [0.0, 1.2]], C=[[1.0, 0.0]], Q=np.eye(2), R=[[1.0]])
         with pytest.raises(ValueError, match="tol must be positive"):
             critical_probability(t, tol=tol)
+
+    def test_two_outputs_beyond_the_closed_form_are_bisected(self):
+        # A rotation of radius 1.2 seen by output 1 beside a real mode 1.1
+        # seen by output 2: the blocks decouple, so q^c = 1 - 1/1.2^4, which
+        # is neither the lower bound 1 - 1/1.2^2 nor 1 - 1/M(A)^2.
+        c, s = np.cos(1.0), np.sin(1.0)
+        A = np.zeros((3, 3))
+        A[:2, :2] = 1.2 * np.array([[c, -s], [s, c]])
+        A[2, 2] = 1.1
+        t = LtiTarget(A=A, C=[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], Q=np.eye(3), R=np.eye(2))
+        # at width 1e-2 one more probe would land 6e-4 below q^c, where the
+        # divergence takes 16 000 iterations
+        qc = critical_probability(t, tol=2e-2)
+        exact = 1 - 1 / 1.2**4
+        # the feasible endpoint of a width-2e-2 bracket: errs upward only
+        assert exact <= qc <= exact + 2e-2
+        assert solve_mare(t, qc).converged
 
     def test_hopeless_target_warns(self):
         # unobservable: C = 0 makes every measurement useless

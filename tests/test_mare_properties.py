@@ -8,9 +8,12 @@ the theory guarantees, checked on random targets.
   driven by the noise has critical probability exactly 1 - 1/lambda^2
   (Mo & Sinopoli, IEEE TAC 2012): a fixed point exists above it and the
   iteration diverges below it.
-* Every other unstable target is bisected, from the lower bound
-  1 - 1/rho(A)^2 (Sinopoli et al., IEEE TAC 2004), to a probability at
-  which the solver converges.
+* A single-output target whose unstable modes are observable and driven
+  by the noise has critical probability exactly 1 - 1/M(A)^2, with M(A)
+  the product of the unstable moduli, whether the modes are real, a
+  complex pair or a Jordan block (the dual of Elia, Systems & Control
+  Letters 2005). At the value itself no fixed point exists, so the solver
+  is probed a little above and below it.
 * Warm and cold starts agree: the fixed point at a smaller q' is a
   super-solution at q (g_q is non-increasing in q), and solving from it
   reaches the same closed-form fixed point as solving from Q.
@@ -121,17 +124,80 @@ def test_single_unstable_mode_has_analytic_critical_probability(seed):
     assert solve_mare(target, qc - 1e-2).status is MareStatus.DIVERGED
 
 
+def single_output_target(seed: int, kind: str) -> tuple[LtiTarget, float]:
+    """A random single-output target with one to three unstable modes, and
+    1 - 1/M^2 from its exact unstable moduli.
+
+    `kind` picks the unstable part: one to three real modes, a complex
+    pair, or a 2x2 Jordan block; the last two may get a real unstable mode
+    beside them. Half the targets also get a stable mode. A = U T U^T with
+    U orthogonal and T block diagonal with those blocks, and Q is positive
+    definite. Each unstable block draws its modulus from its own one of
+    three disjoint ranges, and in the basis of T every entry of C has
+    modulus at least 0.5, so each mode is observed with a margin: one
+    output cannot tell nearly equal modes apart, and a mode observed with a
+    margin near 0 has a fixed point whose trace passes
+    TRACE_DIVERGENCE_CAP, which solve_mare reports as divergence.
+    """
+    rng = np.random.default_rng(seed)
+    floors = rng.permutation([1.05, 1.2, 1.35])
+    moduli = [rng.uniform(f, f + 0.1) for f in floors]
+    if kind == "real":
+        moduli = moduli[: int(rng.integers(1, 4))]
+        blocks = [np.array([[m]]) for m in moduli]
+    else:
+        r, extra = moduli[:2]
+        if kind == "complex":
+            angle = rng.uniform(0.3, 2.8)
+            c, s = np.cos(angle), np.sin(angle)
+            blocks = [r * np.array([[c, -s], [s, c]])]
+        else:
+            blocks = [np.array([[r, 1.0], [0.0, r]])]
+        moduli = [r, r]
+        if rng.random() < 0.5:
+            moduli.append(extra)
+            blocks.append(np.array([[extra]]))
+    if rng.random() < 0.5:
+        blocks.append(np.array([[rng.uniform(-0.9, 0.9)]]))
+    n = sum(b.shape[0] for b in blocks)
+    T = np.zeros((n, n))
+    i = 0
+    for b in blocks:
+        k = b.shape[0]
+        T[i : i + k, i : i + k] = b * rng.choice([-1.0, 1.0])
+        i += k
+    U = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    C = rng.uniform(0.5, 1.5, size=(1, n)) * rng.choice([-1.0, 1.0], size=(1, n))
+    G = rng.normal(size=(n, n))
+    target = LtiTarget(
+        A=U @ T @ U.T,
+        C=C @ U.T,
+        Q=G @ G.T + 0.1 * np.eye(n),
+        R=[[rng.uniform(0.2, 2.0)]],
+    )
+    return target, 1.0 - 1.0 / np.prod(moduli) ** 2
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=seeds, kind=st.sampled_from(["real", "complex", "jordan"]))
+def test_single_output_critical_probability_is_closed_form(seed, kind):
+    target, exact = single_output_target(seed, kind)
+    qc = critical_probability(target)
+    assert abs(qc - exact) <= 1e-12
+    # a small budget keeps a wrong verdict cheap; over 900 drawn targets
+    # both sides settled within 2 200 iterations
+    assert solve_mare(target, qc + 1e-2, max_iter=5_000).converged
+    assert solve_mare(target, qc - 1e-2, max_iter=5_000).status is MareStatus.DIVERGED
+
+
 @settings(max_examples=5, deadline=None)
 @given(radius=st.floats(1.05, 1.4), angle=st.floats(0.4, 2.7))
-def test_unstable_rotation_is_bisected(radius, angle):
+def test_unstable_rotation_has_closed_form_critical_probability(radius, angle):
     c, s = np.cos(angle), np.sin(angle)
     A = radius * np.array([[c, -s], [s, c]])
     target = LtiTarget(A=A, C=[[1.0, 0.0]], Q=np.eye(2), R=[[1.0]])
-    # a complex unstable pair lies outside the analytic branch; a coarse
-    # width and budget keep the probes just below the frontier cheap
-    qc = critical_probability(target, tol=1e-2, mare_max_iter=5_000)
-    assert 1.0 - 1.0 / radius**2 <= qc <= 1.0
-    assert solve_mare(target, qc).converged
+    # 1 - 1/r^4, not the lower bound 1 - 1/rho^2 = 1 - 1/r^2
+    assert abs(critical_probability(target) - (1.0 - 1.0 / radius**4)) <= 1e-12
 
 
 def random_psd(rng, n: int) -> np.ndarray:

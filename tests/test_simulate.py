@@ -1,10 +1,5 @@
-"""Filtering, schedule evaluation, Monte Carlo, and the lookahead baseline.
-
-Hand-derived filter oracle used below: scalar plant a = 1, C = 1, Q = 0,
-R = 1, prediction covariance P = 1, estimate 0. A measurement y = 2 gives
-gain P/(P + R) = 1/2, posterior estimate 1, and next covariance
-P - P^2/(P + R) = 1/2.
-"""
+"""Covariance steps, schedule evaluation, Monte Carlo, and the lookahead
+baseline."""
 import itertools
 
 import numpy as np
@@ -14,7 +9,6 @@ from hypothesis import strategies as st
 
 from conftest import make_pair, make_two_sensor
 from sensorsched import (
-    FilterState,
     LtiTarget,
     ScheduleDistribution,
     ScheduleSequence,
@@ -22,7 +16,6 @@ from sensorsched import (
     covariance_step,
     evaluate_schedule,
     g_q,
-    kalman_step,
     monte_carlo_expected_cost,
     sliding_window_schedule,
     solve_mare,
@@ -104,39 +97,6 @@ class TestCovarianceStep:
                 assert np.array_equal(P, P.T)
                 scale = max(1.0, float(np.abs(P).max()))
                 assert np.linalg.eigvalsh(P)[0] >= -1e-9 * scale
-
-
-class TestKalmanStep:
-    UNIT = LtiTarget(A=[[1.0]], C=[[1.0]], Q=[[0.0]], R=[[1.0]])
-
-    def test_measurement_update(self):
-        state = FilterState(x_hat=np.array([0.0]), P=np.array([[1.0]]))
-        out = kalman_step(self.UNIT, state, np.array([2.0]))
-        assert out.x_hat[0] == pytest.approx(1.0)
-        assert out.P[0, 0] == pytest.approx(0.5)
-
-    def test_skipped_measurement_propagates_prior(self, pair):
-        t = pair[0]
-        state = FilterState(x_hat=np.array([1.0, -2.0]), P=t.Q.copy())
-        out = kalman_step(t, state)
-        assert np.allclose(out.x_hat, t.A @ state.x_hat)
-        assert np.allclose(out.P, covariance_step(t, state.P, False))
-
-    def test_rejects_wrong_measurement_dimension(self, pair):
-        state = FilterState(x_hat=np.zeros(2), P=pair[0].Q.copy())
-        with pytest.raises(ValueError, match="dimension"):
-            kalman_step(pair[0], state, np.array([1.0, 2.0]))
-
-    def test_covariance_track_matches_evaluation(self, pair):
-        """Filtering a schedule shows the exact traces evaluate_schedule reports."""
-        t = pair[0]
-        seq = build_min_consecutive_schedule(PAIR_Q, 40)
-        report = evaluate_schedule(pair, seq, keep_series=True)
-        state = FilterState(x_hat=np.zeros(2), P=t.Q.copy())
-        for k in range(len(seq)):
-            assert np.trace(state.P) == report.trace_series[k, 0]
-            meas = np.array([0.0]) if seq.steps[k] == 0 else None
-            state = kalman_step(t, state, meas)
 
 
 class TestEvaluateSchedule:

@@ -5,7 +5,8 @@
 
 This is how the BENCH_*.json records at the root of the repository are
 made. The parent ref is checked out with `git worktree add` into a temporary
-directory (removed afterwards). For every workload of BENCHMARK.json, pair
+directory (removed afterwards, on SIGTERM too; the next run prunes one
+left registered by a harder kill). For every workload of BENCHMARK.json, pair
 i of 10 runs `python3 perfbench/run.py --workload W --seed S --seconds N
 --trace 0`, with N the benchmark's `run_seconds`, once in the parent
 checkout and once in the working tree, with the parent first in odd pairs
@@ -26,6 +27,7 @@ import argparse
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -62,6 +64,10 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) 
     except (IndexError, json.JSONDecodeError):
         raise RuntimeError(f"{checkout}: {workload} seed {seed} gave no result line "
                            f"(exit {done.returncode}): {done.stderr.strip()}") from None
+
+
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)
 
 
 def summarize(pairs: list[dict], metrics: list[str]) -> dict:
@@ -107,8 +113,11 @@ def main(argv=None) -> int:
         "summary": {},
         "traced_seed_1": {},
     }
+    # SIGTERM unwinds like Ctrl-C, so the finally below removes the worktree
+    previous = signal.signal(signal.SIGTERM, _terminate)
     with tempfile.TemporaryDirectory() as tmp:
         parent = Path(tmp) / "parent"
+        git("worktree", "prune")
         git("worktree", "add", "--detach", str(parent), args.parent)
         try:
             sides = {"parent": parent, "change": ROOT}
@@ -133,6 +142,7 @@ def main(argv=None) -> int:
                 }
         finally:
             git("worktree", "remove", "--force", str(parent))
+            signal.signal(signal.SIGTERM, previous)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
