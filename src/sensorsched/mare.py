@@ -38,6 +38,7 @@ the public API.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -202,16 +203,27 @@ def _riccati_step(target: LtiTarget, P: np.ndarray, q: float | np.ndarray) -> np
     return symmetrize(out - q * correction)
 
 
-def _near_critical_check(q: float, rho: float) -> None:
+def _near_critical_check(target: LtiTarget, q: float, eigs: np.ndarray) -> None:
     # Strictly stable targets have a bounded fixed point at every q, so only
-    # a mode on or outside the unit circle (spectral radius rho) can make a
-    # solve near-critical. The reference point is the lower bound
-    # 1 - 1/rho^2, which is the critical probability itself when a single
-    # real mode is unstable (every unstable scalar and delay chain).
-    if rho >= 1.0 - _UNIT_CIRCLE_TOL and 0.0 < q - (1.0 - 1.0 / rho**2) < 1e-3:
+    # modes on or outside the unit circle can make a solve near-critical.
+    # The reference point is the closed-form critical probability when there
+    # is one, else the lower bound 1 - 1/rho^2. The closed form is 1 - 1/M^2
+    # (or 1 - 1/rho^2 for one real mode), so its rank tests run only when q
+    # lies just above one of the two.
+    outside = [m for m in np.abs(eigs).tolist() if m >= 1.0 - _UNIT_CIRCLE_TOL]
+    if not outside:
+        return
+    lower = 1.0 - 1.0 / max(outside) ** 2
+    mahler = 1.0 - 1.0 / math.prod(outside) ** 2
+    if not (0.0 < q - lower < 1e-3 or 0.0 < q - mahler < 1e-3):
+        return
+    qc = _analytic_critical_probability(target, eigs)
+    ref = lower if qc is None else qc
+    if 0.0 < q - ref < 1e-3:
         warnings.warn(
-            f"q = {q:.6g} is within 1e-3 of the lower bound 1 - 1/rho(A)^2 "
-            "on the critical probability; the fixed point may be large",
+            f"q = {q:.6g} is within 1e-3 above the critical probability (or, "
+            f"without a closed form, its lower bound) {ref:.6g}; the fixed point "
+            "may be large",
             ConditioningWarning,
             stacklevel=3,
         )
@@ -291,8 +303,9 @@ def solve_mare(
         raise ValueError(f"q must lie in [0, 1], got {q!r}")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    rho = float(np.max(np.abs(np.linalg.eigvals(target.A))))
-    _near_critical_check(q, rho)
+    eigs = np.linalg.eigvals(target.A)
+    rho = float(np.max(np.abs(eigs)))
+    _near_critical_check(target, q, eigs)
     X = check_covariance(target.Q, "Q") if x0 is None else check_covariance(x0, "x0")
     # A super-solution Y >= (1-q) A Y A^T + Q needs (1-q) rho(A)^2 < 1
     # (for positive definite Q), so below that bound every step is plain.

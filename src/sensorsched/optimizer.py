@@ -7,8 +7,13 @@ fixed-point cost within gamma, and the total demand (the sum of those
 least probabilities) is non-increasing in gamma. The solver therefore
 runs two nested bisections: an outer one on gamma keeping the demand at
 the upper endpoint at most 1, and an inner one per target on q (the
-fixed-point cost is non-increasing in q). The final probabilities are
-rescaled to sum to one exactly, which can only lower each target's cost.
+fixed-point cost is non-increasing in q). A strictly stable target
+(rho(A) < 1) has q^c = 0 and a cheap fixed point at its floor q = tol,
+so the inner inversion tries that floor first and skips the bisection
+when it meets the budget; a marginal or unstable target never solves at
+its floor, just above q^c, where the solve is slow or ill-conditioned.
+The final probabilities are rescaled to sum to one exactly, which can
+only lower each target's cost.
 The distributed solver runs this same bisection; only the way the
 demands are totalled differs. `_nested_bisection` is the only driver, so
 floors and channel loss reach every inversion, demand total and bracket.
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mare import critical_probability, solve_mare
+from .mare import _UNIT_CIRCLE_TOL, critical_probability, solve_mare
 from .model import LtiTarget, ScheduleDistribution
 
 __all__ = [
@@ -103,27 +108,31 @@ class SolveReport:
 class _CostOracle:
     """Memoized fixed-point cost of one target as a function of q.
 
-    Inner bisections always probe midpoints of [q^c + tol, 1], so the same
-    q values recur across outer iterations; caching makes repeated
-    mu(gamma) evaluations cheap and exactly consistent. Non-converged
-    solves (diverged or out of budget) count as cost infinity: only a
-    certified fixed point may satisfy a budget.
+    Inner bisections always probe midpoints of [q^c + tol, 1] (and, for a
+    `stable` target, rho(A) < 1, the floor), so the same q values recur
+    across outer iterations; caching makes repeated mu(gamma) evaluations
+    cheap and exactly consistent. Non-converged solves (diverged or out of
+    budget) count as cost infinity: only a certified fixed point may
+    satisfy a budget.
 
     `cache` maps each assigned q to its cost, `fixed_points` each converged
-    one to its fixed point X; a solve starts from X at the largest smaller
-    q (g_q is non-increasing in q, so g_q(X) <= X: Newton's certificate).
-    `iterations` counts MARE iterations and `warm_starts` such starts.
+    one to its fixed point X (unless solved with keep=False); a solve
+    starts from X at the largest smaller q (g_q is non-increasing in q, so
+    g_q(X) <= X: Newton's certificate). `iterations` counts MARE
+    iterations and `warm_starts` such starts. `stable` says rho(A) < 1.
     """
 
     def __init__(self, target: LtiTarget, loss: float):
         self.target = target
         self.loss = loss
+        rho = float(np.max(np.abs(np.linalg.eigvals(target.A))))
+        self.stable = rho < 1.0 - _UNIT_CIRCLE_TOL
         self.cache: dict[float, float] = {}
         self.fixed_points: dict[float, np.ndarray] = {}
         self.iterations = 0
         self.warm_starts = 0
 
-    def cost(self, q_assigned: float) -> float:
+    def cost(self, q_assigned: float, keep: bool = True) -> float:
         c = self.cache.get(q_assigned)
         if c is None:
             q_eff = q_assigned * (1.0 - self.loss)
@@ -132,7 +141,7 @@ class _CostOracle:
             res = solve_mare(self.target, q_eff, x0=x0)
             self.iterations += res.iterations
             self.warm_starts += x0 is not None
-            if res.converged:
+            if res.converged and keep:
                 self.fixed_points[q_assigned] = res.X
             c = float(self.target.cost_of(res.X)) if res.converged else float("inf")
             self.cache[q_assigned] = c
@@ -143,14 +152,23 @@ def _bisect_min_q(oracle: _CostOracle, gamma: float, q_floor: float, tol: float)
     """Least assigned q in [q_floor, 1] with cost <= gamma, and step count.
 
     Returns (1.0, 0) when even q = 1 misses the budget, which the driver
-    never asks. The floor itself is never evaluated: when every probed
-    midpoint is feasible the bisection collapses onto the floor from above,
-    which keeps the usual width-tol guarantee without paying for a solve at
-    the (typically near-critical, slowest) endpoint.
+    never asks. A strictly stable target (rho(A) < 1) then tries its floor,
+    q_floor = tol: that fixed point lies below the Lyapunov solution and
+    takes a few iterations, and the oracle caches its cost, so a target
+    pays for it once per solve. When it meets gamma the answer is
+    (q_floor, 0) without bisecting. The floor's X is not kept as a warm
+    start, so a target whose floor misses gamma bisects exactly as it would
+    without the probe, bit for bit. Any other target never evaluates its
+    floor: that sits just above q^c, where a solve is slowest, or for
+    rho(A) = 1 at q = tol, where it is ill-conditioned. Its bisection
+    collapses onto the floor from above when every probed midpoint is
+    feasible, which keeps the usual width-tol guarantee.
     """
     steps = 0
     if oracle.cost(1.0) > gamma:
         return 1.0, steps
+    if oracle.stable and oracle.cost(q_floor, keep=False) <= gamma:
+        return q_floor, steps
     lo, hi = q_floor, 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2

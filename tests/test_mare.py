@@ -225,6 +225,19 @@ class TestCriticalProbability:
         with pytest.warns(ConditioningWarning):
             solve_mare(t, qc + 5e-4, max_iter=300_000)
 
+    def test_warning_measures_from_the_closed_form(self):
+        # The rotation's two unstable modes put q^c = 1 - 1/r^4 = 0.31691
+        # well above the lower bound 1 - 1/r^2 = 0.17350: the large fixed
+        # points sit just above q^c, while at 0.174 nothing converges.
+        t = LtiTarget(A=[[0.5943, -0.9256], [0.9256, 0.5943]], C=[[1.0, 0.0]],
+                      Q=np.eye(2), R=[[1.0]])
+        qc = critical_probability(t)
+        with pytest.warns(ConditioningWarning, match="critical probability"):
+            assert solve_mare(t, qc + 5e-4).converged
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConditioningWarning)
+            assert not solve_mare(t, 0.174).converged
+
     def test_stable_target_does_not_warn(self):
         # q^c = 0 here, and a stable target's fixed point stays bounded
         t = scalar_target(0.5)

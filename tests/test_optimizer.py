@@ -11,9 +11,12 @@ import numpy as np
 import pytest
 
 from sensorsched import (
+    ConditioningWarning,
     Constraints,
+    DelayChainSpec,
     InfeasibilityWarning,
     LtiTarget,
+    expand_delay_chain,
     solve_distributed,
     solve_distribution,
     solve_mare,
@@ -67,6 +70,20 @@ class RecordingTotal(_ExactTotal):
         return super().within_budget(qs, gamma, lo, hi)
 
 
+@pytest.fixture()
+def oracles(monkeypatch) -> list[_CostOracle]:
+    """Every cost oracle the solver builds, in the order it builds them."""
+    made = []
+
+    class CountedOracle(_CostOracle):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(optimizer, "_CostOracle", CountedOracle)
+    return made
+
+
 def recorded_solve(targets) -> RecordingTotal:
     demand = RecordingTotal()
     _nested_bisection(targets, None, 1e-3, INNER_TOL, demand)
@@ -107,6 +124,45 @@ class TestBudgetInversion:
         assert sum(min_q(t, lo)[0] for t in pair) >= 1.0 - 1e-9
         # bracket growth first totals the demand at hi
         assert demand.totals[0] == sum(min_q(t, hi)[0] for t in pair) <= 1.0 + 2 * INNER_TOL
+
+
+class TestFloorFirst:
+    def test_stable_floor_meeting_the_budget_is_returned_exactly(self):
+        # rho(A) = 0.5, so the floor is INNER_TOL and its cost ~ 4/3 meets 10
+        t = scalar_target(0.5)
+        oracle = _CostOracle(t, 0.0)
+        assert _bisect_min_q(oracle, 10.0, INNER_TOL, INNER_TOL) == (INNER_TOL, 0)
+        assert sorted(oracle.cache) == [INNER_TOL, 1.0]
+        assert list(oracle.fixed_points) == [1.0]
+        assert cost_at(t, INNER_TOL) <= 10.0
+
+    def test_floor_missing_the_budget_leaves_the_bisection_unchanged(self, pair):
+        # the probe's fixed point seeds no warm start, so every later solve
+        # is bit for bit the one a target without the probe makes
+        probed, plain = _CostOracle(pair[1], 0.0), _CostOracle(pair[1], 0.0)
+        plain.stable = False
+        for gamma in (40.0, 59.0, 80.0, 59.07):
+            assert _bisect_min_q(probed, gamma, INNER_TOL, INNER_TOL) == _bisect_min_q(
+                plain, gamma, INNER_TOL, INNER_TOL
+            )
+        assert probed.cache.pop(INNER_TOL) > 80.0
+        assert probed.cache == plain.cache
+
+    def test_marginal_and_unstable_targets_never_probe_their_floor(self, oracles):
+        # a solve at the floor of the a = 1 chain (q = 1e-5) or just above
+        # q^c of the a = 1.3 scalar is near-critical and would warn
+        targets = [
+            expand_delay_chain(DelayChainSpec(a=1.0, Q=1.0, R=1.0, d=1)),
+            scalar_target(1.3),
+            scalar_target(0.5),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConditioningWarning)
+            report = solve_distribution(targets)
+        assert report.feasible
+        floors = [_critical_floor(t, 0.0, INNER_TOL)[1] for t in targets]
+        assert [o.stable for o in oracles] == [False, False, True]
+        assert [f in o.cache for o, f in zip(oracles, floors)] == [False, False, True]
 
 
 class TestSolve:
@@ -168,17 +224,10 @@ class TestSolve:
         with pytest.raises(ValueError, match="inner_tol must be positive"):
             solve(targets, inner_tol=inner_tol)
 
-    def test_solves_start_from_smaller_fixed_points(self, pair, monkeypatch):
-        oracles = []
-
-        class CountedOracle(_CostOracle):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                oracles.append(self)
-
-        monkeypatch.setattr(optimizer, "_CostOracle", CountedOracle)
+    def test_solves_start_from_smaller_fixed_points(self, pair, oracles):
         report = solve_distribution(pair)
-        assert sum(len(o.cache) for o in oracles) == 249
+        # 249 bisection solves plus one floor probe per (stable) target
+        assert sum(len(o.cache) for o in oracles) == 251
         # 1480 iterations when every solve starts from Q
         assert sum(o.iterations for o in oracles) <= 700
         assert sum(o.warm_starts for o in oracles) >= 1

@@ -13,6 +13,7 @@ permutes q* and leaves gamma* alone, to within the solver's tolerances
 (only the order of the demand sum changes), and two copies of one target
 get the same q bit for bit. Scaling (Q, R) by c scales every fixed point
 by c, so together with outer_tol it scales gamma* by c and leaves q*.
+A target returned at its floor meets gamma* there.
 """
 import math
 
@@ -30,7 +31,9 @@ from sensorsched import (
     ring_graph,
     solve_distributed,
     solve_distribution,
+    solve_mare,
 )
+from sensorsched.optimizer import _ExactTotal, _nested_bisection
 
 
 def stable_targets(rng, n: int) -> list[LtiTarget]:
@@ -158,6 +161,40 @@ def test_scaling_the_noise_scales_the_budget(seed, n, k):
     moved = solve_distribution(scaled, outer_tol=c * outer_tol, inner_tol=inner_tol)
     assert abs(moved.gamma_star - c * base.gamma_star) <= c * outer_tol
     assert np.abs(moved.q_star.q - base.q_star.q).max() <= inner_tol
+
+
+class ReadOut(_ExactTotal):
+    """The centralized demand strategy, keeping the last demand vector it
+    totalled: the read-out's, at gamma*."""
+
+    def total(self, qs):
+        self.qs = list(qs)
+        return super().total(qs)
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 6))
+def test_floor_targets_meet_the_budget(seed, n):
+    """A strictly stable target whose floor meets the budget is returned
+    at the floor itself. Its cost there, solved again from Q, is
+    certified and within gamma*, and the ring solve agrees bit for bit."""
+    rng = np.random.default_rng(seed)
+    targets = stable_targets(rng, n)
+    # quiet targets (little process noise) end at their floor
+    quiet = int(rng.integers(1, n))
+    targets[:quiet] = [LtiTarget(A=t.A, C=t.C, Q=1e-3 * t.Q, R=t.R) for t in targets[:quiet]]
+    inner_tol = 1e-5
+    demand = ReadOut()
+    central = _nested_bisection(targets, None, 1e-3, inner_tol, demand)
+    at_floor = [t for t, q in zip(targets, demand.qs) if q == inner_tol]
+    assert at_floor
+    for t in at_floor:
+        res = solve_mare(t, inner_tol)
+        assert res.converged
+        assert t.cost_of(res.X) <= central.gamma_star
+    ring = solve_distributed(targets, adjacency=ring_graph(n)).solution
+    assert ring.gamma_star == central.gamma_star
+    assert np.array_equal(ring.q_star.q, central.q_star.q)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
