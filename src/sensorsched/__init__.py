@@ -14,6 +14,7 @@ from .model import (
     LtiTarget,
     ScheduleDistribution,
     ValidationReport,
+    check_covariance,
     expand_delay_chain,
     validate_target,
 )
@@ -21,7 +22,6 @@ from .mare import (
     ConditioningWarning,
     MareResult,
     MareStatus,
-    check_covariance,
     closed_form_delay_chain,
     critical_probability,
     g_q,

@@ -121,9 +121,9 @@ def _parse_target(entry: dict, index: int) -> LtiTarget:
         try:
             spec = DelayChainSpec(*(_scalar(chain, k, ctx, float) for k in ("a", "Q", "R")),
                                   d=_scalar(chain, "d", ctx, int, 0))
+            return expand_delay_chain(spec, label=entry.get("label", f"chain-{index}"))
         except ValueError as e:
             raise ConfigError(f"{ctx}: {e}") from None
-        return expand_delay_chain(spec, label=entry.get("label", f"chain-{index}"))
     _check_keys(entry, {"A", "C", "Q", "R", "label", "cost_weights"}, context)
     try:
         target = LtiTarget(
@@ -364,9 +364,7 @@ def cmd_simulate(scn: Scenario, args) -> int:
     out = Path(args.out)
     _, q = _load_distribution(out, scn, args.distributed)
     if args.kind == "random":
-        mc = monte_carlo_expected_cost(
-            scn.targets, q, scn.T, scn.runs, scn.sim_seed, keep_mean_series=True
-        )
+        mc = monte_carlo_expected_cost(scn.targets, q, scn.T, scn.runs, scn.sim_seed)
         series = mc.mean_trace_series
         exp = mc.expected
         print(f"stochastic schedule, T = {scn.T}, runs = {scn.runs}")
@@ -384,7 +382,7 @@ def cmd_simulate(scn: Scenario, args) -> int:
         )
         steps = _tile_to(base.steps, scn.T)
         seq = ScheduleSequence(steps=steps, n_targets=len(q))
-        report = evaluate_schedule(scn.targets, seq, keep_series=True)
+        report = evaluate_schedule(scn.targets, seq)
         series = report.trace_series
         print(f"{args.kind} schedule, T = {scn.T}")
         for i, t in enumerate(scn.targets):

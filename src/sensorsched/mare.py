@@ -31,9 +31,9 @@ for a single real unstable eigenvalue. Other unstable targets are
 bisected from the lower bound 1 - 1/rho(A)^2 to the feasible end of the
 bracket, so their value errs upward.
 
-Covariance matrices are plain numpy arrays; `check_covariance` enforces
-the symmetry and positive-semidefiniteness invariants where inputs enter
-the public API.
+Covariance matrices are plain numpy arrays; `model.check_covariance`,
+re-exported here, enforces their invariants where inputs enter the public
+API. Solves read A's spectrum from the target, which computes it once.
 """
 from __future__ import annotations
 
@@ -44,7 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DelayChainSpec, LtiTarget, _pbh_rank
+from .model import (
+    _UNIT_CIRCLE_TOL, DelayChainSpec, LtiTarget, _pbh_rank, check_covariance, symmetrize,
+)
 
 __all__ = [
     "MareStatus",
@@ -76,8 +78,6 @@ _RATIO_TRACE_FLOOR = 1e8
 # g_q(Y) - Y, clear 0 from the certified side by at most this much
 # relative to the largest entry of Y (floating-point slack).
 _CERTIFY_RTOL = 1e-10
-# Eigenvalues within this distance of the unit circle count as on it.
-_UNIT_CIRCLE_TOL = 1e-9
 
 
 class ConditioningWarning(UserWarning):
@@ -108,32 +108,6 @@ class MareResult:
     @property
     def converged(self) -> bool:
         return self.status is MareStatus.CONVERGED
-
-
-def symmetrize(M: np.ndarray) -> np.ndarray:
-    """Average away the antisymmetric part accumulated by floating point
-    (over the last two axes, so each matrix of a stack separately)."""
-    return (M + M.swapaxes(-1, -2)) / 2
-
-
-def check_covariance(X: np.ndarray, name: str = "X") -> np.ndarray:
-    """Validate a covariance matrix: symmetric, positive semidefinite.
-
-    Symmetry is required within 1e-10 relative to the largest entry;
-    eigenvalues may be negative only below 1e-9 relative to the largest
-    one. Returns the symmetrized array.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {X.shape}")
-    scale = max(1.0, float(np.abs(X).max()))
-    if np.abs(X - X.T).max() > 1e-10 * scale:
-        raise ValueError(f"{name} is not symmetric")
-    X = symmetrize(X)
-    eigs = np.linalg.eigvalsh(X)
-    if eigs[0] < -1e-9 * max(1.0, eigs[-1]):
-        raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {eigs[0]:.3e})")
-    return X
 
 
 def g_q(target: LtiTarget, q: float, X: np.ndarray, *, validate: bool = True) -> np.ndarray:
@@ -203,21 +177,21 @@ def _riccati_step(target: LtiTarget, P: np.ndarray, q: float | np.ndarray) -> np
     return symmetrize(out - q * correction)
 
 
-def _near_critical_check(target: LtiTarget, q: float, eigs: np.ndarray) -> None:
+def _near_critical_check(target: LtiTarget, q: float) -> None:
     # Strictly stable targets have a bounded fixed point at every q, so only
     # modes on or outside the unit circle can make a solve near-critical.
     # The reference point is the closed-form critical probability when there
     # is one, else the lower bound 1 - 1/rho^2. The closed form is 1 - 1/M^2
     # (or 1 - 1/rho^2 for one real mode), so its rank tests run only when q
     # lies just above one of the two.
-    outside = [m for m in np.abs(eigs).tolist() if m >= 1.0 - _UNIT_CIRCLE_TOL]
+    outside = [m for m in np.abs(target.eigs).tolist() if m >= 1.0 - _UNIT_CIRCLE_TOL]
     if not outside:
         return
     lower = 1.0 - 1.0 / max(outside) ** 2
     mahler = 1.0 - 1.0 / math.prod(outside) ** 2
     if not (0.0 < q - lower < 1e-3 or 0.0 < q - mahler < 1e-3):
         return
-    qc = _analytic_critical_probability(target, eigs)
+    qc = _analytic_critical_probability(target)
     ref = lower if qc is None else qc
     if 0.0 < q - ref < 1e-3:
         warnings.warn(
@@ -303,14 +277,12 @@ def solve_mare(
         raise ValueError(f"q must lie in [0, 1], got {q!r}")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    eigs = np.linalg.eigvals(target.A)
-    rho = float(np.max(np.abs(eigs)))
-    _near_critical_check(target, q, eigs)
+    _near_critical_check(target, q)
     X = check_covariance(target.Q, "Q") if x0 is None else check_covariance(x0, "x0")
     # A super-solution Y >= (1-q) A Y A^T + Q needs (1-q) rho(A)^2 < 1
     # (for positive definite Q), so below that bound every step is plain.
     base = None
-    if (1.0 - q) * rho**2 < 1.0:
+    if (1.0 - q) * target.rho**2 < 1.0:
         base = np.eye(target.n**2) - (1.0 - q) * _kron_self(target.A)
     G = g_q(target, q, X, validate=False)
     tr_prev = float(np.trace(X))
@@ -379,12 +351,13 @@ def closed_form_delay_chain(spec: DelayChainSpec, q: float) -> np.ndarray | None
     return symmetrize(X)
 
 
-def _analytic_critical_probability(target: LtiTarget, eigs: np.ndarray) -> float | None:
+def _analytic_critical_probability(target: LtiTarget) -> float | None:
     """1 - 1/M^2, with M the product of |lambda| over A's eigenvalues on or
     outside the unit circle, when each of them lies strictly outside it,
     is observable and is driven by the process noise, and either the
     target has one output or lambda is a single real eigenvalue; None
     otherwise."""
+    eigs = target.eigs
     outside = eigs[np.abs(eigs) >= 1.0 - _UNIT_CIRCLE_TOL]
     if np.any(np.abs(outside) <= 1.0):
         return None
@@ -421,11 +394,9 @@ def critical_probability(target: LtiTarget, tol: float = 1e-4) -> float:
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    eigs = np.linalg.eigvals(target.A)
-    rho = float(np.max(np.abs(eigs)))
-    if rho <= 1.0:
+    if target.rho <= 1.0:
         return 0.0
-    analytic = _analytic_critical_probability(target, eigs)
+    analytic = _analytic_critical_probability(target)
     if analytic is not None:
         return analytic
     if not solve_mare(target, 1.0).converged:
@@ -436,7 +407,7 @@ def critical_probability(target: LtiTarget, tol: float = 1e-4) -> float:
             stacklevel=2,
         )
         return 1.0
-    lo, hi = 1.0 - 1.0 / rho**2, 1.0
+    lo, hi = 1.0 - 1.0 / target.rho**2, 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2
         if solve_mare(target, mid).converged:

@@ -5,10 +5,15 @@ A scenario is a collection of independent discrete-time linear systems
 y[k] = C x[k] + v[k], observed by a single shared sensor. One target is
 observed per sampling period, so scheduling amounts to choosing which
 target gets the sensor at each step, or with what probability.
+
+The facts every layer reads about a target are decided here, once: its
+spectrum (`LtiTarget.eigs`, `rho`), the unit-circle band and the rule a
+noise covariance obeys (`check_covariance`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -17,12 +22,16 @@ __all__ = [
     "DelayChainSpec",
     "ScheduleDistribution",
     "ValidationReport",
+    "symmetrize",
+    "check_covariance",
     "validate_target",
     "expand_delay_chain",
 ]
 
 # Relative singular-value threshold for the PBH rank tests below.
 _PBH_RTOL = 1e-8
+# Eigenvalues within this distance of the unit circle count as on it.
+_UNIT_CIRCLE_TOL = 1e-9
 
 
 def _as_square(name: str, value) -> np.ndarray:
@@ -49,7 +58,9 @@ class LtiTarget:
     covariance X is its full trace. Delay-augmented targets use this to
     score only the physical state, see `expand_delay_chain`.
 
-    Arrays are copied and frozen; dimension mismatches raise immediately.
+    Arrays are copied and frozen; dimension mismatches and non-finite
+    entries raise immediately. `eigs`, the eigenvalues of A, is computed
+    once here and frozen too; `rho` is the spectral radius.
     """
 
     A: np.ndarray
@@ -58,6 +69,7 @@ class LtiTarget:
     R: np.ndarray
     label: str = ""
     cost_weights: np.ndarray | None = None
+    eigs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         A = _as_square("A", self.A)
@@ -81,11 +93,17 @@ class LtiTarget:
             if np.any(w < 0):
                 raise ValueError("cost_weights must be nonnegative")
             w = _freeze(w)
+        for name, M in (("A", A), ("C", C), ("Q", Q), ("R", R), ("cost_weights", w)):
+            if M is not None and not np.isfinite(M).all():
+                raise ValueError(f"{name} must have finite entries only")
+        eigs = np.linalg.eigvals(A)
+        eigs.flags.writeable = False
         object.__setattr__(self, "A", _freeze(A))
         object.__setattr__(self, "C", _freeze(C))
         object.__setattr__(self, "Q", _freeze(Q))
         object.__setattr__(self, "R", _freeze(R))
         object.__setattr__(self, "cost_weights", w)
+        object.__setattr__(self, "eigs", eigs)
 
     @property
     def n(self) -> int:
@@ -96,6 +114,11 @@ class LtiTarget:
     def p(self) -> int:
         """Measurement dimension."""
         return self.C.shape[0]
+
+    @cached_property
+    def rho(self) -> float:
+        """Spectral radius of A."""
+        return float(np.max(np.abs(self.eigs)))
 
     def cost_of(self, X: np.ndarray) -> float | np.ndarray:
         """Estimation cost of an error covariance: its weighted trace.
@@ -124,9 +147,9 @@ class DelayChainSpec:
     d: int = 0
 
     def __post_init__(self):
-        if self.Q <= 0:
+        if not self.Q > 0:
             raise ValueError("Q must be positive")
-        if self.R <= 0:
+        if not self.R > 0:
             raise ValueError("R must be positive")
         if int(self.d) != self.d or self.d < 0:
             raise ValueError("d must be a nonnegative integer")
@@ -171,13 +194,34 @@ class ValidationReport:
         return not self.failures
 
 
-def _symmetric(M: np.ndarray, rtol: float = 1e-10) -> bool:
-    scale = max(1.0, float(np.abs(M).max()))
-    return bool(np.abs(M - M.T).max() <= rtol * scale)
+def symmetrize(M: np.ndarray) -> np.ndarray:
+    """Average away the antisymmetric part accumulated by floating point
+    (over the last two axes, so each matrix of a stack separately)."""
+    return (M + M.swapaxes(-1, -2)) / 2
+
+
+def check_covariance(X: np.ndarray, name: str = "X") -> np.ndarray:
+    """Validate a covariance matrix: symmetric, positive semidefinite.
+
+    Symmetry is required within 1e-10 relative to the largest entry;
+    eigenvalues may be negative only below 1e-9 relative to the largest
+    one. Returns the symmetrized array.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] != X.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {X.shape}")
+    scale = max(1.0, float(np.abs(X).max()))
+    if np.abs(X - X.T).max() > 1e-10 * scale:
+        raise ValueError(f"{name} is not symmetric")
+    X = symmetrize(X)
+    eigs = np.linalg.eigvalsh(X)
+    if eigs[0] < -1e-9 * max(1.0, eigs[-1]):
+        raise ValueError(f"{name} is not positive semidefinite (min eigenvalue {eigs[0]:.3e})")
+    return X
 
 
 def _psd_sqrt(Q: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((Q + Q.T) / 2)
+    vals, vecs = np.linalg.eigh(symmetrize(Q))
     vals = np.clip(vals, 0.0, None)
     return vecs @ np.diag(np.sqrt(vals)) @ vecs.T
 
@@ -192,9 +236,9 @@ def _pbh_rank(M: np.ndarray) -> int:
 def validate_target(target: LtiTarget) -> ValidationReport:
     """Check a target's noise covariances and structural properties.
 
-    Failures: Q not symmetric positive semidefinite, R not symmetric
-    positive definite, or an unobservable mode of A on or outside the unit
-    circle (the filter error would then grow without bound no matter how
+    Failures: Q or R failing `check_covariance`, R not positive definite,
+    or an unobservable mode of A on or outside the unit circle (within
+    1e-9; the filter error would then grow without bound no matter how
     often the target is observed). Warnings: Q only positive semidefinite
     (singular) while (A, Q^(1/2)) stays controllable, which the fixed-point
     theory tolerates but full-rank process noise would not require.
@@ -207,24 +251,18 @@ def validate_target(target: LtiTarget) -> ValidationReport:
     A, C, Q, R = target.A, target.C, target.Q, target.R
     n = target.n
 
-    if not _symmetric(Q):
-        failures.append("Q is not symmetric")
-    if not _symmetric(R):
-        failures.append("R is not symmetric")
-
-    q_eigs = np.linalg.eigvalsh((Q + Q.T) / 2)
-    q_scale = max(q_eigs.max(), 0.0)
-    if q_eigs.min() < -1e-9 * max(1.0, q_scale):
-        failures.append(f"Q has a negative eigenvalue ({q_eigs.min():.3e})")
-    r_eigs = np.linalg.eigvalsh((R + R.T) / 2)
-    if r_eigs.min() <= 0:
-        failures.append(f"R must be positive definite (min eigenvalue {r_eigs.min():.3e})")
-
-    eigs = np.linalg.eigvals(A)
+    for name, M in (("Q", Q), ("R", R)):
+        try:
+            M = check_covariance(M, name)
+        except ValueError as e:
+            failures.append(str(e))
+            continue
+        if name == "R" and (r_min := np.linalg.eigvalsh(M)[0]) <= 0:
+            failures.append(f"R must be positive definite (min eigenvalue {r_min:.3e})")
 
     # Detectability: every mode on or outside the unit circle must be observable.
-    for lam in eigs:
-        if abs(lam) >= 1.0 - 1e-12:
+    for lam in target.eigs:
+        if abs(lam) >= 1.0 - _UNIT_CIRCLE_TOL:
             pencil = np.vstack([A - lam * np.eye(n), C.astype(complex)])
             if _pbh_rank(pencil) < n:
                 failures.append(
@@ -237,7 +275,7 @@ def validate_target(target: LtiTarget) -> ValidationReport:
     Qh = _psd_sqrt(Q)
     qh_rank = _pbh_rank(Qh)
     controllable = True
-    for lam in eigs:
+    for lam in target.eigs:
         pencil = np.hstack([A - lam * np.eye(n), Qh.astype(complex)])
         if _pbh_rank(pencil) < n:
             controllable = False

@@ -15,8 +15,9 @@ its floor, just above q^c, where the solve is slow or ill-conditioned.
 The final probabilities are rescaled to sum to one exactly, which can
 only lower each target's cost.
 The distributed solver runs this same bisection; only the way the
-demands are totalled differs. `_nested_bisection` is the only driver, so
-floors and channel loss reach every inversion, demand total and bracket.
+demands are totalled differs. `_nested_bisection` is the only driver. All
+it knows of target i (loss, floors, q^c, stability) sits in that target's
+`_CostOracle`, which is what node i knows in the distributed solve.
 
 Per-target costs are `target.cost_of` applied to the fixed point: the
 plain trace unless the target selects cost weights.
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mare import _UNIT_CIRCLE_TOL, critical_probability, solve_mare
-from .model import LtiTarget, ScheduleDistribution
+from .mare import critical_probability, solve_mare
+from .model import _UNIT_CIRCLE_TOL, LtiTarget, ScheduleDistribution
 
 __all__ = [
     "Constraints",
@@ -64,7 +65,7 @@ class Constraints:
             if v is None:
                 continue
             v = np.asarray(v, dtype=float).reshape(-1)
-            if np.any(v < 0) or np.any(v >= 1):
+            if not np.all((v >= 0) & (v < 1)):
                 raise ValueError(f"{name} entries must lie in [0, 1)")
             v.flags.writeable = False
             object.__setattr__(self, name, v)
@@ -106,27 +107,34 @@ class SolveReport:
 
 
 class _CostOracle:
-    """Memoized fixed-point cost of one target as a function of q.
+    """One target's solver state and memoized fixed-point cost of q.
 
-    Inner bisections always probe midpoints of [q^c + tol, 1] (and, for a
-    `stable` target, rho(A) < 1, the floor), so the same q values recur
-    across outer iterations; caching makes repeated mu(gamma) evaluations
-    cheap and exactly consistent. Non-converged solves (diverged or out of
-    budget) count as cost infinity: only a certified fixed point may
-    satisfy a budget.
+    `q_critical` is the critical probability on the assigned scale (at
+    most 1), `q_floor` = q_critical + inner_tol the inner bisection's
+    floor, `floor` the larger of q_floor and the priority, and `stable`
+    says rho(A) < 1. Inner bisections always probe midpoints of
+    [q_floor, 1] (and, for a stable target, the floor), so the same q
+    values recur across outer iterations; caching makes repeated mu(gamma)
+    evaluations cheap and exactly consistent. Non-converged solves
+    (diverged or out of budget) count as cost infinity: only a certified
+    fixed point may satisfy a budget.
 
     `cache` maps each assigned q to its cost, `fixed_points` each converged
     one to its fixed point X (unless solved with keep=False); a solve
     starts from X at the largest smaller q (g_q is non-increasing in q, so
     g_q(X) <= X: Newton's certificate). `iterations` counts MARE
-    iterations and `warm_starts` such starts. `stable` says rho(A) < 1.
+    iterations and `warm_starts` such starts.
     """
 
-    def __init__(self, target: LtiTarget, loss: float):
+    def __init__(self, target: LtiTarget, loss: float, priority: float, inner_tol: float):
         self.target = target
         self.loss = loss
-        rho = float(np.max(np.abs(np.linalg.eigvals(target.A))))
-        self.stable = rho < 1.0 - _UNIT_CIRCLE_TOL
+        self.priority = priority
+        self.stable = target.rho < 1.0 - _UNIT_CIRCLE_TOL
+        qc_eff = critical_probability(target, tol=inner_tol)
+        self.q_critical = min(qc_eff / (1.0 - loss), 1.0)
+        self.q_floor = min(self.q_critical + inner_tol, 1.0)
+        self.floor = max(priority, self.q_floor)
         self.cache: dict[float, float] = {}
         self.fixed_points: dict[float, np.ndarray] = {}
         self.iterations = 0
@@ -148,7 +156,7 @@ class _CostOracle:
         return c
 
 
-def _bisect_min_q(oracle: _CostOracle, gamma: float, q_floor: float, tol: float):
+def _bisect_min_q(oracle: _CostOracle, gamma: float, tol: float):
     """Least assigned q in [q_floor, 1] with cost <= gamma, and step count.
 
     Returns (1.0, 0) when even q = 1 misses the budget, which the driver
@@ -167,9 +175,9 @@ def _bisect_min_q(oracle: _CostOracle, gamma: float, q_floor: float, tol: float)
     steps = 0
     if oracle.cost(1.0) > gamma:
         return 1.0, steps
-    if oracle.stable and oracle.cost(q_floor, keep=False) <= gamma:
-        return q_floor, steps
-    lo, hi = q_floor, 1.0
+    if oracle.stable and oracle.cost(oracle.q_floor, keep=False) <= gamma:
+        return oracle.q_floor, steps
+    lo, hi = oracle.q_floor, 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2
         if oracle.cost(mid) <= gamma:
@@ -180,14 +188,7 @@ def _bisect_min_q(oracle: _CostOracle, gamma: float, q_floor: float, tol: float)
     return hi, steps
 
 
-def _critical_floor(target: LtiTarget, loss: float, inner_tol: float) -> tuple[float, float]:
-    """(q_critical on the assigned scale, bisection floor just above it)."""
-    qc_eff = critical_probability(target, tol=inner_tol)
-    qc_assigned = min(qc_eff / (1.0 - loss), 1.0)
-    return qc_assigned, min(qc_assigned + inner_tol, 1.0)
-
-
-def _bracket(oracles, floors):
+def _bracket(oracles):
     """Budget bracket [lo, hi] with mu(hi) <= 1 <= mu(lo).
 
     lo: even the largest single-target cost under constant observation
@@ -198,8 +199,8 @@ def _bracket(oracles, floors):
     most one.
     """
     lo = max(o.cost(1.0) for o in oracles)
-    slack = (1.0 - sum(floors)) / len(floors)
-    hi = max(o.cost(min(f + slack, 1.0)) for o, f in zip(oracles, floors))
+    slack = (1.0 - sum(o.floor for o in oracles)) / len(oracles)
+    hi = max(o.cost(min(o.floor + slack, 1.0)) for o in oracles)
     # Costs are non-increasing in q, so hi >= lo up to roundoff.
     return lo, max(hi, lo)
 
@@ -254,27 +255,25 @@ def _nested_bisection(targets, constraints, outer_tol, inner_tol, demand) -> Sol
         if v is not None and v.shape[0] != len(targets):
             raise ValueError(f"{name} has length {v.shape[0]}, expected {len(targets)}")
 
-    n = len(targets)
-    losses = [cons.loss_rate(i) for i in range(n)]
-    oracles = [_CostOracle(t, loss=losses[i]) for i, t in enumerate(targets)]
-    crit = [_critical_floor(t, losses[i], inner_tol) for i, t in enumerate(targets)]
-    floors = [max(cons.priority(i), crit[i][1]) for i in range(n)]
+    oracles = [_CostOracle(t, cons.loss_rate(i), cons.priority(i), inner_tol)
+               for i, t in enumerate(targets)]
+    floor_total = sum(o.floor for o in oracles)
 
     # A target whose loss-adjusted critical probability reaches 1 cannot be
     # stabilized by any assignment, and floors that exhaust the budget leave
     # nothing to optimize over.
     unstabilizable = any(not np.isfinite(o.cost(1.0)) for o in oracles)
-    if sum(floors) > 1.0 or unstabilizable:
+    if floor_total > 1.0 or unstabilizable:
         reason = (
             "a target diverges even under constant observation"
             if unstabilizable
             else "priorities and loss-adjusted critical probabilities "
-            f"demand total probability {sum(floors):.6g} > 1"
+            f"demand total probability {floor_total:.6g} > 1"
         )
         warnings.warn(reason, InfeasibilityWarning, stacklevel=3)
         per = tuple(
-            PerTargetReport(q=float("nan"), cost=float("inf"), q_critical=crit[i][0])
-            for i in range(n)
+            PerTargetReport(q=float("nan"), cost=float("inf"), q_critical=o.q_critical)
+            for o in oracles
         )
         return SolveReport(
             gamma_star=float("inf"),
@@ -285,17 +284,17 @@ def _nested_bisection(targets, constraints, outer_tol, inner_tol, demand) -> Sol
             feasible=False,
         )
 
-    lo, hi = _bracket(oracles, floors)
+    lo, hi = _bracket(oracles)
     outer = 0
     inner_total = 0
 
     def clamped_demands(gamma):
         nonlocal inner_total
         qs = []
-        for i, o in enumerate(oracles):
-            q, steps = _bisect_min_q(o, gamma, crit[i][1], inner_tol)
+        for o in oracles:
+            q, steps = _bisect_min_q(o, gamma, inner_tol)
             inner_total += steps
-            qs.append(max(q, cons.priority(i)))
+            qs.append(max(q, o.priority))
         return qs
 
     # The bracket guarantees total demand at hi of at most 1 plus a few
@@ -336,12 +335,8 @@ def _nested_bisection(targets, constraints, outer_tol, inner_tol, demand) -> Sol
     # every floor stays honored and every cost can only move down.
     q_star = np.array(qs) / mu
     per = tuple(
-        PerTargetReport(
-            q=float(q_star[i]),
-            cost=oracles[i].cost(float(q_star[i])),
-            q_critical=crit[i][0],
-        )
-        for i in range(n)
+        PerTargetReport(q=float(q), cost=o.cost(float(q)), q_critical=o.q_critical)
+        for o, q in zip(oracles, q_star)
     )
     return SolveReport(
         gamma_star=hi,

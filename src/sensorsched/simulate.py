@@ -49,7 +49,8 @@ class CostReport:
     after burn-in; max_over_targets is their maximum (the min-max
     objective this toolkit optimizes). half_width carries 95% confidence
     half-widths when the numbers are Monte Carlo estimates. trace_series
-    is the optional full per-step cost matrix, one column per target.
+    is the full per-step cost matrix, one column per target, of a
+    deterministic evaluation.
     """
 
     per_target_avg_trace: np.ndarray
@@ -74,7 +75,7 @@ class MonteCarloReport:
     time_averaged: CostReport
     runs: int
     T: int
-    mean_trace_series: np.ndarray | None = None
+    mean_trace_series: np.ndarray
 
 
 def covariance_step(target: LtiTarget, P: np.ndarray, observed: bool) -> np.ndarray:
@@ -82,12 +83,7 @@ def covariance_step(target: LtiTarget, P: np.ndarray, observed: bool) -> np.ndar
     return _riccati_step(target, np.asarray(P, dtype=float), 1.0 if observed else 0.0)
 
 
-def evaluate_schedule(
-    targets: list[LtiTarget],
-    seq: ScheduleSequence,
-    *,
-    keep_series: bool = False,
-) -> CostReport:
+def evaluate_schedule(targets: list[LtiTarget], seq: ScheduleSequence) -> CostReport:
     """Deterministic cost of a concrete schedule.
 
     Propagates every target's prediction covariance from Q across the
@@ -109,7 +105,7 @@ def evaluate_schedule(
     return CostReport(
         per_target_avg_trace=avg,
         max_over_targets=float(avg.max()),
-        trace_series=costs if keep_series else None,
+        trace_series=costs,
     )
 
 
@@ -119,8 +115,6 @@ def monte_carlo_expected_cost(
     T: int,
     runs: int,
     seed: int,
-    *,
-    keep_mean_series: bool = False,
 ) -> MonteCarloReport:
     """Expected scheduling cost under i.i.d. random target selection.
 
@@ -151,7 +145,7 @@ def monte_carlo_expected_cost(
 
     emp = np.empty((runs, n))
     tavg = np.empty((runs, n))
-    mean_series = np.zeros((T, n)) if keep_mean_series else None
+    mean_series = np.empty((T, n))
     for i, target in enumerate(targets):
         # runs that share target i's observation history share one
         # covariance: group[r] is run r's row of P, first[g] a run of group g
@@ -186,8 +180,7 @@ def monte_carlo_expected_cost(
             P = _riccati_step(target, P, q_k)
         emp[:, i] = costs[:, T - tail:].mean(axis=1)
         tavg[:, i] = costs[:, default_burn_in(T):].mean(axis=1)
-        if keep_mean_series:
-            mean_series[:, i] = costs.mean(axis=0)
+        mean_series[:, i] = costs.mean(axis=0)
 
     def report(stat: np.ndarray) -> CostReport:
         mean = stat.mean(axis=0)

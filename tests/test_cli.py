@@ -11,6 +11,7 @@ import pytest
 
 from sensorsched import cli, read_sequence
 
+NAN, INF = float("nan"), float("inf")
 PAIR_TARGETS = [
     {
         "A": [[0.0, 1.0], [-0.49, 1.4]],
@@ -156,8 +157,28 @@ class TestConfigValidation:
                 {"targets": [dict(PAIR_TARGETS[0], cost_weights={"a": 1})]},
                 "targets[0]",
             ),
+            # non-finite entries used to exit 4 (A, Q), 3 (C, cost_weights)
+            # or 2 naming no key ("q must lie in [0, 1], got nan")
+            *(
+                (
+                    {"targets": [PAIR_TARGETS[0], dict(PAIR_TARGETS[1], **{key: value})]},
+                    f"targets[1]: {key} must have finite entries only",
+                )
+                for key, value in [
+                    ("A", [[0.0, NAN], [-0.72, 1.7]]),
+                    ("A", [[0.0, 1.0], [-INF, 1.7]]),
+                    ("C", [[NAN, 0.0]]),
+                    ("Q", [[1.0, 0.0], [0.0, INF]]),
+                    ("R", [[NAN]]),
+                    ("cost_weights", [1.0, NAN]),
+                ]
+            ),
+            ({"constraints": {"priorities": [0.1, NAN]}}, "constraints: priorities entries"),
+            ({"constraints": {"loss": [NAN, 0.0]}}, "constraints: loss entries"),
         ],
-        ids=["targets", "chain", "solver-list", "solver-number", "constraints", "cost-weights"],
+        ids=["targets", "chain", "solver-list", "solver-number", "constraints", "cost-weights",
+             "A-nan", "A-inf", "C-nan", "Q-inf", "R-nan", "cost-weights-nan",
+             "priorities-nan", "loss-nan"],
     )
     def test_malformed_section(self, tmp_path, capsys, sections, fragment):
         cfg = write_config(tmp_path, **sections)

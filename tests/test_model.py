@@ -36,6 +36,30 @@ class TestLtiTarget:
         with pytest.raises(ValueError):
             LtiTarget(**kwargs)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["A", "C", "Q", "R", "cost_weights"])
+    def test_rejects_non_finite_entries(self, name, bad):
+        kwargs = dict(A=np.eye(2) * 0.5, C=[[1.0, 0.0]], Q=np.eye(2), R=[[1.0]],
+                      cost_weights=[1.0, 1.0])
+        arr = np.array(kwargs[name], dtype=float)
+        arr.flat[-1] = bad
+        kwargs[name] = arr
+        with pytest.raises(ValueError, match=f"^{name} must have finite entries only$"):
+            LtiTarget(**kwargs)
+
+    def test_spectrum_is_computed_once_and_frozen(self):
+        A = np.array([[0.5943, -0.9256], [0.9256, 0.5943]])
+        t = LtiTarget(A=A, C=[[1.0, 0.0]], Q=np.eye(2), R=[[1.0]])
+        assert np.array_equal(t.eigs, np.linalg.eigvals(A))
+        assert t.rho == float(np.max(np.abs(np.linalg.eigvals(A))))
+        with pytest.raises(ValueError):
+            t.eigs[0] = 0.0
+        with pytest.raises(AttributeError):
+            t.rho = 0.0
+        assert "eigs" not in repr(t)
+        with pytest.raises(TypeError):
+            LtiTarget(A=A, C=[[1.0, 0.0]], Q=np.eye(2), R=[[1.0]], eigs=np.zeros(2))
+
     def test_scalars_promote_to_matrices(self):
         t = LtiTarget(A=0.5, C=1.0, Q=2.0, R=1.0)
         assert t.A.shape == (1, 1)
@@ -75,7 +99,11 @@ class TestScheduleDistribution:
 
 
 class TestDelayChain:
-    @pytest.mark.parametrize("kwargs", [dict(Q=0.0), dict(R=-1.0), dict(d=-1), dict(d=1.5)])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(Q=0.0), dict(R=-1.0), dict(d=-1), dict(d=1.5), dict(Q=float("nan")),
+         dict(R=float("nan"))],
+    )
     def test_spec_validation(self, kwargs):
         base = dict(a=1.0, Q=1.0, R=1.0, d=0)
         base.update(kwargs)
@@ -127,6 +155,7 @@ class TestValidateTarget:
         bad = LtiTarget(A=np.eye(2) * 0.5, C=[[1.0, 0.0]], Q=np.diag([1.0, -1.0]), R=[[1.0]])
         report = validate_target(bad)
         assert not report.ok
+        assert report.failures == ("Q is not positive semidefinite (min eigenvalue -1.000e+00)",)
 
     def test_rejects_asymmetric_Q(self):
         bad = LtiTarget(A=np.eye(2) * 0.5, C=[[1.0, 0.0]],
@@ -143,3 +172,11 @@ class TestValidateTarget:
     def test_observable_unstable_mode_is_fine(self):
         ok = LtiTarget(A=np.diag([2.0, 0.5]), C=[[1.0, 1.0]], Q=np.eye(2), R=[[1.0]])
         assert validate_target(ok).ok
+
+    def test_unobservable_mode_within_the_unit_circle_band_fails(self):
+        # |mode| = 1 - 1e-10 lies within 1e-9 of the unit circle, the band
+        # every layer uses, so it counts as on it and must be observable
+        bad = LtiTarget(A=np.diag([1.0 - 1e-10, 0.5]), C=[[0.0, 1.0]], Q=np.eye(2), R=[[1.0]])
+        report = validate_target(bad)
+        assert not report.ok
+        assert any("unobservable" in f for f in report.failures)

@@ -16,6 +16,7 @@ from sensorsched import (
     DelayChainSpec,
     InfeasibilityWarning,
     LtiTarget,
+    critical_probability,
     expand_delay_chain,
     solve_distributed,
     solve_distribution,
@@ -26,7 +27,6 @@ from sensorsched.optimizer import (
     _bisect_min_q,
     _bracket,
     _CostOracle,
-    _critical_floor,
     _ExactTotal,
     _nested_bisection,
 )
@@ -47,10 +47,14 @@ def cost_at(target: LtiTarget, q: float) -> float:
     return target.cost_of(res.X) if res.converged else float("inf")
 
 
+def oracle_of(target: LtiTarget) -> _CostOracle:
+    """The driver's cost oracle of one lossless target without a priority."""
+    return _CostOracle(target, 0.0, 0.0, INNER_TOL)
+
+
 def min_q(target: LtiTarget, gamma: float) -> tuple[float, int]:
     """The driver's inner inversion of one lossless target at its own floor."""
-    _, floor = _critical_floor(target, 0.0, INNER_TOL)
-    return _bisect_min_q(_CostOracle(target, 0.0), gamma, floor, INNER_TOL)
+    return _bisect_min_q(oracle_of(target), gamma, INNER_TOL)
 
 
 class RecordingTotal(_ExactTotal):
@@ -116,8 +120,7 @@ class TestBudgetInversion:
 
     def test_bracket_encloses_unit_demand(self, pair):
         demand = recorded_solve(pair)
-        floors = [_critical_floor(t, 0.0, INNER_TOL)[1] for t in pair]
-        lo, hi = _bracket([_CostOracle(t, 0.0) for t in pair], floors)
+        lo, hi = _bracket([oracle_of(t) for t in pair])
         # the first outer step bisects the initial bracket, not a grown one
         assert demand.steps[0][:2] == (lo, hi)
         assert lo <= hi
@@ -130,8 +133,8 @@ class TestFloorFirst:
     def test_stable_floor_meeting_the_budget_is_returned_exactly(self):
         # rho(A) = 0.5, so the floor is INNER_TOL and its cost ~ 4/3 meets 10
         t = scalar_target(0.5)
-        oracle = _CostOracle(t, 0.0)
-        assert _bisect_min_q(oracle, 10.0, INNER_TOL, INNER_TOL) == (INNER_TOL, 0)
+        oracle = oracle_of(t)
+        assert _bisect_min_q(oracle, 10.0, INNER_TOL) == (INNER_TOL, 0)
         assert sorted(oracle.cache) == [INNER_TOL, 1.0]
         assert list(oracle.fixed_points) == [1.0]
         assert cost_at(t, INNER_TOL) <= 10.0
@@ -139,11 +142,11 @@ class TestFloorFirst:
     def test_floor_missing_the_budget_leaves_the_bisection_unchanged(self, pair):
         # the probe's fixed point seeds no warm start, so every later solve
         # is bit for bit the one a target without the probe makes
-        probed, plain = _CostOracle(pair[1], 0.0), _CostOracle(pair[1], 0.0)
+        probed, plain = oracle_of(pair[1]), oracle_of(pair[1])
         plain.stable = False
         for gamma in (40.0, 59.0, 80.0, 59.07):
-            assert _bisect_min_q(probed, gamma, INNER_TOL, INNER_TOL) == _bisect_min_q(
-                plain, gamma, INNER_TOL, INNER_TOL
+            assert _bisect_min_q(probed, gamma, INNER_TOL) == _bisect_min_q(
+                plain, gamma, INNER_TOL
             )
         assert probed.cache.pop(INNER_TOL) > 80.0
         assert probed.cache == plain.cache
@@ -160,9 +163,45 @@ class TestFloorFirst:
             warnings.simplefilter("error", ConditioningWarning)
             report = solve_distribution(targets)
         assert report.feasible
-        floors = [_critical_floor(t, 0.0, INNER_TOL)[1] for t in targets]
         assert [o.stable for o in oracles] == [False, False, True]
-        assert [f in o.cache for o, f in zip(oracles, floors)] == [False, False, True]
+        assert [o.q_floor in o.cache for o in oracles] == [False, False, True]
+
+
+class TestSpectrumIsComputedOnce:
+    """A built target carries its eigenvalues; no solver layer recomputes
+    them."""
+
+    @staticmethod
+    def refuse_eigvals(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvals called on a built target")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+
+    def test_solvers_read_the_spectrum_from_the_target(self, pair, monkeypatch):
+        targets = [
+            *pair,
+            scalar_target(1.3),
+            expand_delay_chain(DelayChainSpec(a=1.0, Q=1.0, R=1.0, d=1)),
+        ]
+        self.refuse_eigvals(monkeypatch)
+        central = solve_distribution(targets)
+        ring = solve_distributed(targets).solution
+        assert central.feasible
+        assert np.array_equal(central.q_star.q, ring.q_star.q)
+
+    def test_critical_probability_reads_the_spectrum_from_the_target(self, monkeypatch):
+        closed_form = scalar_target(1.3)
+        # two outputs and two unstable modes: beyond the closed form, so it
+        # is bisected; with C = I its q^c is the lower bound 1 - 1/1.2^2
+        bisected = LtiTarget(A=np.diag([1.2, 1.1]), C=np.eye(2), Q=np.eye(2), R=np.eye(2))
+        hopeless = LtiTarget(A=[[2.0]], C=[[0.0]], Q=[[1.0]], R=[[1.0]])
+        self.refuse_eigvals(monkeypatch)
+        assert critical_probability(closed_form) == 1.0 - 1.0 / 1.3**2
+        lower = 1.0 - 1.0 / 1.2**2
+        assert lower <= critical_probability(bisected, tol=0.05) <= lower + 0.05
+        with pytest.warns(RuntimeWarning, match="cannot be stabilized"):
+            assert critical_probability(hopeless) == 1.0
 
 
 class TestSolve:
@@ -256,6 +295,8 @@ class TestConstraints:
             dict(priorities=[1.0, 0.1]),
             dict(loss=[0.5, 1.0]),
             dict(loss=[-0.2, 0.0]),
+            dict(priorities=[float("nan"), 0.1]),
+            dict(loss=[0.2, float("nan")]),
         ],
     )
     def test_validation(self, kwargs):

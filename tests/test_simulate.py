@@ -137,11 +137,13 @@ class TestEvaluateSchedule:
 
     def test_trace_series(self, pair):
         seq = build_min_consecutive_schedule(PAIR_Q, 30)
-        rep = evaluate_schedule(pair, seq, keep_series=True)
+        rep = evaluate_schedule(pair, seq)
         assert rep.trace_series.shape == (30, 2)
         assert rep.trace_series[0, 0] == pytest.approx(np.trace(pair[0].Q))
         assert rep.half_width is None
-        assert evaluate_schedule(pair, seq).trace_series is None
+        # the averages are read off the series that is returned
+        after_burn_in = rep.trace_series[default_burn_in(30):].mean(axis=0)
+        assert np.array_equal(rep.per_target_avg_trace, after_burn_in)
 
     def test_default_burn_in(self):
         assert default_burn_in(50) == 10
@@ -238,13 +240,11 @@ class TestMonteCarlo:
         assert many.expected.half_width.max() < few.expected.half_width.max()
 
     def test_mean_series(self, pair):
-        mc = monte_carlo_expected_cost(
-            pair, PAIR_Q, T=60, runs=4, seed=2, keep_mean_series=True
-        )
+        mc = monte_carlo_expected_cost(pair, PAIR_Q, T=60, runs=4, seed=2)
         assert mc.mean_trace_series.shape == (60, 2)
-        assert monte_carlo_expected_cost(
-            pair, PAIR_Q, T=60, runs=4, seed=2
-        ).mean_trace_series is None
+        # the terminal estimate is the run mean over the last T // 5 steps
+        terminal = mc.mean_trace_series[-12:].mean(axis=0)
+        assert terminal == pytest.approx(mc.expected.per_target_avg_trace, rel=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -266,7 +266,7 @@ class TestMonteCarlo:
         if not w.any():
             w[0] = 1.0
         q = ScheduleDistribution(w / w.sum())
-        mc = monte_carlo_expected_cost(targets, q, T, runs, seed, keep_mean_series=True)
+        mc = monte_carlo_expected_cost(targets, q, T, runs, seed)
         expected, time_averaged, series = per_run_monte_carlo(targets, q, T, runs, seed)
         assert np.array_equal(mc.mean_trace_series, series)
         for rep, (mean, hw) in ((mc.expected, expected), (mc.time_averaged, time_averaged)):
