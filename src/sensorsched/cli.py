@@ -86,15 +86,18 @@ def _check_keys(d: dict, allowed: set[str], context: str) -> None:
         raise ConfigError(f"unknown key(s) in {context}: {', '.join(sorted(unknown))}")
 
 
-def _scalar(section: dict, key: str, context: str, kind: type, default=None):
+def _scalar(section: dict, key: str, context: str, kind: type, default=None, minimum=None):
     """section[key] as kind (float, or int, which takes integral numbers
-    only), default when the key is absent; anything else is a ConfigError."""
+    only), default when the key is absent; anything else, or a value below
+    `minimum`, is a ConfigError."""
     if key not in section:
         return default
     value = section[key]
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or (kind is int and isinstance(value, float) and not value.is_integer())):
         raise ConfigError(f"{context}.{key}: expected {kind.__name__}, got {value!r}")
+    if minimum is not None and not value >= minimum:
+        raise ConfigError(f"{context}.{key}: must be at least {minimum}, got {value!r}")
     return kind(value)
 
 
@@ -223,14 +226,14 @@ def load_scenario(path: str | Path) -> Scenario:
         adjacency=adjacency,
         outer_tol=tols[0],
         inner_tol=tols[1],
-        L=_scalar(sched, "L", "schedule", int, 500),
-        schedule_seed=_scalar(sched, "seed", "schedule", int, 1),
+        L=_scalar(sched, "L", "schedule", int, 500, minimum=1),
+        schedule_seed=_scalar(sched, "seed", "schedule", int, 1, minimum=0),
         epsilon_jitter=_scalar(sched, "epsilon_jitter", "schedule", float, 1e-3),
-        duration=_scalar(sched, "duration", "schedule", int),
-        T=_scalar(sim, "T", "simulate", int, 500),
-        runs=_scalar(sim, "runs", "simulate", int, 1000),
-        window=_scalar(sim, "window", "simulate", int),
-        sim_seed=_scalar(sim, "seed", "simulate", int, 1),
+        duration=_scalar(sched, "duration", "schedule", int, minimum=1),
+        T=_scalar(sim, "T", "simulate", int, 500, minimum=1),
+        runs=_scalar(sim, "runs", "simulate", int, 1000, minimum=1),
+        window=_scalar(sim, "window", "simulate", int, minimum=1),
+        sim_seed=_scalar(sim, "seed", "simulate", int, 1, minimum=0),
         key=f"{key:08x}",
     )
 
@@ -343,7 +346,7 @@ def _build_sequence(scn: Scenario, q: ScheduleDistribution, kind: str, length: i
 def cmd_schedule(scn: Scenario, args) -> int:
     out = Path(args.out)
     _, q = _load_distribution(out, scn, args.distributed)
-    length = scn.duration if (args.kind == "csma" and scn.duration) else scn.L
+    length = scn.duration if (args.kind == "csma" and scn.duration is not None) else scn.L
     seq = _build_sequence(scn, q, args.kind, length, scn.schedule_seed)
     path = out / f"schedule_{args.kind}.txt"
     write_sequence(seq, path)
@@ -469,6 +472,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scn = load_scenario(args.config)
+        for flag, low in (("seed", 0), ("window", 1)):
+            value = getattr(args, flag, None)
+            if value is not None and value < low:
+                raise ConfigError(f"--{flag}: must be at least {low}, got {value}")
         if args.seed is not None:
             scn.schedule_seed = args.seed
             scn.sim_seed = args.seed

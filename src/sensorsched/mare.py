@@ -10,12 +10,13 @@ the ordinary Riccati update with the correction term scaled by q. This
 module holds the one implementation of that update, which the filter and
 the simulations share. It takes a stack of covariances and multiplies the
 whole stack by A and C in one matrix product each, which keeps Monte
-Carlo over thousands of runs cheap; scalar measurements, the common case,
-get the gain by division. A slice of a stacked update equals the update
-of that one matrix bit for bit. The module also computes g_q's fixed
-points, the exact fixed point for scalar plants with delayed
-measurements, and the critical observation probability below which no
-fixed point exists.
+Carlo over thousands of runs cheap; a stack may also mix targets of one
+dimension class, each row with its own A, C, Q and R. Scalar
+measurements, the common case, get the gain by division. A slice of a
+stacked update equals the update of that one matrix bit for bit. The
+module also computes g_q's fixed points, the exact fixed point for scalar
+plants with delayed measurements, and the critical observation
+probability below which no fixed point exists.
 
 Fixed points are found by iterating the map, taking a Newton step in
 place of the plain step whenever the Newton iterate is certified: g_q is
@@ -134,7 +135,11 @@ def g_q(target: LtiTarget, q: float, X: np.ndarray, *, validate: bool = True) ->
     return _riccati_step(target, X, q)
 
 
-def _riccati_step(target: LtiTarget, P: np.ndarray, q: float | np.ndarray) -> np.ndarray:
+def _riccati_step(
+    target: LtiTarget | tuple[np.ndarray, np.ndarray, np.ndarray],
+    P: np.ndarray,
+    q: float | np.ndarray,
+) -> np.ndarray:
     """sym(A P A^T + Q - q * A P C^T (C P C^T + R)^(-1) C P A^T), unchecked.
 
     The one Riccati update of the package: g_q, the filter's covariance
@@ -143,38 +148,79 @@ def _riccati_step(target: LtiTarget, P: np.ndarray, q: float | np.ndarray) -> np
     against it ([..., 1, 1]). A scalar q = 0 returns the open-loop
     (Lyapunov) update without forming the gain.
 
-    A and C are shared by the whole stack, so each product with them is
-    one matrix product over all rows of the stack (a single GEMM, not one
-    per matrix). With B = [A; C], rows of P times B^T give P B^T, and rows
-    of its transpose B P^T times B^T give Y = B P^T B^T, whose blocks are
+    With B = [A; C], rows of P times B^T give P B^T, and rows of its
+    transpose B P^T times B^T give Y = B P^T B^T, whose blocks are
     A P^T A^T, A P^T C^T, C P^T A^T and C P^T C^T. From them the update is
     formed for P^T with Q^T and R^T: that is the transpose of the update
     of P, exactly, so no symmetry of P, Q or R is assumed, and symmetrize
     maps both to the same bits. For a scalar measurement (p = 1) the
     innovation covariance S is 1x1 and S^-1 C P^T A^T is a division.
+
+    For one LtiTarget, A and C are shared by the whole stack, so each
+    product with them is one 2-D matrix product over all rows of the
+    stack (a single GEMM, not one per matrix). `target` may instead be
+    per-row systems (see `_system_rows`): B^T [k, n, n + p], Q^T [k, n, n]
+    and R^T [k, p, p] for a stack of k rows that come from different
+    targets of one dimension class (n, p). The products are then one
+    batched matmul, which makes one BLAS call per row: cheaper than one
+    call of this function per target for a few rows each, dearer than the
+    2-D GEMM for thousands of rows of one target. An array q is then a
+    boolean mask [k, 1, 1] of the observed rows, and only those rows form
+    the gain, as in their own target's call at q = 1; the others get the
+    bits of q = 0, so a diverged row never enters a solve.
+
     Each entry of a row product depends on its own row alone, so a slice
-    of a stacked call equals the call on that slice bit for bit as long
-    as BLAS rounds a row the same whatever the row count; the property
-    tests check this for stacks of up to 2048 matrices.
+    of a stacked call equals the call on that slice bit for bit, batched
+    or 2-D, as long as BLAS rounds a row the same whatever the row count
+    and the call; the property tests check this for stacks of up to 2048
+    matrices.
     """
-    A, C = target.A, target.C
-    n = A.shape[0]
-    lead = P.shape[:-2]
     open_loop = not isinstance(q, np.ndarray) and q == 0
-    Bt = A.T if open_loop else np.concatenate((A.T, C.T), axis=1)
-    m = Bt.shape[1]
-    PB = (P.reshape(-1, n) @ Bt).reshape(*lead, n, m)
-    Y = (PB.swapaxes(-1, -2).reshape(-1, n) @ Bt).reshape(*lead, m, m)
-    out = Y[..., :n, :n] + target.Q.T
+    if isinstance(target, LtiTarget):
+        A, C = target.A, target.C
+        n = A.shape[0]
+        lead = P.shape[:-2]
+        Bt = A.T if open_loop else np.concatenate((A.T, C.T), axis=1)
+        m = Bt.shape[1]
+        PB = (P.reshape(-1, n) @ Bt).reshape(*lead, n, m)
+        Y = (PB.swapaxes(-1, -2).reshape(-1, n) @ Bt).reshape(*lead, m, m)
+        Qt, Rt = target.Q.T, target.R.T
+    else:
+        Bt, Qt, Rt = target
+        n = Qt.shape[-1]
+        if open_loop:
+            Bt = Bt[..., :n]
+        Y = (P @ Bt).swapaxes(-1, -2) @ Bt
+    out = Y[..., :n, :n] + Qt
     if open_loop:
         return symmetrize(out)
+    if isinstance(q, np.ndarray) and not isinstance(target, LtiTarget):
+        seen = q.reshape(-1)
+        out[seen] -= _correction(Y[seen], Rt[seen], n)
+        return symmetrize(out)
+    return symmetrize(out - q * _correction(Y, Rt, n))
+
+
+def _correction(Y: np.ndarray, Rt: np.ndarray, n: int) -> np.ndarray:
+    """M S^-1 N from the blocks of Y = B P^T B^T, with S = C P^T C^T + R^T."""
     M, N = Y[..., :n, n:], Y[..., n:, :n]
-    S = Y[..., n:, n:] + target.R.T
+    S = Y[..., n:, n:] + Rt
     if S.shape[-1] == 1:
-        correction = M * (N / S)
-    else:
-        correction = M @ np.linalg.solve(S, N)
-    return symmetrize(out - q * correction)
+        return M * (N / S)
+    return M @ np.linalg.solve(S, N)
+
+
+def _system_rows(targets: list[LtiTarget]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """[A; C]^T, Q^T and R^T of targets of one dimension class, stacked.
+
+    Indexed by each row's target, the three are the per-row systems that
+    `_riccati_step` takes for a stack mixing those targets.
+    """
+    return (
+        np.stack([np.concatenate((t.A.T, t.C.T), axis=1) for t in targets]),
+        np.stack([t.Q.T for t in targets]),
+        np.stack([t.R.T for t in targets]),
+    )
 
 
 def _near_critical_check(target: LtiTarget, q: float) -> None:

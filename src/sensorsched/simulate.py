@@ -8,7 +8,8 @@ time-average its cost (`LtiTarget.cost_of`, the trace unless the target
 selects cost weights), the quantity the optimizer bounds. Monte Carlo over
 sampled schedules estimates the expected cost of stochastic scheduling; it
 advances one covariance per distinct observation history rather than one
-per run. A receding-horizon tree search, whose lookahead tree is carried
+per run, and the targets that share a dimension in one kernel call per
+step. A receding-horizon tree search, whose lookahead tree is carried
 from step to step, is the deterministic planning baseline.
 
 Time averages drop a short burn-in prefix (min(T // 5, 200) steps) so the
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mare import _riccati_step
+from .mare import _riccati_step, _system_rows
 from .model import LtiTarget, ScheduleDistribution
 from .schedule import ScheduleSequence
 
@@ -34,6 +35,13 @@ __all__ = [
     "sliding_window_schedule",
     "default_burn_in",
 ]
+
+
+# A target leaves the Monte Carlo's shared stack once it holds this many
+# rows: a batched product costs about 0.1 us more per row than the 2-D GEMM,
+# a kernel call of its own about 15 us (2x2 and 3x3 targets, one BLAS
+# thread), so past about 150 rows the target is cheaper on its own.
+_SHARED_ROWS = 128
 
 
 def default_burn_in(T: int) -> int:
@@ -83,30 +91,179 @@ def covariance_step(target: LtiTarget, P: np.ndarray, observed: bool) -> np.ndar
     return _riccati_step(target, np.asarray(P, dtype=float), 1.0 if observed else 0.0)
 
 
+def _dimension_classes(targets: list[LtiTarget]) -> list[list[int]]:
+    """Target indices grouped by (n, p), in order of first appearance."""
+    classes: dict[tuple[int, int], list[int]] = {}
+    for i, t in enumerate(targets):
+        classes.setdefault((t.n, t.p), []).append(i)
+    return list(classes.values())
+
+
+def _row_costs(P: np.ndarray, weighted: list) -> np.ndarray:
+    """The cost of each row of P: its trace, but `t.cost_of(P[rows])` for
+    each (t, rows) in `weighted`."""
+    cost = P.trace(axis1=-2, axis2=-1)
+    for t, rows in weighted:
+        cost[rows] = t.cost_of(P[rows])
+    return cost
+
+
+def _mask_or_scalar(seen: np.ndarray) -> float | np.ndarray:
+    """The kernel's q for rows observed where `seen` holds: the mask, or a
+    scalar when every row agrees (q = 0 then skips the gain)."""
+    n_seen = np.count_nonzero(seen)
+    return seen[:, None, None] if 0 < n_seen < len(seen) else float(n_seen > 0)
+
+
 def evaluate_schedule(targets: list[LtiTarget], seq: ScheduleSequence) -> CostReport:
     """Deterministic cost of a concrete schedule.
 
     Propagates every target's prediction covariance from Q across the
     sequence (observed exactly at its slots) and averages its cost after
-    burn-in. The sequence is used as given; tile it beforehand to
-    approximate long-run behavior of a periodic schedule.
+    burn-in. The targets that share a dimension (n, p) advance together,
+    one row each, in one kernel call per step. The sequence is used as
+    given; tile it beforehand to approximate long-run behavior of a
+    periodic schedule.
     """
     if seq.n_targets != len(targets):
         raise ValueError(f"sequence is over {seq.n_targets} targets, got {len(targets)}")
     T = len(seq)
     costs = np.empty((T, len(targets)))
-    for i, target in enumerate(targets):
-        P = target.Q
-        observed = np.equal(seq.steps, i)
+    for members in _dimension_classes(targets):
+        system = _system_rows([targets[i] for i in members])
+        P = np.stack([targets[i].Q for i in members])
+        observed = np.equal.outer(seq.steps, members)
+        weighted = [(targets[i], j) for j, i in enumerate(members)
+                    if targets[i].cost_weights is not None]
         for k in range(T):
-            costs[k, i] = target.cost_of(P)
-            P = covariance_step(target, P, bool(observed[k]))
+            costs[k, members] = _row_costs(P, weighted)
+            P = _riccati_step(system, P, _mask_or_scalar(observed[k]))
     avg = costs[default_burn_in(T):].mean(axis=0)
     return CostReport(
         per_target_avg_trace=avg,
         max_over_targets=float(avg.max()),
         trace_series=costs,
     )
+
+
+def _split(group: np.ndarray, first: np.ndarray, moved: np.ndarray) -> tuple:
+    """Split off the runs at positions `moved` of the flat `group` (row
+    of each run), in place: the runs that disagree with their group's
+    first run leave it together, for a new row appended after the
+    `len(first)` rows. Returns the row each new row copies and the
+    position of its first run."""
+    old, at, new = np.unique(group[moved], return_index=True, return_inverse=True)
+    group[moved] = len(first) + new
+    return old, moved[at]
+
+
+def _shared_histories(
+    targets: list[LtiTarget], members: list[int], steps: np.ndarray
+) -> tuple[list, dict, dict]:
+    """Phase 1 of the Monte Carlo for one dimension class.
+
+    The rows of every target of the class share one stack: row r belongs
+    to target ids[line[r]], and group[j, run] is the row of that run of
+    ids[j]. Each step makes one kernel call with per-row systems. A
+    target leaves the stack after a split that brings it to
+    min(runs, _SHARED_ROWS) rows, so at the latest once every run has a
+    row of its own.
+
+    Returns the stretches (steps with no split) as (first step, targets,
+    line, row costs [step, row]); for each target, the steps from which
+    its runs' rows changed, those rows counted among its own; and for each
+    target that left, the step it goes on from and (rows, group, first
+    runs). A step's costs are read before its split, as a target alone
+    reads them.
+    """
+    T, runs = steps.shape
+    limit = min(runs, _SHARED_ROWS)
+    system = _system_rows([targets[i] for i in members])
+    ids = np.array(members)
+    line = np.arange(len(ids))
+    first = np.zeros(len(ids), dtype=np.intp)  # a run of each row's group
+    group = np.repeat(line[:, None], runs, axis=1)
+    P = np.stack([targets[i].Q for i in members])
+    splits = {i: [(0, np.zeros(runs, dtype=np.uint8))] for i in members}
+    stretches, left = [], {}
+    rebuild = True
+    for k in range(T):
+        if rebuild:
+            rebuild = False
+            stretches.append((k, ids, line, []))
+            rows_system = tuple(a[np.searchsorted(members, ids)[line]] for a in system)
+            weighted = [(targets[i], np.flatnonzero(line == j)) for j, i in enumerate(ids)
+                        if targets[i].cost_weights is not None]
+        stretches[-1][3].append(_row_costs(P, weighted))
+        obs = np.equal(steps[k], ids[:, None])  # obs[j, run]: ids[j] is observed
+        seen = obs[line, first]
+        moved = np.flatnonzero(obs != seen[group])
+        if len(moved):
+            old, fresh = _split(group.reshape(-1), first, moved)
+            first = np.concatenate((first, fresh % runs))
+            line = np.concatenate((line, line[old]))
+            P = np.concatenate((P, P[old]))
+            for j in np.flatnonzero(np.bincount(fresh // runs)):  # the lines that split
+                own = np.flatnonzero(line == j)
+                local = np.searchsorted(own, group[j]).astype(np.min_scalar_type(len(own)))
+                splits[ids[j]].append((k + 1, local))
+            rows_system = tuple(a[np.searchsorted(members, ids)[line]] for a in system)
+            seen = obs[line, first]
+            rebuild = True
+        P = _riccati_step(rows_system, P, _mask_or_scalar(seen))
+        if rebuild:
+            out = np.bincount(line, minlength=len(ids)) >= limit
+            for j in np.flatnonzero(out):
+                own = np.flatnonzero(line == j)
+                left[ids[j]] = (k + 1, (P[own], np.searchsorted(own, group[j]), first[own]))
+            if out.any():
+                keep = ~out[line]
+                ids = ids[~out]
+                group = (np.cumsum(keep) - 1)[group[~out]]
+                line = (np.cumsum(~out) - 1)[line[keep]]
+                P, first = P[keep], first[keep]
+                if not len(ids):
+                    break
+    return [(k, ids, line, np.array(c)) for k, ids, line, c in stretches], splits, left
+
+
+def _gather_shared(i: int, stretches: list, splits: list, costs: np.ndarray) -> None:
+    """Target i's costs over phase 1, read off the row costs."""
+    done = 0
+    for start, ids, line, block in stretches:
+        j = np.searchsorted(ids, i)
+        if j == len(ids) or ids[j] != i:
+            break  # i has left the stack
+        while done + 1 < len(splits) and splits[done + 1][0] <= start:
+            done += 1
+        own = np.flatnonzero(line == j)
+        costs[:, start:start + len(block)] = block[:, own[splits[done][1]]].T
+
+
+def _finish_alone(
+    target: LtiTarget, i: int, state: tuple, steps: np.ndarray, costs: np.ndarray, start: int
+) -> None:
+    """Phase 2: target i on its own from step `start` on, its rows
+    advanced by one 2-D kernel call per step, splitting as before."""
+    P, group, first = state
+    runs = len(group)
+    observed = np.equal(steps[start:], i)
+    for k in range(start, costs.shape[1]):
+        if len(P) == runs and not isinstance(group, slice):
+            # rows in run order make both gathers views, so a fully split
+            # target costs what a plain stack of runs does
+            P, group, first = P[group], slice(None), slice(None)
+        costs[:, k] = target.cost_of(P)[group]
+        obs = observed[k - start]
+        seen = obs[first]
+        # once every run has a row of its own, no group can split
+        moved = np.flatnonzero(obs != seen[group]) if len(P) < runs else ()
+        if len(moved):
+            old, fresh = _split(group, first, moved)
+            first = np.concatenate((first, fresh))
+            P = np.concatenate((P, P[old]))
+            seen = obs[first]
+        P = _riccati_step(target, P, _mask_or_scalar(seen))
 
 
 def monte_carlo_expected_cost(
@@ -121,14 +278,23 @@ def monte_carlo_expected_cost(
     Each run draws its own schedule from a child of the master seed, so
     results are reproducible and independent of batching. A target's
     covariance depends only on that target's own observation history, so
-    the runs that share a history share one covariance: each step makes
-    one stacked kernel call with one row per distinct history, and a
-    group of runs splits in two only at a step where its runs disagree.
-    Each run's costs are gathered from its group's row. A slice of a
-    stacked call has the bits of the call on that slice alone (and a
-    scalar q = 0 or 1 the bits of the mask), so every run reads exactly
-    the covariances it would on its own, at a fraction of the work when
-    one target is observed almost always or almost never.
+    the runs that share a history share one covariance, and a group of
+    runs splits in two only at a step where its runs disagree.
+
+    Phase 1: the targets that share a dimension (n, p) keep these rows in
+    one stack, advanced by one kernel call per step with per-row systems.
+    Phase 2: a target leaves the stack when a split brings it to
+    min(runs, _SHARED_ROWS) rows, so at the latest when every run has a
+    row of its own and no group of it can split again; after phase 1 it
+    finishes alone, one 2-D kernel call per step, splitting as before and
+    with its rows in run order once fully split. Each target's cost
+    matrix is gathered from the phase-1 row costs, one target at a time,
+    so the reductions keep their order, and every run reads exactly the
+    covariances it would on its own: a slice of a stacked call has the
+    bits of the call on that slice alone (and a scalar q = 0 or 1 the
+    bits of the mask). Phase 1 holds one cost per row and step, at most
+    min(runs, _SHARED_ROWS) rows per target, and a copy of a target's
+    grouping at each of its splits.
     """
     if len(q) != len(targets):
         raise ValueError(f"distribution is over {len(q)} targets, got {len(targets)}")
@@ -137,50 +303,27 @@ def monte_carlo_expected_cost(
     tail = max(1, T // 5)
 
     children = np.random.SeedSequence(seed).spawn(runs)
-    schedules = np.empty((runs, T), dtype=np.int64)
     n = len(targets)
+    # steps[k, r] is the target run r observes at step k
+    steps = np.empty((T, runs), dtype=np.min_scalar_type(n - 1))
     for r in range(runs):
         rng = np.random.default_rng(children[r])
-        schedules[r] = rng.choice(n, size=T, p=q.q)
+        steps[:, r] = rng.choice(n, size=T, p=q.q)
 
     emp = np.empty((runs, n))
     tavg = np.empty((runs, n))
     mean_series = np.empty((T, n))
-    for i, target in enumerate(targets):
-        # runs that share target i's observation history share one
-        # covariance: group[r] is run r's row of P, first[g] a run of group g
-        P = target.Q[None]
-        group = np.zeros(runs, dtype=np.intp)
-        first = np.zeros(1, dtype=np.intp)
-        costs = np.empty((runs, T))
-        observed = np.equal(schedules.T, i, order="C")  # one row per step
-        for k in range(T):
-            costs[:, k] = target.cost_of(P)[group]
-            obs = observed[k]
-            seen = obs[first]
-            # once every run has a group of its own, no group can split
-            moved = np.flatnonzero(obs != seen[group]) if len(P) < runs else ()
-            if len(moved):
-                # the runs that disagree with their group's first run leave
-                # it together, for a new group that starts as a copy of it
-                old, at, new = np.unique(
-                    group[moved], return_index=True, return_inverse=True
-                )
-                group[moved] = len(first) + new
-                first = np.concatenate((first, moved[at]))
-                P = np.concatenate((P, P[old]))
-                if len(P) == runs:
-                    # rows in run order make both gathers views, so a fully
-                    # split Monte Carlo costs what a plain stack of runs does
-                    P, group, first = P[group], slice(None), slice(None)
-                seen = obs[first]
-            # a scalar q when all groups agree: q = 0 skips the gain
-            n_seen = np.count_nonzero(seen)
-            q_k = seen[:, None, None] if 0 < n_seen < len(seen) else float(n_seen > 0)
-            P = _riccati_step(target, P, q_k)
-        emp[:, i] = costs[:, T - tail:].mean(axis=1)
-        tavg[:, i] = costs[:, default_burn_in(T):].mean(axis=1)
-        mean_series[:, i] = costs.mean(axis=0)
+    for members in _dimension_classes(targets):
+        stretches, splits, left = _shared_histories(targets, members, steps)
+        for i in members:
+            costs = np.empty((runs, T))
+            _gather_shared(i, stretches, splits.pop(i), costs)
+            if i in left:
+                start, state = left.pop(i)
+                _finish_alone(targets[i], i, state, steps, costs, start)
+            emp[:, i] = costs[:, T - tail:].mean(axis=1)
+            tavg[:, i] = costs[:, default_burn_in(T):].mean(axis=1)
+            mean_series[:, i] = costs.mean(axis=0)
 
     def report(stat: np.ndarray) -> CostReport:
         mean = stat.mean(axis=0)

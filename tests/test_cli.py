@@ -226,6 +226,34 @@ class TestConfigValidation:
         assert rc == cli.EXIT_CONFIG
         assert fragment in err
 
+    @pytest.mark.parametrize(
+        "argv, sections, fragment",
+        [
+            (["simulate"], {"simulate": {"seed": -1}}, "simulate.seed"),
+            (["schedule"], {"schedule": {"seed": -1}}, "schedule.seed"),
+            (["simulate"], {"simulate": {"T": 0}}, "simulate.T"),
+            (["simulate"], {"simulate": {"runs": 0}}, "simulate.runs"),
+            (["schedule", "--kind", "csma"], {"schedule": {"L": 0}}, "schedule.L"),
+            (["schedule", "--kind", "csma"], {"schedule": {"duration": 0}}, "schedule.duration"),
+            (["compare"], {"simulate": {"window": 0}}, "simulate.window"),
+            (["simulate", "--seed", "-1"], {}, "--seed"),
+            (["compare", "--window", "0"], {}, "--window"),
+        ],
+        ids=["simulate.seed", "schedule.seed", "simulate.T", "simulate.runs", "schedule.L",
+             "schedule.duration", "simulate.window", "seed-flag", "window-flag"],
+    )
+    def test_out_of_range_setting_fails_before_the_solve(
+        self, tmp_path, capsys, argv, sections, fragment
+    ):
+        # negative seeds and zero sizes used to fail only after a full solve
+        # (naming no key), to name the wrong key, or to be ignored
+        cfg = write_config(tmp_path, **sections)
+        out = tmp_path / "out"
+        rc, _, err = run(capsys, *argv, "--config", str(cfg), "--out", str(out))
+        assert rc == cli.EXIT_CONFIG
+        assert f"{fragment}: must be at least" in err
+        assert not out.exists()
+
     def test_nan_jitter_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, schedule={"epsilon_jitter": float("nan")})
         out = tmp_path / "out"

@@ -22,7 +22,10 @@ the theory guarantees, checked on random targets.
 * The Riccati update of a stack of covariances treats each matrix alone:
   every slice equals the update of that one matrix bit for bit, whatever
   the stack size (the kernel multiplies the whole stack at once, and BLAS
-  may take other code paths as the row count grows).
+  may take other code paths as the row count grows). A stack that mixes
+  the targets of one dimension class, with per-row systems and batched
+  products, gives each target's rows the bits of that target's own
+  update.
 """
 import numpy as np
 from hypothesis import example, given, settings
@@ -38,7 +41,7 @@ from sensorsched import (
     g_q,
     solve_mare,
 )
-from sensorsched.mare import _CERTIFY_RTOL, _riccati_step
+from sensorsched.mare import _CERTIFY_RTOL, _riccati_step, _system_rows
 from sensorsched.simulate import covariance_step
 
 seeds = st.integers(0, 2**32 - 1)
@@ -263,3 +266,57 @@ def test_stacked_step_equals_step_per_slice(seed, stack, n, p, fractional):
         for b in range(stack):
             assert np.array_equal(out[b], covariance_step(target, P[b], observed[b]))
             assert np.array_equal(unobserved[b], covariance_step(target, P[b], False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=seeds,
+    stack=st.integers(1, 2048),
+    n_targets=st.integers(1, 20),
+    n=st.integers(1, 4),
+    p=st.integers(1, 2),
+    q=st.sampled_from(["0", "1", "mask"]),
+)
+# scale20's class (20 targets, about 58 rows a step), the pair's, the largest
+@example(seed=1, stack=58, n_targets=20, n=3, p=1, q="mask")
+@example(seed=2, stack=256, n_targets=2, n=2, p=1, q="mask")
+@example(seed=3, stack=2048, n_targets=5, n=4, p=2, q="mask")
+def test_per_row_systems_equal_each_targets_step(seed, stack, n_targets, n, p, q):
+    """A stack mixing the targets of one dimension class, each row with its
+    own system, gets for every target's rows the bits of that target's own
+    call: on its rows with the same scalar, or with its slice of the mask,
+    or with the scalar the mask amounts to when all its rows agree."""
+    rng = np.random.default_rng(seed)
+    targets = [
+        LtiTarget(
+            A=rng.normal(size=(n, n)),
+            C=rng.normal(size=(p, n)),
+            Q=random_psd(rng, n) + 0.1 * np.eye(n),
+            R=random_psd(rng, p) + 0.1 * np.eye(p),
+        )
+        for _ in range(n_targets)
+    ]
+    tid = rng.integers(n_targets, size=stack)
+    G = rng.normal(size=(stack, n, n))
+    P = G @ G.swapaxes(1, 2)
+    if q == "mask":
+        # some targets all observed, some all unobserved, the rest mixed
+        kind = rng.integers(3, size=n_targets)[tid]
+        observed = np.where(kind == 2, rng.integers(2, size=stack), kind).astype(bool)
+        q_arg = observed[:, None, None]
+    else:
+        q_arg = float(q)
+    system = tuple(a[tid] for a in _system_rows(targets))
+    out = _riccati_step(system, P, q_arg)
+    for t, target in enumerate(targets):
+        rows = np.flatnonzero(tid == t)
+        if not len(rows):
+            continue
+        if q != "mask":
+            own = [q_arg]
+        elif observed[rows].all() or not observed[rows].any():
+            own = [observed[rows][:, None, None], float(observed[rows[0]])]
+        else:
+            own = [observed[rows][:, None, None]]
+        for q_t in own:
+            assert np.array_equal(out[rows], _riccati_step(target, P[rows], q_t))

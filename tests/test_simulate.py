@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_pair, make_two_sensor
+from conftest import make_chain_trio, make_pair, make_two_sensor
 from sensorsched import (
     LtiTarget,
     ScheduleDistribution,
@@ -45,7 +45,7 @@ def per_run_monte_carlo(targets, q, T, runs, seed):
         for i, t in enumerate(targets):
             P = t.Q
             for k in range(T):
-                traces[i, r, k] = np.trace(P)
+                traces[i, r, k] = t.cost_of(P)
                 P = covariance_step(t, P, steps[k] == i)
 
     def report(per_run):  # [i, r], summed in the reports' [r, i] layout
@@ -149,6 +149,33 @@ class TestEvaluateSchedule:
         assert default_burn_in(50) == 10
         assert default_burn_in(5000) == 200
 
+    def test_classes_equal_each_target_alone(self, pair, two_sensor, chain_trio):
+        """One kernel call per dimension class and step gives every target
+        the bits of its own covariance steps."""
+        targets = [pair[0], chain_trio[1], two_sensor, pair[1], chain_trio[0]]
+        steps = np.random.default_rng(3).choice(5, size=120, p=[0.3, 0.1, 0.2, 0.3, 0.1])
+        rep = evaluate_schedule(targets, ScheduleSequence(steps, 5))
+        for i, t in enumerate(targets):
+            P = t.Q
+            for k in range(len(steps)):
+                assert rep.trace_series[k, i] == t.cost_of(P)
+                P = covariance_step(t, P, steps[k] == i)
+
+    def test_unobserved_rows_form_no_gain(self, two_sensor):
+        """A target never observed grows open loop until its innovation
+        covariance is singular in floating point; sharing a kernel call
+        with an observed target of its class must not solve with it."""
+        blind = LtiTarget(A=np.diag([10.0, 0.5, 0.5]), C=[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                          Q=np.eye(3), R=np.eye(2))
+        targets = [two_sensor, blind]
+        rep = evaluate_schedule(targets, ScheduleSequence(np.zeros(40, dtype=np.int64), 2))
+        P = blind.Q
+        for k in range(40):
+            assert rep.trace_series[k, 1] == blind.cost_of(P)
+            P = covariance_step(blind, P, False)
+        mc = monte_carlo_expected_cost(targets, ScheduleDistribution([1.0, 0.0]), 40, 1, 0)
+        assert np.array_equal(mc.mean_trace_series, rep.trace_series)
+
     def test_rejects_mismatched_sequence(self, pair):
         seq = ScheduleSequence(np.zeros(10, dtype=np.int64), 3)
         with pytest.raises(ValueError, match="3 targets"):
@@ -248,8 +275,8 @@ class TestMonteCarlo:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        pool=st.lists(st.integers(0, 2), min_size=1, max_size=3),
-        w=st.lists(weights, min_size=3, max_size=3),
+        pool=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+        w=st.lists(weights, min_size=4, max_size=4),
         runs=st.integers(1, 64),
         T=st.integers(1, 60),
         seed=st.integers(0, 2**32 - 1),
@@ -257,10 +284,19 @@ class TestMonteCarlo:
     @example(pool=[0, 2], w=[1.0, 1e-3, 0.0], runs=64, T=60, seed=1)
     @example(pool=[2, 1, 0], w=[1.0, 0.0, 0.0], runs=17, T=40, seed=2)
     @example(pool=[0, 1, 2], w=[0.5, 0.3, 0.2], runs=64, T=60, seed=3)
+    # noisy splits fully and leaves the shared stack while the second
+    # drifty, rarely observed, stays in it with the chain's class beside
+    @example(pool=[0, 1, 1, 3], w=[0.5, 0.4, 2e-3, 0.1], runs=64, T=60, seed=4)
+    # one run: every target has a row per run from the start
+    @example(pool=[3, 0, 2], w=[0.3, 0.5, 0.2], runs=1, T=30, seed=5)
+    # more runs than a target keeps in the shared stack: both leave it
+    # before they fully split, and go on splitting on their own
+    @example(pool=[0, 1], w=[0.6, 0.4], runs=300, T=40, seed=6)
     def test_grouped_runs_equal_per_run_reference(self, pool, w, runs, T, seed):
         """Sharing a covariance between the runs with one observation
-        history must give every run its own covariances bit for bit."""
-        everyone = [*make_pair(), make_two_sensor()]
+        history, and a kernel call between the targets of one dimension
+        class, must give every run its own covariances bit for bit."""
+        everyone = [*make_pair(), make_two_sensor(), make_chain_trio()[1]]
         targets = [everyone[j] for j in pool]
         w = np.array(w[:len(targets)])
         if not w.any():
@@ -274,24 +310,61 @@ class TestMonteCarlo:
             assert np.array_equal(rep.half_width, hw)
 
     def test_kernel_rows_follow_histories(self, pair, monkeypatch):
-        """One kernel call per target and step, with one row per distinct
-        observation history: the rarely observed target's runs share a
-        row until they are seen, so a split never costs a second call."""
+        """One kernel call per dimension class and step, with one row per
+        distinct observation history: the rarely observed target's runs
+        share a row until they are seen, so a split never costs a second
+        call, and both targets share each call."""
         calls, rows = [], []
 
-        def counted(target, P, q):
-            calls.append(q)
+        def counted(system, P, q):
+            calls.append(system)
             rows.append(len(P))
-            return _riccati_step(target, P, q)
+            return _riccati_step(system, P, q)
 
         monkeypatch.setattr("sensorsched.simulate._riccati_step", counted)
         n, runs, T = 2, 200, 200
         q = ScheduleDistribution([1 - 1e-3, 1e-3])
         monte_carlo_expected_cost(pair, q, T=T, runs=runs, seed=5)
-        assert len(calls) == n * T
+        assert len(calls) == T
+        assert not any(isinstance(system, LtiTarget) for system in calls)
         # 6172 rows at this seed, against runs * T * n = 80000 when every
         # run has a row of its own
         assert sum(rows) < runs * T * n // 10
+
+    def test_split_targets_leave_the_shared_stack(self, pair, monkeypatch):
+        """Targets whose runs all have rows of their own step alone, one
+        2-D call each per step, from the step they fully split on."""
+        calls = []
+
+        def counted(system, P, q):
+            calls.append(getattr(system, "label", "shared"))
+            return _riccati_step(system, P, q)
+
+        monkeypatch.setattr("sensorsched.simulate._riccati_step", counted)
+        T = 60
+        monte_carlo_expected_cost(pair, PAIR_Q, T=T, runs=32, seed=7)
+        shared = calls.count("shared")
+        # the pair's histories are complementary, so both leave together
+        assert 0 < shared < T
+        assert calls[:shared] == ["shared"] * shared
+        assert calls.count("noisy") == calls.count("drifty") == T - shared
+
+    def test_weighted_costs_in_a_mixed_stack(self, pair, chain_trio):
+        """A target with cost weights is scored by its own weights, and
+        reads the same bits whether or not it shares its stack."""
+        weighted = LtiTarget(A=pair[0].A, C=pair[0].C, Q=pair[0].Q, R=pair[0].R,
+                             cost_weights=[0.3, 1.7])
+        q = ScheduleDistribution([0.5, 0.499, 0.001])
+        shared = monte_carlo_expected_cost([pair[0], weighted, chain_trio[0]], q, 50, 40, 8)
+        alone = monte_carlo_expected_cost([chain_trio[1], weighted, chain_trio[2]], q, 50, 40, 8)
+        assert np.array_equal(shared.mean_trace_series[:, 1], alone.mean_trace_series[:, 1])
+        for rep in ("expected", "time_averaged"):
+            a, b = getattr(shared, rep), getattr(alone, rep)
+            assert a.per_target_avg_trace[1] == b.per_target_avg_trace[1]
+            assert a.half_width[1] == b.half_width[1]
+        _, _, series = per_run_monte_carlo([pair[0], weighted, chain_trio[0]], q, 50, 40, 8)
+        assert np.allclose(shared.mean_trace_series, series, rtol=1e-13, atol=0)
+        assert not np.allclose(series[:, 0], series[:, 1])
 
     @pytest.mark.parametrize("T, runs", [(0, 5), (5, 0)])
     def test_rejects_degenerate_sizes(self, pair, T, runs):
@@ -349,8 +422,9 @@ class TestSlidingWindow:
     def test_one_new_level_per_step(self, chain_trio, monkeypatch):
         """The first window - 1 levels are built once; each step then adds
         one level (an observed and an open-loop update per target), and the
-        report re-evaluates the committed schedule (one update per target
-        and step)."""
+        report re-evaluates the committed schedule (one update per
+        dimension class and step: the trio's chains have two and three
+        states)."""
         calls = []
 
         def counted(target, P, q):
@@ -358,9 +432,9 @@ class TestSlidingWindow:
             return _riccati_step(target, P, q)
 
         monkeypatch.setattr("sensorsched.simulate._riccati_step", counted)
-        n, window, T = 3, 3, 5
+        n, classes, window, T = 3, 2, 3, 5
         sliding_window_schedule(chain_trio, window=window, T=T)
-        assert len(calls) == 2 * n * (window - 1 + T) + n * T == 57
+        assert len(calls) == 2 * n * (window - 1 + T) + classes * T == 52
 
     def test_report_matches_reevaluation(self, pair):
         seq, rep = sliding_window_schedule(pair, window=2, T=30)
