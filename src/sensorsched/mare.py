@@ -164,10 +164,13 @@ def _riccati_step(
     targets of one dimension class (n, p). The products are then one
     batched matmul, which makes one BLAS call per row: cheaper than one
     call of this function per target for a few rows each, dearer than the
-    2-D GEMM for thousands of rows of one target. An array q is then a
-    boolean mask [k, 1, 1] of the observed rows, and only those rows form
-    the gain, as in their own target's call at q = 1; the others get the
-    bits of q = 0, so a diverged row never enters a solve.
+    2-D GEMM for thousands of rows of one target.
+
+    A boolean array q [k, 1, 1] is a mask of the observed rows of a stack
+    [k, n, n], with either kind of `target`: only those rows form the
+    gain, as in their own call at q = 1, and the others get the bits of
+    q = 0, so an unobserved row whose innovation covariance is singular
+    never enters a solve. A float array q scales the gain of every row.
 
     Each entry of a row product depends on its own row alone, so a slice
     of a stacked call equals the call on that slice bit for bit, batched
@@ -194,9 +197,11 @@ def _riccati_step(
     out = Y[..., :n, :n] + Qt
     if open_loop:
         return symmetrize(out)
-    if isinstance(q, np.ndarray) and not isinstance(target, LtiTarget):
-        seen = q.reshape(-1)
-        out[seen] -= _correction(Y[seen], Rt[seen], n)
+    if isinstance(q, np.ndarray) and q.dtype == bool:
+        seen = np.flatnonzero(q)
+        if Rt.ndim == 3:
+            Rt = Rt.take(seen, axis=0)
+        out[seen] = out.take(seen, axis=0) - _correction(Y.take(seen, axis=0), Rt, n)
         return symmetrize(out)
     return symmetrize(out - q * _correction(Y, Rt, n))
 

@@ -37,13 +37,6 @@ __all__ = [
 ]
 
 
-# A target leaves the Monte Carlo's shared stack once it holds this many
-# rows: a batched product costs about 0.1 us more per row than the 2-D GEMM,
-# a kernel call of its own about 15 us (2x2 and 3x3 targets, one BLAS
-# thread), so past about 150 rows the target is cheaper on its own.
-_SHARED_ROWS = 128
-
-
 def default_burn_in(T: int) -> int:
     return min(T // 5, 200)
 
@@ -146,124 +139,76 @@ def evaluate_schedule(targets: list[LtiTarget], seq: ScheduleSequence) -> CostRe
     )
 
 
-def _split(group: np.ndarray, first: np.ndarray, moved: np.ndarray) -> tuple:
-    """Split off the runs at positions `moved` of the flat `group` (row
-    of each run), in place: the runs that disagree with their group's
-    first run leave it together, for a new row appended after the
-    `len(first)` rows. Returns the row each new row copies and the
-    position of its first run."""
-    old, at, new = np.unique(group[moved], return_index=True, return_inverse=True)
-    group[moved] = len(first) + new
-    return old, moved[at]
-
-
 def _shared_histories(
     targets: list[LtiTarget], members: list[int], steps: np.ndarray
-) -> tuple[list, dict, dict]:
+) -> tuple[list, dict]:
     """Phase 1 of the Monte Carlo for one dimension class.
 
     The rows of every target of the class share one stack: row r belongs
     to target ids[line[r]], and group[j, run] is the row of that run of
-    ids[j]. Each step makes one kernel call with per-row systems. A
-    target leaves the stack after a split that brings it to
-    min(runs, _SHARED_ROWS) rows, so at the latest once every run has a
-    row of its own.
+    ids[j]. Each step makes one kernel call with per-row systems. A target
+    leaves the stack once every run has a row of its own.
 
-    Returns the stretches (steps with no split) as (first step, targets,
-    line, row costs [step, row]); for each target, the steps from which
-    its runs' rows changed, those rows counted among its own; and for each
-    target that left, the step it goes on from and (rows, group, first
-    runs). A step's costs are read before its split, as a target alone
+    Returns the stretches (steps with no split) as (first step, row of
+    each run of each target in the stack, row costs [step, row]) and, for
+    each target that left, the step it goes on from and its rows in run
+    order. A step's costs are read before its split, as a target alone
     reads them.
     """
     T, runs = steps.shape
-    limit = min(runs, _SHARED_ROWS)
-    system = _system_rows([targets[i] for i in members])
     ids = np.array(members)
     line = np.arange(len(ids))
     first = np.zeros(len(ids), dtype=np.intp)  # a run of each row's group
     group = np.repeat(line[:, None], runs, axis=1)
     P = np.stack([targets[i].Q for i in members])
-    splits = {i: [(0, np.zeros(runs, dtype=np.uint8))] for i in members}
+    system = _system_rows([targets[i] for i in members])  # one row per row of P
     stretches, left = [], {}
-    rebuild = True
     for k in range(T):
-        if rebuild:
-            rebuild = False
-            stretches.append((k, ids, line, []))
-            rows_system = tuple(a[np.searchsorted(members, ids)[line]] for a in system)
+        if k == 0 or len(moved):
+            rows = group.astype(np.min_scalar_type(len(P) - 1))
+            stretches.append((k, dict(zip(ids.tolist(), rows)), []))
             weighted = [(targets[i], np.flatnonzero(line == j)) for j, i in enumerate(ids)
                         if targets[i].cost_weights is not None]
-        stretches[-1][3].append(_row_costs(P, weighted))
+        stretches[-1][2].append(_row_costs(P, weighted))
         obs = np.equal(steps[k], ids[:, None])  # obs[j, run]: ids[j] is observed
         seen = obs[line, first]
         moved = np.flatnonzero(obs != seen[group])
         if len(moved):
-            old, fresh = _split(group.reshape(-1), first, moved)
-            first = np.concatenate((first, fresh % runs))
+            # the runs that disagree with their group's first run leave it
+            # together, for a new row that starts as a copy of the group's
+            flat = group.reshape(-1)
+            old, at, new = np.unique(flat[moved], return_index=True, return_inverse=True)
+            flat[moved] = len(P) + new
+            first = np.concatenate((first, moved[at] % runs))
             line = np.concatenate((line, line[old]))
             P = np.concatenate((P, P[old]))
-            for j in np.flatnonzero(np.bincount(fresh // runs)):  # the lines that split
-                own = np.flatnonzero(line == j)
-                local = np.searchsorted(own, group[j]).astype(np.min_scalar_type(len(own)))
-                splits[ids[j]].append((k + 1, local))
-            rows_system = tuple(a[np.searchsorted(members, ids)[line]] for a in system)
+            system = tuple(np.concatenate((a, a[old])) for a in system)
             seen = obs[line, first]
-            rebuild = True
-        P = _riccati_step(rows_system, P, _mask_or_scalar(seen))
-        if rebuild:
-            out = np.bincount(line, minlength=len(ids)) >= limit
+        P = _riccati_step(system, P, _mask_or_scalar(seen))
+        if len(moved):
+            out = np.bincount(line, minlength=len(ids)) == runs
             for j in np.flatnonzero(out):
-                own = np.flatnonzero(line == j)
-                left[ids[j]] = (k + 1, (P[own], np.searchsorted(own, group[j]), first[own]))
+                left[ids[j]] = (k + 1, P[group[j]])
             if out.any():
                 keep = ~out[line]
                 ids = ids[~out]
                 group = (np.cumsum(keep) - 1)[group[~out]]
                 line = (np.cumsum(~out) - 1)[line[keep]]
                 P, first = P[keep], first[keep]
+                system = tuple(a[keep] for a in system)
                 if not len(ids):
                     break
-    return [(k, ids, line, np.array(c)) for k, ids, line, c in stretches], splits, left
-
-
-def _gather_shared(i: int, stretches: list, splits: list, costs: np.ndarray) -> None:
-    """Target i's costs over phase 1, read off the row costs."""
-    done = 0
-    for start, ids, line, block in stretches:
-        j = np.searchsorted(ids, i)
-        if j == len(ids) or ids[j] != i:
-            break  # i has left the stack
-        while done + 1 < len(splits) and splits[done + 1][0] <= start:
-            done += 1
-        own = np.flatnonzero(line == j)
-        costs[:, start:start + len(block)] = block[:, own[splits[done][1]]].T
+    return [(k, rows, np.array(c)) for k, rows, c in stretches], left
 
 
 def _finish_alone(
-    target: LtiTarget, i: int, state: tuple, steps: np.ndarray, costs: np.ndarray, start: int
+    target: LtiTarget, i: int, P: np.ndarray, steps: np.ndarray, costs: np.ndarray, start: int
 ) -> None:
-    """Phase 2: target i on its own from step `start` on, its rows
-    advanced by one 2-D kernel call per step, splitting as before."""
-    P, group, first = state
-    runs = len(group)
-    observed = np.equal(steps[start:], i)
+    """Phase 2: target i, one row per run in run order, advanced from
+    step `start` on by one 2-D kernel call per step."""
     for k in range(start, costs.shape[1]):
-        if len(P) == runs and not isinstance(group, slice):
-            # rows in run order make both gathers views, so a fully split
-            # target costs what a plain stack of runs does
-            P, group, first = P[group], slice(None), slice(None)
-        costs[:, k] = target.cost_of(P)[group]
-        obs = observed[k - start]
-        seen = obs[first]
-        # once every run has a row of its own, no group can split
-        moved = np.flatnonzero(obs != seen[group]) if len(P) < runs else ()
-        if len(moved):
-            old, fresh = _split(group, first, moved)
-            first = np.concatenate((first, fresh))
-            P = np.concatenate((P, P[old]))
-            seen = obs[first]
-        P = _riccati_step(target, P, _mask_or_scalar(seen))
+        costs[:, k] = target.cost_of(P)
+        P = _riccati_step(target, P, _mask_or_scalar(steps[k] == i))
 
 
 def monte_carlo_expected_cost(
@@ -283,18 +228,16 @@ def monte_carlo_expected_cost(
 
     Phase 1: the targets that share a dimension (n, p) keep these rows in
     one stack, advanced by one kernel call per step with per-row systems.
-    Phase 2: a target leaves the stack when a split brings it to
-    min(runs, _SHARED_ROWS) rows, so at the latest when every run has a
-    row of its own and no group of it can split again; after phase 1 it
-    finishes alone, one 2-D kernel call per step, splitting as before and
-    with its rows in run order once fully split. Each target's cost
-    matrix is gathered from the phase-1 row costs, one target at a time,
-    so the reductions keep their order, and every run reads exactly the
-    covariances it would on its own: a slice of a stacked call has the
-    bits of the call on that slice alone (and a scalar q = 0 or 1 the
-    bits of the mask). Phase 1 holds one cost per row and step, at most
-    min(runs, _SHARED_ROWS) rows per target, and a copy of a target's
-    grouping at each of its splits.
+    Phase 2: once every run of a target has a row of its own, no group of
+    it can split again; the target leaves the stack with its rows in run
+    order and, after phase 1, finishes alone, one 2-D kernel call per
+    step. Each target's cost matrix is gathered from the phase-1 row
+    costs, one target at a time, so the reductions keep their order, and
+    every run reads exactly the covariances it would on its own: a slice
+    of a stacked call has the bits of the call on that slice alone (and a
+    scalar q = 0 or 1 the bits of the mask). Phase 1 holds one cost per
+    row and step and, for each stretch of steps without a split, one copy
+    of the grouping; a target holds at most `runs` rows there.
     """
     if len(q) != len(targets):
         raise ValueError(f"distribution is over {len(q)} targets, got {len(targets)}")
@@ -314,13 +257,16 @@ def monte_carlo_expected_cost(
     tavg = np.empty((runs, n))
     mean_series = np.empty((T, n))
     for members in _dimension_classes(targets):
-        stretches, splits, left = _shared_histories(targets, members, steps)
+        stretches, left = _shared_histories(targets, members, steps)
         for i in members:
             costs = np.empty((runs, T))
-            _gather_shared(i, stretches, splits.pop(i), costs)
+            for start, rows, block in stretches:
+                if i not in rows:
+                    break  # i has left the stack
+                costs[:, start:start + len(block)] = block[:, rows[i]].T
             if i in left:
-                start, state = left.pop(i)
-                _finish_alone(targets[i], i, state, steps, costs, start)
+                start, P = left.pop(i)
+                _finish_alone(targets[i], i, P, steps, costs, start)
             emp[:, i] = costs[:, T - tail:].mean(axis=1)
             tavg[:, i] = costs[:, default_burn_in(T):].mean(axis=1)
             mean_series[:, i] = costs.mean(axis=0)

@@ -175,6 +175,18 @@ class TestEvaluateSchedule:
             P = covariance_step(blind, P, False)
         mc = monte_carlo_expected_cost(targets, ScheduleDistribution([1.0, 0.0]), 40, 1, 0)
         assert np.array_equal(mc.mean_trace_series, rep.trace_series)
+        # the same on a target that has fully split and steps alone: at
+        # seed 108 run 0 never observes it and run 1 always does, so from
+        # step 2 on run 0's row is singular while run 1's is observed
+        blind = LtiTarget(A=np.diag([1e5, 0.5, 0.5]), C=blind.C, Q=blind.Q, R=blind.R)
+        targets, q = [two_sensor, blind], ScheduleDistribution([0.5, 0.5])
+        mc = monte_carlo_expected_cost(targets, q, 4, 2, 108)
+        _, _, series = per_run_monte_carlo(targets, q, 4, 2, 108)
+        assert np.array_equal(mc.mean_trace_series, series)
+        P = np.stack([blind.Q, blind.Q])
+        for _ in range(2):
+            P = _riccati_step(blind, P, np.array([False, True])[:, None, None])
+        assert np.linalg.matrix_rank(blind.C @ P[0] @ blind.C.T + blind.R) == 1
 
     def test_rejects_mismatched_sequence(self, pair):
         seq = ScheduleSequence(np.zeros(10, dtype=np.int64), 3)
@@ -289,8 +301,8 @@ class TestMonteCarlo:
     @example(pool=[0, 1, 1, 3], w=[0.5, 0.4, 2e-3, 0.1], runs=64, T=60, seed=4)
     # one run: every target has a row per run from the start
     @example(pool=[3, 0, 2], w=[0.3, 0.5, 0.2], runs=1, T=30, seed=5)
-    # more runs than a target keeps in the shared stack: both leave it
-    # before they fully split, and go on splitting on their own
+    # many runs: both targets grow to 300 batched rows in the shared stack
+    # before they fully split and leave it
     @example(pool=[0, 1], w=[0.6, 0.4], runs=300, T=40, seed=6)
     def test_grouped_runs_equal_per_run_reference(self, pool, w, runs, T, seed):
         """Sharing a covariance between the runs with one observation
