@@ -124,11 +124,13 @@ class LtiTarget:
         """Estimation cost of an error covariance: its weighted trace.
 
         X may also be a stack of covariances (shape (..., n, n)); the
-        result then has one cost per covariance.
+        result then has one cost per covariance, with the bits of that
+        covariance scored alone: each weighted diagonal is summed on its
+        own, which unit weights turn into the trace bit for bit.
         """
         if self.cost_weights is None:
             return X.trace(axis1=-2, axis2=-1)
-        return np.diagonal(X, axis1=-2, axis2=-1) @ self.cost_weights
+        return (np.diagonal(X, axis1=-2, axis2=-1) * self.cost_weights).sum(-1)
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,7 @@ class DelayChainSpec:
 class ScheduleDistribution:
     """Probabilities of observing each target in one sampling period.
 
-    Entries must lie in [0, 1] and sum to 1 within 1e-9.
+    Entries must be finite, lie in [0, 1] and sum to 1 within 1e-9.
     """
 
     q: np.ndarray
@@ -169,7 +171,7 @@ class ScheduleDistribution:
         q = np.asarray(self.q, dtype=float).reshape(-1)
         if q.size == 0:
             raise ValueError("distribution must have at least one entry")
-        if np.any(q < 0) or np.any(q > 1):
+        if not np.all((q >= 0) & (q <= 1)):
             raise ValueError(f"probabilities must lie in [0, 1], got {q}")
         if abs(q.sum() - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {q.sum()!r}, expected 1")

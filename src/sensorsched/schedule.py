@@ -37,15 +37,19 @@ class ScheduleSequence:
     n_targets: int
 
     def __post_init__(self):
-        steps = np.asarray(self.steps, dtype=np.int64).reshape(-1)
+        steps = np.asarray(self.steps).reshape(-1)
         if steps.size == 0:
             raise ValueError("sequence must be nonempty")
-        if self.n_targets < 1:
-            raise ValueError("n_targets must be positive")
+        if int(self.n_targets) != self.n_targets or self.n_targets < 1:
+            raise ValueError("n_targets must be a positive integer")
+        if not np.all(steps == np.round(steps)):
+            raise ValueError("sequence entries must be integers")
         if steps.min() < 0 or steps.max() >= self.n_targets:
             raise ValueError("sequence entries must be valid target indices")
+        steps = steps.astype(np.int64)
         steps.flags.writeable = False
         object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "n_targets", int(self.n_targets))
 
     def __len__(self) -> int:
         return int(self.steps.size)

@@ -5,12 +5,14 @@ whether a measurement happened, so the estimation cost of any concrete
 schedule is deterministic: propagate each target's prediction covariance
 from its Q, apply the update exactly at its observation slots, and
 time-average its cost (`LtiTarget.cost_of`, the trace unless the target
-selects cost weights), the quantity the optimizer bounds. Monte Carlo over
-sampled schedules estimates the expected cost of stochastic scheduling; it
-advances one covariance per distinct observation history rather than one
-per run, and the targets that share a dimension in one kernel call per
-step. A receding-horizon tree search, whose lookahead tree is carried
-from step to step, is the deterministic planning baseline.
+selects cost weights), the quantity the optimizer bounds. One engine
+advances the covariances along given schedules: one covariance per
+distinct observation history rather than one per run, and the targets
+that share a dimension in one kernel call per step. Monte Carlo over
+sampled schedules runs it on many schedules to estimate the expected cost
+of stochastic scheduling, `evaluate_schedule` on one. A receding-horizon
+tree search, whose lookahead tree is carried from step to step, is the
+deterministic planning baseline.
 
 Time averages drop a short burn-in prefix (min(T // 5, 200) steps) so the
 initial covariance does not bias finite-horizon readings of an asymptotic
@@ -18,6 +20,7 @@ quantity.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,15 +95,6 @@ def _dimension_classes(targets: list[LtiTarget]) -> list[list[int]]:
     return list(classes.values())
 
 
-def _row_costs(P: np.ndarray, weighted: list) -> np.ndarray:
-    """The cost of each row of P: its trace, but `t.cost_of(P[rows])` for
-    each (t, rows) in `weighted`."""
-    cost = P.trace(axis1=-2, axis2=-1)
-    for t, rows in weighted:
-        cost[rows] = t.cost_of(P[rows])
-    return cost
-
-
 def _mask_or_scalar(seen: np.ndarray) -> float | np.ndarray:
     """The kernel's q for rows observed where `seen` holds: the mask, or a
     scalar when every row agrees (q = 0 then skips the gain)."""
@@ -108,107 +102,110 @@ def _mask_or_scalar(seen: np.ndarray) -> float | np.ndarray:
     return seen[:, None, None] if 0 < n_seen < len(seen) else float(n_seen > 0)
 
 
+def _cost_paths(targets: list[LtiTarget], steps: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Every target's costs along given schedules, one target at a time.
+
+    steps[k, run] is the target that run observes at step k. Yields
+    (i, costs) for each target i, class by class: costs[run, k] is the
+    cost (`cost_of`) of i's prediction covariance at step k, before its
+    update.
+
+    The runs that share a target's observation history share one row, and
+    a group of runs splits only at a step where its runs disagree. The
+    rows of every target of a dimension class (n, p) share one stack: row
+    r belongs to the target at class position pos[line[r]], and
+    group[j, run] is the row of that run of target pos[j]. Each step makes
+    one kernel call; the per-row systems and cost weights are gathered by
+    class position whenever rows split or a target leaves. A target whose
+    runs all have rows of their own cannot split again: it leaves with its
+    rows in run order and finishes alone, one 2-D call per step. One run
+    never splits, so a single schedule stays in the stack throughout.
+
+    Every run reads exactly the bits it would on its own: a slice of a
+    stacked call has the bits of the call on that slice alone (a scalar
+    q = 0 or 1 those of the mask), and `cost_of` sums each row on its own.
+    The stack keeps one cost per row and step and one copy of the grouping
+    per stretch of steps without a split, at most `runs` rows per target.
+    """
+    T, runs = steps.shape
+    for members in _dimension_classes(targets):
+        members, ts = np.array(members), [targets[i] for i in members]
+        system = _system_rows(ts)
+        weights = np.stack([np.ones(t.n) if t.cost_weights is None else t.cost_weights
+                            for t in ts])
+        pos = np.arange(len(members))
+        line = pos.copy()
+        first = np.zeros(len(pos), dtype=np.intp)  # a run of each row's group
+        group = np.repeat(line[:, None], runs, axis=1)
+        P = np.stack([t.Q for t in ts])
+        stretches, left = [], {}
+        for k in range(T):
+            obs = np.equal(steps[k], members[pos, None])  # obs[j, run]: pos[j] is observed
+            disagree = obs != obs[line, first][group]
+            split = disagree.any()
+            if split:
+                # the runs that disagree with their group's first run leave it
+                # together, for a new row that starts as a copy of the group's
+                moved = np.flatnonzero(disagree)
+                flat = group.reshape(-1)
+                old, at, new = np.unique(flat[moved], return_index=True, return_inverse=True)
+                flat[moved] = len(P) + new
+                first = np.concatenate((first, moved[at] % runs))
+                line = np.concatenate((line, line[old]))
+                P = np.concatenate((P, P[old]))
+                out = np.bincount(line, minlength=len(pos)) == runs
+                if out.any():
+                    left.update((pos[j], (k, P[group[j]])) for j in np.flatnonzero(out))
+                    keep = ~out[line]
+                    group = (np.cumsum(keep) - 1)[group[~out]]
+                    line = (np.cumsum(~out) - 1)[line[keep]]
+                    P, first, pos, obs = P[keep], first[keep], pos[~out], obs[~out]
+                    if not len(pos):
+                        break
+            if k == 0 or split:
+                rows = group.astype(np.min_scalar_type(len(P) - 1))
+                stretches.append((k, dict(zip(pos.tolist(), rows)), []))
+                row_system = tuple(a[pos[line]] for a in system)
+                row_weights = weights[pos[line]]
+            stretches[-1][2].append((np.diagonal(P, axis1=-2, axis2=-1) * row_weights).sum(-1))
+            P = _riccati_step(row_system, P, _mask_or_scalar(obs[line, first]))
+        stretches = [(k, rows, np.array(c)) for k, rows, c in stretches]
+        for j, (i, t) in enumerate(zip(members, ts)):
+            costs = np.empty((runs, T))
+            for start, rows, block in stretches:
+                if j not in rows:
+                    break  # i has left the stack
+                costs[:, start:start + len(block)] = block[:, rows[j]].T
+            if j in left:
+                start, P = left.pop(j)
+                for k in range(start, T):
+                    costs[:, k] = t.cost_of(P)
+                    P = _riccati_step(t, P, _mask_or_scalar(steps[k] == i))
+            yield i, costs
+
+
 def evaluate_schedule(targets: list[LtiTarget], seq: ScheduleSequence) -> CostReport:
     """Deterministic cost of a concrete schedule.
 
     Propagates every target's prediction covariance from Q across the
     sequence (observed exactly at its slots) and averages its cost after
-    burn-in. The targets that share a dimension (n, p) advance together,
-    one row each, in one kernel call per step. The sequence is used as
-    given; tile it beforehand to approximate long-run behavior of a
-    periodic schedule.
+    burn-in: the one-run case of the Monte Carlo's propagation, so the
+    targets that share a dimension (n, p) advance together in one kernel
+    call per step. The sequence is used as given; tile it beforehand to
+    approximate long-run behavior of a periodic schedule.
     """
     if seq.n_targets != len(targets):
         raise ValueError(f"sequence is over {seq.n_targets} targets, got {len(targets)}")
     T = len(seq)
     costs = np.empty((T, len(targets)))
-    for members in _dimension_classes(targets):
-        system = _system_rows([targets[i] for i in members])
-        P = np.stack([targets[i].Q for i in members])
-        observed = np.equal.outer(seq.steps, members)
-        weighted = [(targets[i], j) for j, i in enumerate(members)
-                    if targets[i].cost_weights is not None]
-        for k in range(T):
-            costs[k, members] = _row_costs(P, weighted)
-            P = _riccati_step(system, P, _mask_or_scalar(observed[k]))
+    for i, path in _cost_paths(targets, seq.steps[:, None]):
+        costs[:, i] = path[0]
     avg = costs[default_burn_in(T):].mean(axis=0)
     return CostReport(
         per_target_avg_trace=avg,
         max_over_targets=float(avg.max()),
         trace_series=costs,
     )
-
-
-def _shared_histories(
-    targets: list[LtiTarget], members: list[int], steps: np.ndarray
-) -> tuple[list, dict]:
-    """Phase 1 of the Monte Carlo for one dimension class.
-
-    The rows of every target of the class share one stack: row r belongs
-    to target ids[line[r]], and group[j, run] is the row of that run of
-    ids[j]. Each step makes one kernel call with per-row systems. A target
-    leaves the stack once every run has a row of its own.
-
-    Returns the stretches (steps with no split) as (first step, row of
-    each run of each target in the stack, row costs [step, row]) and, for
-    each target that left, the step it goes on from and its rows in run
-    order. A step's costs are read before its split, as a target alone
-    reads them.
-    """
-    T, runs = steps.shape
-    ids = np.array(members)
-    line = np.arange(len(ids))
-    first = np.zeros(len(ids), dtype=np.intp)  # a run of each row's group
-    group = np.repeat(line[:, None], runs, axis=1)
-    P = np.stack([targets[i].Q for i in members])
-    system = _system_rows([targets[i] for i in members])  # one row per row of P
-    stretches, left = [], {}
-    for k in range(T):
-        if k == 0 or len(moved):
-            rows = group.astype(np.min_scalar_type(len(P) - 1))
-            stretches.append((k, dict(zip(ids.tolist(), rows)), []))
-            weighted = [(targets[i], np.flatnonzero(line == j)) for j, i in enumerate(ids)
-                        if targets[i].cost_weights is not None]
-        stretches[-1][2].append(_row_costs(P, weighted))
-        obs = np.equal(steps[k], ids[:, None])  # obs[j, run]: ids[j] is observed
-        seen = obs[line, first]
-        moved = np.flatnonzero(obs != seen[group])
-        if len(moved):
-            # the runs that disagree with their group's first run leave it
-            # together, for a new row that starts as a copy of the group's
-            flat = group.reshape(-1)
-            old, at, new = np.unique(flat[moved], return_index=True, return_inverse=True)
-            flat[moved] = len(P) + new
-            first = np.concatenate((first, moved[at] % runs))
-            line = np.concatenate((line, line[old]))
-            P = np.concatenate((P, P[old]))
-            system = tuple(np.concatenate((a, a[old])) for a in system)
-            seen = obs[line, first]
-        P = _riccati_step(system, P, _mask_or_scalar(seen))
-        if len(moved):
-            out = np.bincount(line, minlength=len(ids)) == runs
-            for j in np.flatnonzero(out):
-                left[ids[j]] = (k + 1, P[group[j]])
-            if out.any():
-                keep = ~out[line]
-                ids = ids[~out]
-                group = (np.cumsum(keep) - 1)[group[~out]]
-                line = (np.cumsum(~out) - 1)[line[keep]]
-                P, first = P[keep], first[keep]
-                system = tuple(a[keep] for a in system)
-                if not len(ids):
-                    break
-    return [(k, rows, np.array(c)) for k, rows, c in stretches], left
-
-
-def _finish_alone(
-    target: LtiTarget, i: int, P: np.ndarray, steps: np.ndarray, costs: np.ndarray, start: int
-) -> None:
-    """Phase 2: target i, one row per run in run order, advanced from
-    step `start` on by one 2-D kernel call per step."""
-    for k in range(start, costs.shape[1]):
-        costs[:, k] = target.cost_of(P)
-        P = _riccati_step(target, P, _mask_or_scalar(steps[k] == i))
 
 
 def monte_carlo_expected_cost(
@@ -221,23 +218,12 @@ def monte_carlo_expected_cost(
     """Expected scheduling cost under i.i.d. random target selection.
 
     Each run draws its own schedule from a child of the master seed, so
-    results are reproducible and independent of batching. A target's
-    covariance depends only on that target's own observation history, so
-    the runs that share a history share one covariance, and a group of
-    runs splits in two only at a step where its runs disagree.
-
-    Phase 1: the targets that share a dimension (n, p) keep these rows in
-    one stack, advanced by one kernel call per step with per-row systems.
-    Phase 2: once every run of a target has a row of its own, no group of
-    it can split again; the target leaves the stack with its rows in run
-    order and, after phase 1, finishes alone, one 2-D kernel call per
-    step. Each target's cost matrix is gathered from the phase-1 row
-    costs, one target at a time, so the reductions keep their order, and
-    every run reads exactly the covariances it would on its own: a slice
-    of a stacked call has the bits of the call on that slice alone (and a
-    scalar q = 0 or 1 the bits of the mask). Phase 1 holds one cost per
-    row and step and, for each stretch of steps without a split, one copy
-    of the grouping; a target holds at most `runs` rows there.
+    results are reproducible and independent of batching. All runs are
+    propagated together (see `_cost_paths`): the runs that share a
+    target's observation history share its covariance, the targets of a
+    dimension class share a kernel call per step, and every run reads
+    exactly the costs it would on its own. Each target's run statistics
+    are reduced from its (runs, T) cost matrix, one target at a time.
     """
     if len(q) != len(targets):
         raise ValueError(f"distribution is over {len(q)} targets, got {len(targets)}")
@@ -256,20 +242,10 @@ def monte_carlo_expected_cost(
     emp = np.empty((runs, n))
     tavg = np.empty((runs, n))
     mean_series = np.empty((T, n))
-    for members in _dimension_classes(targets):
-        stretches, left = _shared_histories(targets, members, steps)
-        for i in members:
-            costs = np.empty((runs, T))
-            for start, rows, block in stretches:
-                if i not in rows:
-                    break  # i has left the stack
-                costs[:, start:start + len(block)] = block[:, rows[i]].T
-            if i in left:
-                start, P = left.pop(i)
-                _finish_alone(targets[i], i, P, steps, costs, start)
-            emp[:, i] = costs[:, T - tail:].mean(axis=1)
-            tavg[:, i] = costs[:, default_burn_in(T):].mean(axis=1)
-            mean_series[:, i] = costs.mean(axis=0)
+    for i, costs in _cost_paths(targets, steps):
+        emp[:, i] = costs[:, T - tail:].mean(axis=1)
+        tavg[:, i] = costs[:, default_burn_in(T):].mean(axis=1)
+        mean_series[:, i] = costs.mean(axis=0)
 
     def report(stat: np.ndarray) -> CostReport:
         mean = stat.mean(axis=0)

@@ -22,10 +22,10 @@ the theory guarantees, checked on random targets.
 * The Riccati update of a stack of covariances treats each matrix alone:
   every slice equals the update of that one matrix bit for bit, whatever
   the stack size (the kernel multiplies the whole stack at once, and BLAS
-  may take other code paths as the row count grows). A stack that mixes
-  the targets of one dimension class, with per-row systems and batched
-  products, gives each target's rows the bits of that target's own
-  update.
+  may take other code paths as the row count grows), and so does the
+  weighted cost of every slice. A stack that mixes the targets of one
+  dimension class, with per-row systems and batched products, gives each
+  target's rows the bits of that target's own update.
 """
 import numpy as np
 from hypothesis import example, given, settings
@@ -266,6 +266,11 @@ def test_stacked_step_equals_step_per_slice(seed, stack, n, p, fractional):
         for b in range(stack):
             assert np.array_equal(out[b], covariance_step(target, P[b], observed[b]))
             assert np.array_equal(unobserved[b], covariance_step(target, P[b], False))
+    # a cost with fractional weights is scored row by row as well
+    weighted = LtiTarget(A=target.A, C=target.C, Q=target.Q, R=target.R,
+                         cost_weights=rng.uniform(0.1, 2.0, size=n))
+    costs = weighted.cost_of(out)
+    assert all(costs[b] == weighted.cost_of(out[b]) for b in range(stack))
 
 
 @settings(max_examples=40, deadline=None)

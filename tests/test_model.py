@@ -87,7 +87,9 @@ class TestScheduleDistribution:
         assert len(q) == 2
         assert q[1] == pytest.approx(0.75)
 
-    @pytest.mark.parametrize("values", [[], [0.5, 0.6], [-0.1, 1.1], [0.3, 0.3]])
+    @pytest.mark.parametrize(
+        "values", [[], [0.5, 0.6], [-0.1, 1.1], [0.3, 0.3], [np.nan, 1.0], [np.nan]]
+    )
     def test_invalid(self, values):
         with pytest.raises(ValueError):
             ScheduleDistribution(values)

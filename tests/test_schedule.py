@@ -47,7 +47,7 @@ class TestScheduleSequence:
 
     @pytest.mark.parametrize(
         "steps, n",
-        [([], 1), ([0, 1], 1), ([-1, 0], 2), ([0], 0)],
+        [([], 1), ([0, 1], 1), ([-1, 0], 2), ([0], 0), ([0.7, 1.5], 2), ([0, 1], 2.5)],
     )
     def test_validation(self, steps, n):
         with pytest.raises(ValueError):

@@ -151,10 +151,14 @@ class TestEvaluateSchedule:
 
     def test_classes_equal_each_target_alone(self, pair, two_sensor, chain_trio):
         """One kernel call per dimension class and step gives every target
-        the bits of its own covariance steps."""
-        targets = [pair[0], chain_trio[1], two_sensor, pair[1], chain_trio[0]]
-        steps = np.random.default_rng(3).choice(5, size=120, p=[0.3, 0.1, 0.2, 0.3, 0.1])
-        rep = evaluate_schedule(targets, ScheduleSequence(steps, 5))
+        the bits of its own covariance steps and costs, a fractional
+        weighted one in the pair's class too."""
+        weighted = LtiTarget(A=pair[0].A, C=pair[0].C, Q=pair[0].Q, R=pair[0].R,
+                             cost_weights=[0.3, 1.7])
+        targets = [pair[0], chain_trio[1], two_sensor, pair[1], chain_trio[0], weighted]
+        p = [0.3, 0.1, 0.2, 0.2, 0.1, 0.1]
+        steps = np.random.default_rng(3).choice(6, size=120, p=p)
+        rep = evaluate_schedule(targets, ScheduleSequence(steps, 6))
         for i, t in enumerate(targets):
             P = t.Q
             for k in range(len(steps)):
@@ -375,7 +379,7 @@ class TestMonteCarlo:
             assert a.per_target_avg_trace[1] == b.per_target_avg_trace[1]
             assert a.half_width[1] == b.half_width[1]
         _, _, series = per_run_monte_carlo([pair[0], weighted, chain_trio[0]], q, 50, 40, 8)
-        assert np.allclose(shared.mean_trace_series, series, rtol=1e-13, atol=0)
+        assert np.array_equal(shared.mean_trace_series, series)
         assert not np.allclose(series[:, 0], series[:, 1])
 
     @pytest.mark.parametrize("T, runs", [(0, 5), (5, 0)])
