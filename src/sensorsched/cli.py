@@ -160,7 +160,7 @@ def _parse_topology(value, n: int) -> np.ndarray:
         if not isinstance(neighbors, list):
             raise ConfigError(f"topology[{i}]: expected a list of neighbors")
         for j in neighbors:
-            if not isinstance(j, int) or not 0 <= j < n or j == i:
+            if isinstance(j, bool) or not isinstance(j, int) or not 0 <= j < n or j == i:
                 raise ConfigError(f"topology[{i}]: invalid neighbor {j!r}")
             adj[i, j] = adj[j, i] = True
     return adj

@@ -30,7 +30,8 @@ the process noise, the critical probability is exactly 1 - 1/M(A)^2,
 with M(A) the product of their moduli; with more outputs the same holds
 for a single real unstable eigenvalue. Other unstable targets are
 bisected from the lower bound 1 - 1/rho(A)^2 to the feasible end of the
-bracket, so their value errs upward.
+bracket, so their value errs upward. The closed form is a fact of the
+target (`LtiTarget.critical_closed_form`), computed once.
 
 Covariance matrices are plain numpy arrays; `model.check_covariance`,
 re-exported here, enforces their invariants where inputs enter the public
@@ -39,15 +40,12 @@ API. Solves read A's spectrum from the target, which computes it once.
 from __future__ import annotations
 
 import enum
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    _UNIT_CIRCLE_TOL, DelayChainSpec, LtiTarget, _pbh_rank, check_covariance, symmetrize,
-)
+from .model import _UNIT_CIRCLE_TOL, DelayChainSpec, LtiTarget, check_covariance, symmetrize
 
 __all__ = [
     "MareStatus",
@@ -62,7 +60,10 @@ __all__ = [
     "TRACE_DIVERGENCE_CAP",
 ]
 
-# A trajectory whose trace passes this cap has certainly diverged.
+# A trajectory whose trace passes this cap is declared diverged. This is a
+# heuristic, not a proof: a fixed point with a larger trace exists yet is
+# reported as diverged (one random single-output target has a fixed point
+# of trace 2.3e12 at q^c + 1e-2).
 TRACE_DIVERGENCE_CAP = 1e12
 # The growth-ratio divergence signal: trace growing by more than RATIO_EPS
 # per step for RATIO_STREAK consecutive iterations, counted only after
@@ -232,18 +233,12 @@ def _near_critical_check(target: LtiTarget, q: float) -> None:
     # Strictly stable targets have a bounded fixed point at every q, so only
     # modes on or outside the unit circle can make a solve near-critical.
     # The reference point is the closed-form critical probability when there
-    # is one, else the lower bound 1 - 1/rho^2. The closed form is 1 - 1/M^2
-    # (or 1 - 1/rho^2 for one real mode), so its rank tests run only when q
-    # lies just above one of the two.
-    outside = [m for m in np.abs(target.eigs).tolist() if m >= 1.0 - _UNIT_CIRCLE_TOL]
-    if not outside:
+    # is one, else the lower bound 1 - 1/rho^2.
+    if target.rho < 1.0 - _UNIT_CIRCLE_TOL:
         return
-    lower = 1.0 - 1.0 / max(outside) ** 2
-    mahler = 1.0 - 1.0 / math.prod(outside) ** 2
-    if not (0.0 < q - lower < 1e-3 or 0.0 < q - mahler < 1e-3):
-        return
-    qc = _analytic_critical_probability(target)
-    ref = lower if qc is None else qc
+    ref = target.critical_closed_form
+    if ref is None:
+        ref = 1.0 - 1.0 / target.rho**2
     if 0.0 < q - ref < 1e-3:
         warnings.warn(
             f"q = {q:.6g} is within 1e-3 above the critical probability (or, "
@@ -315,9 +310,10 @@ def solve_mare(
     when it grows by a factor above 1 + 1e-6 for 50 consecutive iterations
     past iteration 200 while already above 1e8 (slow blowups near the
     critical probability, where no certificate exists and every step is
-    plain). Exceeding `max_iter` returns MAX_ITERATIONS with the last
-    iterate; callers that need a certificate treat that as "no fixed
-    point found", never as convergence.
+    plain). A fixed point whose trace exceeds the cap is therefore
+    reported as DIVERGED too. Exceeding `max_iter` returns MAX_ITERATIONS
+    with the last iterate; callers that need a certificate treat that as
+    "no fixed point found", never as convergence.
 
     The iteration converges from any positive semidefinite start when a
     fixed point exists, so x0 only affects the iteration count. A
@@ -402,26 +398,6 @@ def closed_form_delay_chain(spec: DelayChainSpec, q: float) -> np.ndarray | None
     return symmetrize(X)
 
 
-def _analytic_critical_probability(target: LtiTarget) -> float | None:
-    """1 - 1/M^2, with M the product of |lambda| over A's eigenvalues on or
-    outside the unit circle, when each of them lies strictly outside it,
-    is observable and is driven by the process noise, and either the
-    target has one output or lambda is a single real eigenvalue; None
-    otherwise."""
-    eigs = target.eigs
-    outside = eigs[np.abs(eigs) >= 1.0 - _UNIT_CIRCLE_TOL]
-    if np.any(np.abs(outside) <= 1.0):
-        return None
-    if target.p > 1 and (len(outside) != 1 or outside[0].imag != 0.0):
-        return None
-    for lam in outside:
-        shifted = target.A - lam * np.eye(target.n)
-        if (_pbh_rank(np.vstack([shifted, target.C])) < target.n
-                or _pbh_rank(np.hstack([shifted, target.Q])) < target.n):
-            return None
-    return 1.0 - 1.0 / float(np.prod(np.abs(outside))) ** 2
-
-
 def critical_probability(target: LtiTarget, tol: float = 1e-4) -> float:
     """Infimum of the observation probabilities with a fixed point.
 
@@ -433,7 +409,9 @@ def critical_probability(target: LtiTarget, tol: float = 1e-4) -> float:
     TAC 2004; the dual of Elia, Systems & Control Letters 2005). With more
     outputs the same value is returned for a single real such eigenvalue
     (Mo & Sinopoli, IEEE TAC 2012). At the infimum itself no fixed point
-    exists; every q above it has one.
+    exists; every q above it has one. That value is the target's own
+    `critical_closed_form`, computed once per target and read here and by
+    every solve's near-critical check.
 
     Every other target is bisected on q from the lower bound
     1 - 1/rho(A)^2 (Sinopoli et al.), with solve_mare convergence as the
@@ -447,9 +425,8 @@ def critical_probability(target: LtiTarget, tol: float = 1e-4) -> float:
         raise ValueError("tol must be positive")
     if target.rho <= 1.0:
         return 0.0
-    analytic = _analytic_critical_probability(target)
-    if analytic is not None:
-        return analytic
+    if target.critical_closed_form is not None:
+        return target.critical_closed_form
     if not solve_mare(target, 1.0).converged:
         warnings.warn(
             f"target {target.label or '?'}: no fixed point even at q = 1; "

@@ -7,7 +7,8 @@ observed per sampling period, so scheduling amounts to choosing which
 target gets the sensor at each step, or with what probability.
 
 The facts every layer reads about a target are decided here, once: its
-spectrum (`LtiTarget.eigs`, `rho`), the unit-circle band and the rule a
+spectrum (`LtiTarget.eigs`, `rho`), its closed-form critical probability
+(`LtiTarget.critical_closed_form`), the unit-circle band and the rule a
 noise covariance obeys (`check_covariance`).
 """
 from __future__ import annotations
@@ -60,7 +61,9 @@ class LtiTarget:
 
     Arrays are copied and frozen; dimension mismatches and non-finite
     entries raise immediately. `eigs`, the eigenvalues of A, is computed
-    once here and frozen too; `rho` is the spectral radius.
+    once here and frozen too; `rho` is the spectral radius, and
+    `critical_closed_form` the closed-form critical probability, each
+    derived from them on first read.
     """
 
     A: np.ndarray
@@ -119,6 +122,25 @@ class LtiTarget:
     def rho(self) -> float:
         """Spectral radius of A."""
         return float(np.max(np.abs(self.eigs)))
+
+    @cached_property
+    def critical_closed_form(self) -> float | None:
+        """1 - 1/M^2, with M the product of |lambda| over A's eigenvalues on
+        or outside the unit circle, when each of them lies strictly outside
+        it, is observable and is driven by the process noise, and either the
+        target has one output or lambda is a single real eigenvalue; None
+        otherwise (see `mare.critical_probability`)."""
+        outside = self.eigs[np.abs(self.eigs) >= 1.0 - _UNIT_CIRCLE_TOL]
+        if np.any(np.abs(outside) <= 1.0):
+            return None
+        if self.p > 1 and (len(outside) != 1 or outside[0].imag != 0.0):
+            return None
+        for lam in outside:
+            shifted = self.A - lam * np.eye(self.n)
+            if (_pbh_rank(np.vstack([shifted, self.C])) < self.n
+                    or _pbh_rank(np.hstack([shifted, self.Q])) < self.n):
+                return None
+        return 1.0 - 1.0 / float(np.prod(np.abs(outside))) ** 2
 
     def cost_of(self, X: np.ndarray) -> float | np.ndarray:
         """Estimation cost of an error covariance: its weighted trace.

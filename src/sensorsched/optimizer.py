@@ -6,17 +6,18 @@ each target independently needs some least probability to keep its
 fixed-point cost within gamma, and the total demand (the sum of those
 least probabilities) is non-increasing in gamma. The solver therefore
 runs two nested bisections: an outer one on gamma keeping the demand at
-the upper endpoint at most 1, and an inner one per target on q (the
-fixed-point cost is non-increasing in q). A strictly stable target
-(rho(A) < 1) has q^c = 0 and a cheap fixed point at its floor q = tol,
-so the inner inversion tries that floor first and skips the bisection
-when it meets the budget; a marginal or unstable target never solves at
-its floor, just above q^c, where the solve is slow or ill-conditioned.
-The final probabilities are rescaled to sum to one exactly, which can
-only lower each target's cost.
+the upper endpoint at most 1, and an inner one per target on q over
+[floor, 1] (the fixed-point cost is non-increasing in q). A target's
+floor is q^c + tol, or its priority when that is larger. A strictly
+stable target (rho(A) < 1) has q^c = 0 and a cheap fixed point at its
+floor, so the inner inversion tries that floor first and skips the
+bisection when it meets the budget; a marginal or unstable target never
+solves at its floor, just above q^c, where the solve is slow or
+ill-conditioned. The final probabilities are rescaled to sum to one
+exactly, which can only lower each target's cost.
 The distributed solver runs this same bisection; only the way the
 demands are totalled differs. `_nested_bisection` is the only driver. All
-it knows of target i (loss, floors, q^c, stability) sits in that target's
+it knows of target i (loss, floor, q^c, stability) sits in that target's
 `_CostOracle`, which is what node i knows in the distributed solve.
 
 Per-target costs are `target.cost_of` applied to the fixed point: the
@@ -110,37 +111,36 @@ class _CostOracle:
     """One target's solver state and memoized fixed-point cost of q.
 
     `q_critical` is the critical probability on the assigned scale (at
-    most 1), `q_floor` = q_critical + inner_tol the inner bisection's
-    floor, `floor` the larger of q_floor and the priority, and `stable`
-    says rho(A) < 1. Inner bisections always probe midpoints of
-    [q_floor, 1] (and, for a stable target, the floor), so the same q
-    values recur across outer iterations; caching makes repeated mu(gamma)
-    evaluations cheap and exactly consistent. Non-converged solves
-    (diverged or out of budget) count as cost infinity: only a certified
-    fixed point may satisfy a budget.
+    most 1), `floor` the least demand: the larger of the priority and
+    q_critical + inner_tol (at most 1), and `stable` says rho(A) < 1.
+    Inner bisections always probe midpoints of [floor, 1] (and, for a
+    stable target, the floor), so the same q values recur across outer
+    iterations; caching makes repeated mu(gamma) evaluations cheap and
+    exactly consistent. Non-converged solves (diverged or out of budget)
+    count as cost infinity: only a certified fixed point may satisfy a
+    budget.
 
     `cache` maps each assigned q to its cost, `fixed_points` each converged
-    one to its fixed point X (unless solved with keep=False); a solve
-    starts from X at the largest smaller q (g_q is non-increasing in q, so
-    g_q(X) <= X: Newton's certificate). `iterations` counts MARE
-    iterations and `warm_starts` such starts.
+    one to its fixed point X; a solve starts from X at the largest smaller
+    q (g_q is non-increasing in q, so g_q(X) <= X: Newton's certificate).
+    `iterations` counts MARE iterations, `warm_starts` such starts and
+    `steps` inner bisection steps.
     """
 
     def __init__(self, target: LtiTarget, loss: float, priority: float, inner_tol: float):
         self.target = target
         self.loss = loss
-        self.priority = priority
         self.stable = target.rho < 1.0 - _UNIT_CIRCLE_TOL
         qc_eff = critical_probability(target, tol=inner_tol)
         self.q_critical = min(qc_eff / (1.0 - loss), 1.0)
-        self.q_floor = min(self.q_critical + inner_tol, 1.0)
-        self.floor = max(priority, self.q_floor)
+        self.floor = max(priority, min(self.q_critical + inner_tol, 1.0))
         self.cache: dict[float, float] = {}
         self.fixed_points: dict[float, np.ndarray] = {}
         self.iterations = 0
         self.warm_starts = 0
+        self.steps = 0
 
-    def cost(self, q_assigned: float, keep: bool = True) -> float:
+    def cost(self, q_assigned: float) -> float:
         c = self.cache.get(q_assigned)
         if c is None:
             q_eff = q_assigned * (1.0 - self.loss)
@@ -149,43 +149,42 @@ class _CostOracle:
             res = solve_mare(self.target, q_eff, x0=x0)
             self.iterations += res.iterations
             self.warm_starts += x0 is not None
-            if res.converged and keep:
+            if res.converged:
                 self.fixed_points[q_assigned] = res.X
             c = float(self.target.cost_of(res.X)) if res.converged else float("inf")
             self.cache[q_assigned] = c
         return c
 
 
-def _bisect_min_q(oracle: _CostOracle, gamma: float, tol: float):
-    """Least assigned q in [q_floor, 1] with cost <= gamma, and step count.
+def _bisect_min_q(oracle: _CostOracle, gamma: float, tol: float) -> float:
+    """Least assigned q in [floor, 1] with cost <= gamma: the target's demand.
 
-    Returns (1.0, 0) when even q = 1 misses the budget, which the driver
-    never asks. A strictly stable target (rho(A) < 1) then tries its floor,
-    q_floor = tol: that fixed point lies below the Lyapunov solution and
-    takes a few iterations, and the oracle caches its cost, so a target
-    pays for it once per solve. When it meets gamma the answer is
-    (q_floor, 0) without bisecting. The floor's X is not kept as a warm
-    start, so a target whose floor misses gamma bisects exactly as it would
-    without the probe, bit for bit. Any other target never evaluates its
-    floor: that sits just above q^c, where a solve is slowest, or for
-    rho(A) = 1 at q = tol, where it is ill-conditioned. Its bisection
-    collapses onto the floor from above when every probed midpoint is
-    feasible, which keeps the usual width-tol guarantee.
+    Returns 1.0 when even q = 1 misses the budget, which the driver never
+    asks. A strictly stable target (rho(A) < 1) then tries its floor
+    (tol, or its priority when larger): that fixed point lies below the
+    Lyapunov solution and takes a few iterations, and the oracle caches
+    its cost and keeps its X as a warm start like any other, so a target
+    pays for it once per solve. When it meets gamma the floor is the
+    answer, without bisecting. Any other target never evaluates its floor,
+    which without a priority sits just above q^c, where a solve is
+    slowest, or for rho(A) = 1 at q = tol, where it is ill-conditioned.
+    Its bisection collapses onto the floor from above when every probed
+    midpoint is feasible, which keeps the usual width-tol guarantee. Each
+    bisection step adds one to `oracle.steps`.
     """
-    steps = 0
     if oracle.cost(1.0) > gamma:
-        return 1.0, steps
-    if oracle.stable and oracle.cost(oracle.q_floor, keep=False) <= gamma:
-        return oracle.q_floor, steps
-    lo, hi = oracle.q_floor, 1.0
+        return 1.0
+    if oracle.stable and oracle.cost(oracle.floor) <= gamma:
+        return oracle.floor
+    lo, hi = oracle.floor, 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2
         if oracle.cost(mid) <= gamma:
             hi = mid
         else:
             lo = mid
-        steps += 1
-    return hi, steps
+        oracle.steps += 1
+    return hi
 
 
 def _bracket(oracles):
@@ -286,16 +285,9 @@ def _nested_bisection(targets, constraints, outer_tol, inner_tol, demand) -> Sol
 
     lo, hi = _bracket(oracles)
     outer = 0
-    inner_total = 0
 
-    def clamped_demands(gamma):
-        nonlocal inner_total
-        qs = []
-        for o in oracles:
-            q, steps = _bisect_min_q(o, gamma, inner_tol)
-            inner_total += steps
-            qs.append(max(q, o.priority))
-        return qs
+    def demands_at(gamma):
+        return [_bisect_min_q(o, gamma, inner_tol) for o in oracles]
 
     # The bracket guarantees total demand at hi of at most 1 plus a few
     # inner tolerances. Usually that is comfortably below 1; when floors
@@ -306,7 +298,7 @@ def _nested_bisection(targets, constraints, outer_tol, inner_tol, demand) -> Sol
     # and let the final rescale honor the floors to within the tolerance.
     prev_mu = float("inf")
     for _ in range(60):
-        mu_hi = demand.total(clamped_demands(hi))
+        mu_hi = demand.total(demands_at(hi))
         if mu_hi <= 1.0:
             break
         if mu_hi >= prev_mu:
@@ -323,13 +315,13 @@ def _nested_bisection(targets, constraints, outer_tol, inner_tol, demand) -> Sol
 
     while hi - lo > outer_tol:
         gamma = (lo + hi) / 2
-        if demand.within_budget(clamped_demands(gamma), gamma, lo, hi):
+        if demand.within_budget(demands_at(gamma), gamma, lo, hi):
             hi = gamma
         else:
             lo = gamma
         outer += 1
 
-    qs = clamped_demands(hi)
+    qs = demands_at(hi)
     mu = demand.total(qs)
     # Rescale so probabilities sum to one exactly; the factor is >= 1, so
     # every floor stays honored and every cost can only move down.
@@ -343,6 +335,6 @@ def _nested_bisection(targets, constraints, outer_tol, inner_tol, demand) -> Sol
         q_star=ScheduleDistribution(q_star),
         per_target=per,
         outer_iterations=outer,
-        inner_iterations=inner_total,
+        inner_iterations=sum(o.steps for o in oracles),
         feasible=True,
     )

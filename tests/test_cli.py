@@ -116,7 +116,8 @@ class TestConfigValidation:
 
     def test_model_validation_failure(self, tmp_path, capsys):
         cfg = tmp_path / "t.json"
-        entry = dict(PAIR_TARGETS[0], R=[[0.0]])
+        # a bare number is a 1x1 matrix
+        entry = dict(PAIR_TARGETS[0], R=0.0)
         cfg.write_text(json.dumps({"targets": [entry]}))
         rc, _, err = run(capsys, "solve", "--config", str(cfg))
         assert rc == cli.EXIT_CONFIG
@@ -137,6 +138,10 @@ class TestConfigValidation:
             ([[1], [5]], "invalid neighbor"),
             ([[0], [1]], "invalid neighbor"),
             ([[1], 0], "expected a list of neighbors"),
+            # JSON booleans are ints to Python, and a numpy mask as an index
+            ([[1], [False]], "topology[1]: invalid neighbor False"),
+            ([[True], [0]], "topology[0]: invalid neighbor True"),
+            ([[True], [False]], "topology[0]: invalid neighbor True"),
         ],
     )
     def test_bad_topology(self, tmp_path, capsys, topology, fragment):
@@ -175,10 +180,15 @@ class TestConfigValidation:
             ),
             ({"constraints": {"priorities": [0.1, NAN]}}, "constraints: priorities entries"),
             ({"constraints": {"loss": [NAN, 0.0]}}, "constraints: loss entries"),
+            ({"targets": [PAIR_TARGETS[0], 5]}, "targets[1]: expected an object"),
+            ({"targets": [{"chain": {"a": 1.0, "R": 1.0}}]},
+             "targets[0].chain: missing key(s) Q"),
+            ({"targets": [{"chain": {"a": 1.0, "Q": -1.0, "R": 1.0}}]},
+             "targets[0].chain: Q must be positive"),
         ],
         ids=["targets", "chain", "solver-list", "solver-number", "constraints", "cost-weights",
              "A-nan", "A-inf", "C-nan", "Q-inf", "R-nan", "cost-weights-nan",
-             "priorities-nan", "loss-nan"],
+             "priorities-nan", "loss-nan", "target-entry", "chain-missing", "chain-rejected"],
     )
     def test_malformed_section(self, tmp_path, capsys, sections, fragment):
         cfg = write_config(tmp_path, **sections)
@@ -311,24 +321,32 @@ class TestSolveCommand:
     def test_topology_in_config_matches_centralized(self, tmp_path, capsys):
         plain = write_config(tmp_path, name="plain.json")
         lined = write_config(tmp_path, name="lined.json", topology="line")
-        a, b = tmp_path / "a", tmp_path / "b"
+        listed = write_config(tmp_path, name="listed.json", topology=[[1], [0]])
+        a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
         assert run(capsys, "solve", "--config", str(plain), "--out", str(a))[0] == 0
         assert run(capsys, "solve", "--config", str(lined), "--out", str(b))[0] == 0
+        assert run(capsys, "solve", "--config", str(listed), "--out", str(c))[0] == 0
         assert (a / "solution.csv").read_bytes() == (b / "solution.csv").read_bytes()
+        assert (a / "solution.csv").read_bytes() == (c / "solution.csv").read_bytes()
 
     def test_infeasible_scenario_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "inf.json"
         cfg.write_text(
             json.dumps(
                 {
-                    "targets": [{"chain": {"a": 2.0, "Q": 1.0, "R": 1.0}, "label": "hot"}],
-                    "constraints": {"loss": [0.6]},
+                    "targets": [
+                        {"chain": {"a": 2.0, "Q": 1.0, "R": 1.0}, "label": "hot"},
+                        # noise drives only the last of its two states
+                        {"chain": {"a": 1.0, "Q": 1.0, "R": 1.0, "d": 1}, "label": "late"},
+                    ],
+                    "constraints": {"loss": [0.6, 0.0]},
                     "solver": {"inner_tol": 1e-4},
                 }
             )
         )
         rc, _, err = run(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert rc == cli.EXIT_INFEASIBLE
+        assert "warning: targets[1]: Q is singular" in err
         assert "infeasible:" in err
         assert "constant observation" in err
         assert not (tmp_path / "o" / "solution.csv").exists()

@@ -59,6 +59,17 @@ class TestLtiTarget:
         assert "eigs" not in repr(t)
         with pytest.raises(TypeError):
             LtiTarget(A=A, C=[[1.0, 0.0]], Q=np.eye(2), R=[[1.0]], eigs=np.zeros(2))
+        # so is the closed-form critical probability, 1 - 1/r^4 for a rotation
+        r = float(np.abs(np.linalg.eigvals(A)[0]))
+        assert t.critical_closed_form == pytest.approx(1.0 - 1.0 / r**4, abs=1e-12)
+        assert t.critical_closed_form is t.critical_closed_form
+        with pytest.raises(AttributeError):
+            t.critical_closed_form = 0.0
+        with pytest.raises(TypeError):
+            LtiTarget(A=A, C=[[1.0, 0.0]], Q=np.eye(2), R=[[1.0]], critical_closed_form=0.5)
+        # two outputs and two unstable modes lie beyond the closed form
+        wide = LtiTarget(A=np.diag([1.2, 1.1]), C=np.eye(2), Q=np.eye(2), R=np.eye(2))
+        assert wide.critical_closed_form is None
 
     def test_scalars_promote_to_matrices(self):
         t = LtiTarget(A=0.5, C=1.0, Q=2.0, R=1.0)

@@ -5,6 +5,7 @@ The two frozen solutions (re-derived independently before being pinned):
 * benchmark pair: gamma* = 59.0734 with q* = (0.6740, 0.3260)
 * chain trio: gamma* = 17.3415 with q* = (0.0649, 0.1612, 0.7739)
 """
+import sys
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from sensorsched import (
     solve_distribution,
     solve_mare,
 )
-from sensorsched import optimizer
+from sensorsched import model, optimizer
 from sensorsched.optimizer import (
     _bisect_min_q,
     _bracket,
@@ -52,7 +53,7 @@ def oracle_of(target: LtiTarget) -> _CostOracle:
     return _CostOracle(target, 0.0, 0.0, INNER_TOL)
 
 
-def min_q(target: LtiTarget, gamma: float) -> tuple[float, int]:
+def min_q(target: LtiTarget, gamma: float) -> float:
     """The driver's inner inversion of one lossless target at its own floor."""
     return _bisect_min_q(oracle_of(target), gamma, INNER_TOL)
 
@@ -98,18 +99,18 @@ class TestBudgetInversion:
     def test_meets_budget_tightly(self, pair):
         t = pair[0]
         gamma = 55.0
-        q, _ = min_q(t, gamma)
+        q = min_q(t, gamma)
         assert cost_at(t, q) <= gamma
         assert cost_at(t, q - 5e-4) > gamma
 
     def test_monotone_in_budget(self, pair):
         t = pair[1]
-        qs = [min_q(t, g)[0] for g in (20.0, 40.0, 80.0)]
+        qs = [min_q(t, g) for g in (20.0, 40.0, 80.0)]
         assert qs[0] > qs[1] > qs[2]
 
     def test_unreachable_budget_returns_one(self, pair):
         # constant observation of the noisy system still costs ~46
-        assert min_q(pair[0], 10.0) == (1.0, 0)
+        assert min_q(pair[0], 10.0) == 1.0
 
     def test_total_demand_decreases(self, pair):
         probes = sorted((gamma, mu) for _, _, gamma, mu in recorded_solve(pair).steps)
@@ -124,9 +125,9 @@ class TestBudgetInversion:
         # the first outer step bisects the initial bracket, not a grown one
         assert demand.steps[0][:2] == (lo, hi)
         assert lo <= hi
-        assert sum(min_q(t, lo)[0] for t in pair) >= 1.0 - 1e-9
+        assert sum(min_q(t, lo) for t in pair) >= 1.0 - 1e-9
         # bracket growth first totals the demand at hi
-        assert demand.totals[0] == sum(min_q(t, hi)[0] for t in pair) <= 1.0 + 2 * INNER_TOL
+        assert demand.totals[0] == sum(min_q(t, hi) for t in pair) <= 1.0 + 2 * INNER_TOL
 
 
 class TestFloorFirst:
@@ -134,22 +135,51 @@ class TestFloorFirst:
         # rho(A) = 0.5, so the floor is INNER_TOL and its cost ~ 4/3 meets 10
         t = scalar_target(0.5)
         oracle = oracle_of(t)
-        assert _bisect_min_q(oracle, 10.0, INNER_TOL) == (INNER_TOL, 0)
-        assert sorted(oracle.cache) == [INNER_TOL, 1.0]
-        assert list(oracle.fixed_points) == [1.0]
+        assert _bisect_min_q(oracle, 10.0, INNER_TOL) == INNER_TOL
+        assert sorted(oracle.cache) == sorted(oracle.fixed_points) == [INNER_TOL, 1.0]
+        assert oracle.steps == 0
         assert cost_at(t, INNER_TOL) <= 10.0
 
-    def test_floor_missing_the_budget_leaves_the_bisection_unchanged(self, pair):
-        # the probe's fixed point seeds no warm start, so every later solve
-        # is bit for bit the one a target without the probe makes
+    def test_floor_probe_seeds_later_warm_starts(self, pair, monkeypatch):
+        # drifty's floor misses every budget here, yet its fixed point is
+        # kept: the first midpoint starts from it, like any converged solve
+        starts = []
+        real_solve = optimizer.solve_mare
+
+        def recording_solve(target, q, **kwargs):
+            starts.append((q, kwargs.get("x0")))
+            return real_solve(target, q, **kwargs)
+
+        monkeypatch.setattr(optimizer, "solve_mare", recording_solve)
         probed, plain = oracle_of(pair[1]), oracle_of(pair[1])
         plain.stable = False
         for gamma in (40.0, 59.0, 80.0, 59.07):
             assert _bisect_min_q(probed, gamma, INNER_TOL) == _bisect_min_q(
                 plain, gamma, INNER_TOL
             )
-        assert probed.cache.pop(INNER_TOL) > 80.0
-        assert probed.cache == plain.cache
+        # only q = 1, solved first, and the floor, with nothing below it,
+        # start from Q; the plain oracle starts cold at each new least q
+        assert probed.warm_starts == len(probed.cache) - 2 > plain.warm_starts
+        q_floor, q_mid = INNER_TOL, (INNER_TOL + 1.0) / 2
+        assert [q for q, _ in starts[:3]] == [1.0, q_floor, q_mid]
+        assert starts[2][1] is probed.fixed_points[q_floor]
+        assert probed.cache.pop(q_floor) > 80.0
+        assert sorted(probed.cache) == sorted(plain.cache)
+        assert probed.steps == plain.steps > 0
+
+    def test_priority_is_the_floor_a_stable_target_probes(self):
+        # rho(A) = 0.5: its cost falls with q, and the priority 0.3 meets 10
+        t = scalar_target(0.5)
+        oracle = _CostOracle(t, 0.0, 0.3, INNER_TOL)
+        assert oracle.floor == 0.3
+        assert _bisect_min_q(oracle, 10.0, INNER_TOL) == 0.3
+        assert sorted(oracle.cache) == [0.3, 1.0]
+        assert oracle.steps == 0
+        # a budget the priority misses bisects on [0.3, 1] and lands above it
+        gamma = cost_at(t, 0.6)
+        q = _bisect_min_q(oracle, gamma, INNER_TOL)
+        assert 0.3 < q <= 0.6 + INNER_TOL
+        assert min(oracle.cache) == 0.3
 
     def test_marginal_and_unstable_targets_never_probe_their_floor(self, oracles):
         # a solve at the floor of the a = 1 chain (q = 1e-5) or just above
@@ -164,7 +194,7 @@ class TestFloorFirst:
             report = solve_distribution(targets)
         assert report.feasible
         assert [o.stable for o in oracles] == [False, False, True]
-        assert [o.q_floor in o.cache for o in oracles] == [False, False, True]
+        assert [o.floor in o.cache for o in oracles] == [False, False, True]
 
 
 class TestSpectrumIsComputedOnce:
@@ -202,6 +232,39 @@ class TestSpectrumIsComputedOnce:
         assert lower <= critical_probability(bisected, tol=0.05) <= lower + 0.05
         with pytest.warns(RuntimeWarning, match="cannot be stabilized"):
             assert critical_probability(hopeless) == 1.0
+
+
+class TestClosedFormIsComputedOnce:
+    """A target's closed-form critical probability is derived once, however
+    many solves near it check for criticality."""
+
+    def test_rank_tests_run_once_per_target(self, monkeypatch):
+        # 100 Q makes the stable target costly, which pushes the a = 1.3
+        # scalar's demand to within 1e-3 of its q^c: near-critical solves
+        heavy = LtiTarget(A=[[0.0, 1.0], [-0.72, 1.7]], C=[[1.0, 0.0]],
+                          Q=100 * np.eye(2), R=[[1.0]])
+        # one output, a complex pair of unstable modes
+        rotation = LtiTarget(A=[[0.5943, -0.9256], [0.9256, 0.5943]], C=[[1.0, 0.0]],
+                             Q=np.eye(2), R=[[1.0]])
+        targets = [scalar_target(1.3), rotation, heavy]
+        unstable_modes = 1 + 2
+        ranks = []
+        real_rank = model._pbh_rank
+        # in every module that holds it, so a rank test anywhere is counted
+        for name, module in list(sys.modules.items()):
+            if name.startswith("sensorsched") and vars(module).get("_pbh_rank") is real_rank:
+                monkeypatch.setattr(module, "_pbh_rank",
+                                    lambda M: ranks.append(M) or real_rank(M))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ConditioningWarning)
+            report = solve_distribution(targets)
+        assert report.feasible
+        assert sum(issubclass(w.category, ConditioningWarning) for w in caught) > 10
+        # an observability and a controllability test per unstable mode
+        assert len(ranks) <= 2 * unstable_modes
+        assert [pt.q_critical for pt in report.per_target[:2]] == [
+            t.critical_closed_form for t in targets[:2]
+        ]
 
 
 class TestSolve:
