@@ -3,19 +3,22 @@
 Each node owns one target model and talks only to its graph neighbors,
 yet the network must agree on one distribution. The only global quantity
 the bisection needs is the total demand at a trial budget: n times the
-network average of the per-node demands, which linear consensus computes.
-So the network runs the centralized solver's own nested bisection
-(`optimizer._nested_bisection`) in lockstep on an agreed starting
-bracket, and consensus decides each outer step's verdict sum <= 1.
+network average of the per-node demands. So the network runs the
+centralized solver's own nested bisection (`optimizer._nested_bisection`)
+in lockstep on an agreed starting bracket, and consensus decides each
+outer step's verdict sum <= 1.
 
-Consensus uses Metropolis weights, which average correctly on any
-connected undirected graph. Averaging stops once the spread certifies
-every node's estimate on one side of 1, not once the estimates converge,
-so all nodes take the exact branch. Setup, the read-out and any step
-that averaging leaves undecided after `_MAX_CONSENSUS_ROUNDS` rounds
-flood the demands instead, which is exact after diameter-many exchanges;
-the flooded total is the centralized solver's own sum, so the
-distribution comes out bit-identical.
+Consensus uses Metropolis weights W, which average correctly on any
+connected undirected graph, through a finite-time graph filter
+(Sandryhaila, Kar & Moura, ICASSP 2014): one round per distinct non-unit
+eigenvalue of W, K rounds in all, after which every node holds the
+average up to rounding. Each round keeps the mean, so only rounding moves
+it, and a bound on that drift widens the margin that certifies every
+node's estimate on one side of 1; all nodes then take the exact branch.
+Setup, the read-out and any step the filter leaves undecided flood the
+demands instead, which is exact after diameter-many exchanges; the
+flooded total is the centralized solver's own sum, so the distribution
+comes out bit-identical.
 """
 from __future__ import annotations
 
@@ -36,7 +39,12 @@ __all__ = [
     "solve_distributed",
 ]
 
-_MAX_CONSENSUS_ROUNDS = 100_000
+_U = np.finfo(float).eps / 2  # unit roundoff
+# Eigenvalues of W closer than this are one filter round. A repeated
+# eigenvalue comes out of eigvalsh split by rounding only; merging two
+# that truly differ leaves a residue the margin test sees, and the step
+# floods.
+_SAME_EIGENVALUE = 1e-9
 
 
 def complete_graph(n: int) -> np.ndarray:
@@ -110,8 +118,9 @@ class DistributedReport:
 
     `solution` has the same shape a centralized solve returns.
     consensus_rounds lists the message rounds each outer step spent
-    agreeing on the demand (flooding rounds for setup and read-out are in
-    total_rounds).
+    agreeing on the demand: K, the number of distinct non-unit eigenvalues
+    of W, or K + diameter when the step floods. total_rounds adds the
+    floods: three at setup, one per bracket check and one for the read-out.
     """
 
     solution: SolveReport
@@ -119,65 +128,109 @@ class DistributedReport:
     total_rounds: int
 
 
-def _consensus_demand(local: np.ndarray, W: np.ndarray):
-    """Per-node estimates of the total demand, by averaging.
+def _leja_spectrum(W: np.ndarray) -> np.ndarray:
+    """The distinct non-unit eigenvalues of W, one per filter round.
 
-    Iterates x <- W x until no node's implied total (n times its average)
-    lies within ten spreads of the feasibility threshold 1. The mean stays
-    within the spread of every node's value, so each node's verdict
-    `estimate <= 1` is then the exact one; the estimates themselves need
-    not have converged. Returns (estimates, rounds, decided); decided is
-    False when `_MAX_CONSENSUS_ROUNDS` rounds pass first.
+    In Leja order: the largest in modulus first, then each one farthest,
+    in product of distances, from those already taken. That keeps the
+    partial products of the filter small, and with them its rounding.
     """
+    lams = np.linalg.eigvalsh(W)[:-1]  # the largest is the unit eigenvalue
+    if not lams.size:
+        return lams
+    lams = lams[np.r_[True, np.diff(lams) > _SAME_EIGENVALUE]]
+    order = [int(np.argmax(np.abs(lams)))]
+    with np.errstate(divide="ignore"):
+        log_dist = np.log(np.abs(lams - lams[order[0]]))
+        while len(order) < lams.size:
+            order.append(int(np.argmax(log_dist)))
+            log_dist += np.log(np.abs(lams - lams[order[-1]]))
+    return lams[order]
+
+
+def _graph_filter(local: np.ndarray, W: np.ndarray, spectrum: np.ndarray):
+    """The filter's K rounds x <- (W x - lam x) / (1 - lam), one per entry
+    of `spectrum`, and a bound on how far they moved the mean.
+
+    In exact arithmetic each round keeps the mean of x and removes one
+    eigencomponent, so x ends at the mean. Returns (x, drift): drift
+    bounds |mean(x) - total / n| for the exact total of `local` and for
+    its sequential sum, which the centralized solver decides on. It
+    starts at that sum's rounding, (n - 1) u sum|local| / n, and each
+    round adds (2 deg + 6) u max_i(W|x| + |lam||x|)_i / (1 - lam): deg + 3
+    roundings in the numerator (a dot over deg + 1 weights, the product
+    lam x and the difference), two in the division by the rounded
+    1 - lam, deg in the weights' column sums (the diagonal is 1 minus a
+    rounded row sum) and one for second-order terms.
+    """
+    x = np.asarray(local, dtype=float)
+    n = x.shape[0]
+    deg = np.count_nonzero(W, axis=1).max() - 1
+    drift = (n - 1) * _U * float(np.abs(x).sum()) / n
+    for lam in spectrum:
+        ax = np.abs(x)
+        Wx, W_ax = (W @ np.stack([x, ax], axis=1)).T
+        drift += (2 * deg + 6) * _U * float(np.max(W_ax + abs(lam) * ax)) / (1.0 - lam)
+        x = (Wx - lam * x) / (1.0 - lam)
+    return x, drift
+
+
+def _consensus_demand(local: np.ndarray, W: np.ndarray, spectrum: np.ndarray | None = None):
+    """Per-node estimates of the total demand, by the finite-time filter.
+
+    After the K rounds of `_graph_filter` (K = len(spectrum), the
+    spectrum taken from W when not given) node i's implied total n x_i
+    lies within n spread + n drift of the exact total. A verdict
+    `estimate <= 1` is certified once no node lies within
+    10 n spread + n drift of the threshold 1. Returns (estimates, K,
+    decided).
+    """
+    if spectrum is None:
+        spectrum = _leja_spectrum(W)
     n = local.shape[0]
-    x = local.astype(float).copy()
-    rounds = 0
-    while True:
-        margin = 10.0 * n * float(x.max() - x.min())
-        if not np.any(np.abs(n * x - 1.0) <= margin):
-            return n * x, rounds, True
-        if rounds >= _MAX_CONSENSUS_ROUNDS:
-            return n * x, rounds, False
-        x = W @ x
-        rounds += 1
+    x, drift = _graph_filter(local, W, spectrum)
+    margin = 10.0 * n * float(x.max() - x.min()) + n * drift
+    return n * x, len(spectrum), not np.any(np.abs(n * x - 1.0) <= margin)
 
 
 class _ConsensusTotal:
     """How a network of nodes totals the demand vector, one entry per node.
 
     Exact totals (bracket growth, read-out) flood the demands, which takes
-    diameter-many rounds. An outer step averages them by consensus and
-    every node decides sum(qs) <= 1 on its own estimate; when averaging
-    cannot separate the total from 1, the demands are flooded instead.
+    diameter-many rounds. An outer step runs the K-round graph filter and
+    every node decides sum(qs) <= 1 on its own estimate; when the filter
+    cannot separate the total from 1, the demands are flooded as well.
     Records the rounds each outer step spent.
     """
 
     def __init__(self, W: np.ndarray, diameter: int):
         self.W, self.diameter = W, diameter
+        self.spectrum = _leja_spectrum(W)
         self.step_rounds: list[int] = []
         # Feasibility and the starting bracket need one exchange of scalars
-        # (floor, cost at q=1, cost at the padded floor): two floods.
-        self.total_rounds = 2 * diameter
+        # (floor, cost at q=1, cost at the padded floor): two floods. A
+        # third floods the topology, from which every node computes W and
+        # its spectrum.
+        self.total_rounds = 3 * diameter
 
     def total(self, qs: list[float]) -> float:
         self.total_rounds += self.diameter
         return sum(qs)
 
     def within_budget(self, qs: list[float], gamma: float, lo: float, hi: float) -> bool:
-        mu_est, rounds, decided = _consensus_demand(np.array(qs), self.W)
+        mu_est, rounds, decided = _consensus_demand(np.array(qs), self.W, self.spectrum)
+        self.total_rounds += rounds
         if not decided:
-            # The total demand sits essentially on the threshold and
-            # averaging cannot separate it; flood the demands so the
-            # branch is exact and unanimous.
-            mu_est = np.full(len(qs), sum(qs))
+            # The total demand sits essentially on the threshold and the
+            # filter cannot separate it; flood the demands so the branch
+            # is exact and unanimous.
+            mu_est = np.full(len(qs), self.total(qs))
             rounds += self.diameter
         verdicts = mu_est <= 1.0
         if np.any(verdicts != verdicts[0]):
             raise RuntimeError("nodes fell out of lockstep; consensus margin too small")
-        ok = bool(verdicts[0])
-        self.total_rounds += rounds
         self.step_rounds.append(rounds)
-        return ok
+        return bool(verdicts[0])
 
 
 def solve_distributed(
@@ -191,10 +244,9 @@ def solve_distributed(
 
     Runs the centralized solver's own bisection with the demand totals
     formed by the network, so the solution equals `solve_distribution`'s
-    on the same tolerances bit for bit: each step averages only until
-    every node's verdict is certified, floods the demands when averaging
-    cannot certify it, and raises RuntimeError should nodes still
-    disagree.
+    on the same tolerances bit for bit: each step runs the K-round graph
+    filter, floods the demands when the filter cannot certify every
+    node's verdict, and raises RuntimeError should nodes still disagree.
     Defaults to a complete graph; any connected undirected adjacency
     works. Node i knows only targets[i], its constraint entries, and the
     shared tolerances; the starting bracket is agreed during setup.

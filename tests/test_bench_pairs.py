@@ -1,7 +1,9 @@
 """The BENCH record tool: the summary's quartiles per side and pairs won per
-metric, and the parent worktree's cleanup when the run is terminated."""
+metric, and the parent extract's cleanup when the run is terminated."""
 import importlib.util
+import io
 import signal
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -34,17 +36,29 @@ def test_summary_counts_pairs_the_change_won():
     assert summary["correct"] == {"parent": True, "change": False}
 
 
-def test_sigterm_still_removes_the_worktree(tmp_path, monkeypatch):
-    calls = []
+def test_sigterm_still_removes_the_extract(tmp_path, monkeypatch):
+    calls, checkouts = [], []
 
     def git(*args):
         calls.append(args)
+        if args[0] == "archive":
+            # a one-file archive where `git archive --output=PATH` writes it
+            output = Path(next(a for a in args if a.startswith("--output="))[len("--output="):])
+            with tarfile.open(output, "w") as tar:
+                data = b"print('parent')\n"
+                info = tarfile.TarInfo("src/module.py")
+                info.size = len(data)
+                tar.addfile(info, io.BytesIO(data))
         return "abc1234"
 
-    def bench(*args):
+    def bench(checkout, *args):
         # without a handler SIGTERM would end the test process itself
         if not callable(signal.getsignal(signal.SIGTERM)):
             pytest.fail("no SIGTERM handler is installed during the runs")
+        checkouts.append(checkout)
+        # the parent runs first, extracted and byte-compiled
+        assert (checkout / "src" / "module.py").is_file()
+        assert list((checkout / "src" / "__pycache__").glob("module.*.pyc"))
         signal.raise_signal(signal.SIGTERM)
 
     monkeypatch.setattr(bench_pairs, "git", git)
@@ -52,8 +66,10 @@ def test_sigterm_still_removes_the_worktree(tmp_path, monkeypatch):
     handler = signal.getsignal(signal.SIGTERM)
     with pytest.raises(SystemExit):
         bench_pairs.main(["--parent", "HEAD", "--out", str(tmp_path / "record.json")])
-    commands = [c[:2] for c in calls]
-    assert commands.index(("worktree", "prune")) < commands.index(("worktree", "add"))
-    assert commands[-1] == ("worktree", "remove")
+    [parent] = checkouts
+    assert parent != bench_pairs.ROOT
+    assert not parent.exists() and not parent.parent.exists()
+    # the repository's git state is left alone: no worktree command runs
+    assert [c[0] for c in calls] == ["rev-parse", "archive"]
     assert signal.getsignal(signal.SIGTERM) is handler
     assert not (tmp_path / "record.json").exists()

@@ -5,6 +5,10 @@ consensus only replaces the demand sum, and its decision margin forces
 every node down the same bisection branch, so the distributed run must
 reproduce the centralized result bit for bit.
 """
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +23,9 @@ from sensorsched import (
     solve_distributed,
     solve_distribution,
 )
+from sensorsched.model import LtiTarget
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 class TestGraphs:
@@ -82,11 +89,12 @@ class TestMetropolisWeights:
 
 class TestAverageConsensus:
     def test_stops_once_the_verdict_is_certain(self):
+        # the 4-ring's W has eigenvalues 1, 1/3 (twice) and -1/3: K = 2
         W = metropolis_weights(ring_graph(4))
         values = np.array([0.0, 1.0, 2.0, 3.0])
         est, rounds, decided = distributed._consensus_demand(values, W)
         assert decided
-        assert rounds == 3
+        assert rounds == 2
         assert np.all(est > 1.0)
 
     def test_pair_averages_in_one_round(self):
@@ -95,6 +103,15 @@ class TestAverageConsensus:
         assert decided
         assert rounds == 1
         assert est[0] == est[1] == 0.6
+
+    @pytest.mark.parametrize(
+        "adj, rounds",
+        [(ring_graph(20), 10), (line_graph(20), 19), (complete_graph(7), 1), (line_graph(2), 1)],
+    )
+    def test_one_round_per_distinct_non_unit_eigenvalue(self, adj, rounds):
+        spectrum = distributed._leja_spectrum(metropolis_weights(adj))
+        assert len(spectrum) == rounds
+        assert np.all((spectrum > -1.0) & (spectrum < 1.0))
 
 
 class TestSolveDistributed:
@@ -169,8 +186,26 @@ class TestSolveDistributed:
 
         counted("_check_adjacency")
         counted("graph_diameter")
+        counted("_leja_spectrum")
         solve_distributed(pair + pair[:1], adjacency=ring_graph(3))
-        assert sorted(calls) == ["_check_adjacency", "graph_diameter"]
+        assert sorted(calls) == ["_check_adjacency", "_leja_spectrum", "graph_diameter"]
+
+    @pytest.mark.parametrize("topology, rounds, diameter", [(ring_graph, 10, 10), (line_graph, 19, 19)])
+    def test_scale20_steps_take_the_filter_rounds(self, topology, rounds, diameter, monkeypatch):
+        """The benchmark's 20-target instance decides every outer step in
+        the filter's K rounds, floods nowhere else than setup, bracket check
+        and read-out, and returns the centralized q* and gamma* bit for bit."""
+        spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+        targets = [LtiTarget(**t) for t in workloads.scale20_targets()]
+        central = solve_distribution(targets)
+        dist = solve_distributed(targets, adjacency=topology(20))
+        assert dist.solution.gamma_star == central.gamma_star
+        assert np.array_equal(dist.solution.q_star.q, central.q_star.q)
+        assert dist.consensus_rounds == (rounds,) * central.outer_iterations
+        assert dist.total_rounds == 5 * diameter + rounds * central.outer_iterations
 
     def test_rejects_disconnected_graph(self, pair):
         with pytest.raises(ValueError, match="connected"):

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sensorsched.distributed as distributed
@@ -107,7 +107,7 @@ def test_permuting_targets_permutes_the_solution(seed, n):
 
 
 def test_split_verdict_raises(pair, monkeypatch):
-    # consensus that settles with one node on each side of the threshold
+    # a filter whose estimates settle with one node on each side of the threshold
     monkeypatch.setattr(
         distributed, "_consensus_demand", lambda *args: (np.array([0.5, 1.5]), 1, True)
     )
@@ -124,9 +124,9 @@ def test_split_verdict_raises(pair, monkeypatch):
     sign=st.sampled_from([-1.0, 1.0]),
 )
 def test_a_decided_verdict_is_the_exact_verdict(seed, n, graph, log_delta, sign):
-    """Averaging stops once each node's margin certifies its verdict, long
-    before the estimates converge; the certified verdict must still be
-    the exact one, even for totals within 1e-9 of the threshold."""
+    """The filter's K rounds leave every node's estimate outside its
+    margin, so each verdict is certified; it must be the exact one, even
+    for totals within 1e-9 of the threshold."""
     rng = np.random.default_rng(seed)
     local = rng.uniform(0.0, 1.0, size=n)
     total = 1.0 + sign * 10.0**log_delta
@@ -135,6 +135,62 @@ def test_a_decided_verdict_is_the_exact_verdict(seed, n, graph, log_delta, sign)
     est, _, decided = distributed._consensus_demand(local, W)
     assert decided
     assert np.all((est <= 1.0) == (math.fsum(local) <= 1.0))
+
+
+class FloodLog(distributed._ConsensusTotal):
+    """The network's demand strategy, keeping every total it flooded."""
+
+    def __init__(self, W, diameter):
+        super().__init__(W, diameter)
+        self.flooded = []
+
+    def total(self, qs):
+        self.flooded.append(super().total(qs))
+        return self.flooded[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 60),
+    graph=st.sampled_from(["line", "random", "ring"]),
+    log_delta=st.floats(-17.0, -1.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+# the graphs where plain filter ordering drifted most, and a total that
+# rounds to 1, which the filter cannot decide
+@example(seed=1, n=60, graph="line", log_delta=-9.0, sign=1.0)
+@example(seed=1, n=100, graph="ring", log_delta=-9.0, sign=-1.0)
+@example(seed=1, n=20, graph="ring", log_delta=-17.0, sign=1.0)
+def test_filter_drift_is_certified(seed, n, graph, log_delta, sign):
+    """Rounding moves the filter's mean by no more than its certified
+    drift, so n x_i lies within n (drift + spread) of the exact total and
+    a decided verdict is the exact one. An undecided step floods: its
+    verdict is that of the sequential sum, after K + diameter rounds."""
+    rng = np.random.default_rng(seed)
+    local = rng.uniform(0.0, 1.0, size=n)
+    local = np.clip(local * ((1.0 + sign * 10.0**log_delta) / local.sum()), 0.0, 1.0)
+    adj = GRAPHS[graph](rng, n)
+    W = distributed.metropolis_weights(adj)
+    spectrum = distributed._leja_spectrum(W)
+    x, drift = distributed._graph_filter(local, W, spectrum)
+    exact = math.fsum(local)
+    assert np.all(np.abs(n * x - exact) <= n * (drift + (x.max() - x.min())))
+
+    diameter = graph_diameter(adj)
+    network = FloodLog(W, diameter)
+    verdict = network.within_budget(list(local), 1.0, 0.0, 2.0)
+    est, rounds, decided = distributed._consensus_demand(local, W, spectrum)
+    assert rounds == len(spectrum)
+    if decided:
+        assert np.all((est <= 1.0) == (exact <= 1.0))
+        assert verdict == (exact <= 1.0)
+        assert network.flooded == []
+        assert network.step_rounds == [rounds]
+    else:
+        assert network.flooded == [sum(local)]
+        assert verdict == (sum(local) <= 1.0)
+        assert network.step_rounds == [rounds + diameter]
 
 
 @settings(max_examples=6, deadline=None)
@@ -199,15 +255,20 @@ def test_floor_targets_meet_the_budget(seed, n):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_undecided_steps_flood(seed, monkeypatch):
-    """A step that averaging leaves undecided floods the demands: it costs
-    one diameter of rounds and returns the centralized verdict."""
-    monkeypatch.setattr(distributed, "_MAX_CONSENSUS_ROUNDS", 0)
+    """A step that the filter leaves undecided floods the demands: it
+    costs the filter's K rounds plus one diameter and returns the
+    centralized verdict."""
+    graph_filter = distributed._graph_filter
+    # an unbounded drift leaves every node inside its margin
+    monkeypatch.setattr(distributed, "_graph_filter",
+                        lambda *args: (graph_filter(*args)[0], np.inf))
     targets = stable_targets(np.random.default_rng(seed), 6)
     adj = ring_graph(6)
     central = solve_distribution(targets)
     dist = solve_distributed(targets, adjacency=adj)
     diameter = graph_diameter(adj)
+    # the 6-ring's W has eigenvalues 1, 2/3, 0 (each twice) and -1/3
     assert len(dist.consensus_rounds) == central.outer_iterations > 0
-    assert set(dist.consensus_rounds) == {diameter}
+    assert set(dist.consensus_rounds) == {3 + diameter}
     assert dist.solution.gamma_star == central.gamma_star
     assert np.array_equal(dist.solution.q_star.q, central.q_star.q)

@@ -4,10 +4,12 @@
     python3 tools/bench_pairs.py --parent REF --out RECORD.json [--first-seed 101]
 
 This is how the BENCH_*.json records at the root of the repository are
-made. The parent ref is checked out with `git worktree add` into a temporary
-directory (removed afterwards, on SIGTERM too; the next run prunes one
-left registered by a harder kill). For every workload of BENCHMARK.json, pair
-i of 10 runs `python3 perfbench/run.py --workload W --seed S --seconds N
+made. The parent ref is extracted with `git archive` into a temporary
+directory, removed afterwards (on SIGTERM too), so a record leaves the
+repository's git state alone. Both sides are byte-compiled before the
+runs, so that no run pays for writing bytecode the other side already
+has. For every workload of BENCHMARK.json, pair i of 10 runs
+`python3 perfbench/run.py --workload W --seed S --seconds N
 --trace 0`, with N the benchmark's `run_seconds`, once in the parent
 checkout and once in the working tree, with the parent first in odd pairs
 and second in even ones, so that a drift in the host's speed falls on both
@@ -24,6 +26,7 @@ sums `failed` and ands `correct` per side.
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import platform
@@ -31,6 +34,7 @@ import signal
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -49,6 +53,15 @@ def parse_args(argv):
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def extract(ref: str, into: Path) -> None:
+    """The files of `ref`, as `git archive` exports them, under `into`."""
+    archive = into.with_suffix(".tar")
+    git("archive", "--format=tar", f"--output={archive}", ref)
+    with tarfile.open(archive) as tar:
+        tar.extractall(into, filter="data")
+    archive.unlink()
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -104,7 +117,8 @@ def main(argv=None) -> int:
     metrics = [m["name"] for m in spec["end_to_end"]]
     sha = git("rev-parse", "--short", args.parent)
     record = {
-        "what": (f"perfbench/run.py result lines, parent {sha} against the working tree; "
+        "what": (f"perfbench/run.py result lines, parent {sha} (a `git archive` extract) "
+                 "against the working tree, both byte-compiled before the runs; "
                  f"{PAIRS} alternating untraced pairs per workload "
                  f"({seconds:g} s runs, odd pairs run the parent first), "
                  "plus the traced seed-1 counters of both sides"),
@@ -113,14 +127,17 @@ def main(argv=None) -> int:
         "summary": {},
         "traced_seed_1": {},
     }
-    # SIGTERM unwinds like Ctrl-C, so the finally below removes the worktree
+    # SIGTERM unwinds like Ctrl-C, so the temporary directory holding the
+    # parent's extract is removed
     previous = signal.signal(signal.SIGTERM, _terminate)
-    with tempfile.TemporaryDirectory() as tmp:
-        parent = Path(tmp) / "parent"
-        git("worktree", "prune")
-        git("worktree", "add", "--detach", str(parent), args.parent)
-        try:
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            parent = Path(tmp) / "parent"
+            extract(args.parent, parent)
             sides = {"parent": parent, "change": ROOT}
+            for checkout in sides.values():
+                for package in ("src", "perfbench"):
+                    compileall.compile_dir(checkout / package, quiet=1)
             for j, workload in enumerate(workloads):
                 pairs = []
                 for i in range(PAIRS):
@@ -140,9 +157,8 @@ def main(argv=None) -> int:
                     side: bench(sides[side], workload, 1, seconds, 1)
                     for side in ("parent", "change")
                 }
-        finally:
-            git("worktree", "remove", "--force", str(parent))
-            signal.signal(signal.SIGTERM, previous)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
