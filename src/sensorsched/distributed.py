@@ -217,7 +217,7 @@ class _ConsensusTotal:
         self.total_rounds += self.diameter
         return sum(qs)
 
-    def within_budget(self, qs: list[float], gamma: float, lo: float, hi: float) -> bool:
+    def within_budget(self, qs: list[float]) -> bool:
         mu_est, rounds, decided = _consensus_demand(np.array(qs), self.W, self.spectrum)
         self.total_rounds += rounds
         if not decided:

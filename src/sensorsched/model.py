@@ -7,9 +7,10 @@ observed per sampling period, so scheduling amounts to choosing which
 target gets the sensor at each step, or with what probability.
 
 The facts every layer reads about a target are decided here, once: its
-spectrum (`LtiTarget.eigs`, `rho`), its closed-form critical probability
-(`LtiTarget.critical_closed_form`), the unit-circle band and the rule a
-noise covariance obeys (`check_covariance`).
+spectrum (`LtiTarget.eigs`, `rho`), whether each mode is observable and
+driven by the noise (`LtiTarget.pbh_modes`), its closed-form critical
+probability (`LtiTarget.critical_closed_form`), the unit-circle band and
+the rule a noise covariance obeys (`check_covariance`).
 """
 from __future__ import annotations
 
@@ -61,9 +62,9 @@ class LtiTarget:
 
     Arrays are copied and frozen; dimension mismatches and non-finite
     entries raise immediately. `eigs`, the eigenvalues of A, is computed
-    once here and frozen too; `rho` is the spectral radius, and
-    `critical_closed_form` the closed-form critical probability, each
-    derived from them on first read.
+    once here and frozen too; `rho` is the spectral radius, `pbh_modes`
+    whether each mode is observable and driven, and `critical_closed_form`
+    the closed-form critical probability, each derived on first read.
     """
 
     A: np.ndarray
@@ -127,20 +128,30 @@ class LtiTarget:
     def critical_closed_form(self) -> float | None:
         """1 - 1/M^2, with M the product of |lambda| over A's eigenvalues on
         or outside the unit circle, when each of them lies strictly outside
-        it, is observable and is driven by the process noise, and either the
-        target has one output or lambda is a single real eigenvalue; None
-        otherwise (see `mare.critical_probability`)."""
-        outside = self.eigs[np.abs(self.eigs) >= 1.0 - _UNIT_CIRCLE_TOL]
-        if np.any(np.abs(outside) <= 1.0):
+        it, is observable and is driven by the process noise (`pbh_modes`),
+        and either the target has one output or lambda is a single real
+        eigenvalue; None otherwise (see `mare.critical_probability`)."""
+        unstable = np.abs(self.eigs) >= 1.0 - _UNIT_CIRCLE_TOL
+        outside = self.eigs[unstable]
+        if np.any(np.abs(outside) <= 1.0) or not self.pbh_modes[unstable].all():
             return None
         if self.p > 1 and (len(outside) != 1 or outside[0].imag != 0.0):
             return None
-        for lam in outside:
-            shifted = self.A - lam * np.eye(self.n)
-            if (_pbh_rank(np.vstack([shifted, self.C])) < self.n
-                    or _pbh_rank(np.hstack([shifted, self.Q])) < self.n):
-                return None
         return 1.0 - 1.0 / float(np.prod(np.abs(outside))) ** 2
+
+    @cached_property
+    def pbh_modes(self) -> np.ndarray:
+        """(observable, driven) per eigenvalue, in the order of `eigs`, read
+        only: PBH rank tests of [A - lambda I; C] and [A - lambda I, Q^(1/2)],
+        the one rank rule of `validate_target` and `critical_closed_form`."""
+        Qh = _psd_sqrt(self.Q)
+        modes = np.array([
+            (_pbh_rank(np.vstack([self.A - lam * np.eye(self.n), self.C])) == self.n,
+             _pbh_rank(np.hstack([self.A - lam * np.eye(self.n), Qh])) == self.n)
+            for lam in self.eigs
+        ])
+        modes.flags.writeable = False
+        return modes
 
     def cost_of(self, X: np.ndarray) -> float | np.ndarray:
         """Estimation cost of an error covariance: its weighted trace.
@@ -246,7 +257,9 @@ def check_covariance(X: np.ndarray, name: str = "X") -> np.ndarray:
 
 def _psd_sqrt(Q: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(symmetrize(Q))
-    vals = np.clip(vals, 0.0, None)
+    # eigh leaves ~n eps of the largest for a zero; its root would decide PBH ranks
+    floor = 10 * len(vals) * np.finfo(float).eps * max(vals[-1], 0.0)
+    vals = np.where(vals > floor, vals, 0.0)
     return vecs @ np.diag(np.sqrt(vals)) @ vecs.T
 
 
@@ -267,15 +280,13 @@ def validate_target(target: LtiTarget) -> ValidationReport:
     (singular) while (A, Q^(1/2)) stays controllable, which the fixed-point
     theory tolerates but full-rank process noise would not require.
 
-    Rank decisions use PBH tests with singular values thresholded at 1e-8
-    relative to the largest one.
+    Rank decisions are the target's `pbh_modes`: PBH tests with singular
+    values thresholded at 1e-8 relative to the largest one.
     """
     failures: list[str] = []
     warns: list[str] = []
-    A, C, Q, R = target.A, target.C, target.Q, target.R
-    n = target.n
 
-    for name, M in (("Q", Q), ("R", R)):
+    for name, M in (("Q", target.Q), ("R", target.R)):
         try:
             M = check_covariance(M, name)
         except ValueError as e:
@@ -285,27 +296,19 @@ def validate_target(target: LtiTarget) -> ValidationReport:
             failures.append(f"R must be positive definite (min eigenvalue {r_min:.3e})")
 
     # Detectability: every mode on or outside the unit circle must be observable.
-    for lam in target.eigs:
-        if abs(lam) >= 1.0 - _UNIT_CIRCLE_TOL:
-            pencil = np.vstack([A - lam * np.eye(n), C.astype(complex)])
-            if _pbh_rank(pencil) < n:
-                failures.append(
-                    f"mode {lam:.6g} (|mode| = {abs(lam):.6g}) is unobservable; "
-                    "the estimation error diverges even under constant observation"
-                )
+    observable, driven = target.pbh_modes.T
+    for lam, ok in zip(target.eigs, observable):
+        if abs(lam) >= 1.0 - _UNIT_CIRCLE_TOL and not ok:
+            failures.append(
+                f"mode {lam:.6g} (|mode| = {abs(lam):.6g}) is unobservable; "
+                "the estimation error diverges even under constant observation"
+            )
 
     # Controllability of (A, Q^(1/2)): needed for the fixed-point convergence
     # guarantees; only a warning when it fails alongside full-rank Q.
-    Qh = _psd_sqrt(Q)
-    qh_rank = _pbh_rank(Qh)
-    controllable = True
-    for lam in target.eigs:
-        pencil = np.hstack([A - lam * np.eye(n), Qh.astype(complex)])
-        if _pbh_rank(pencil) < n:
-            controllable = False
-            warns.append(f"(A, Q^(1/2)) is not controllable at mode {lam:.6g}")
-            break
-    if qh_rank < n and controllable:
+    if not driven.all():
+        warns.append(f"(A, Q^(1/2)) is not controllable at mode {target.eigs[~driven][0]:.6g}")
+    elif _pbh_rank(_psd_sqrt(target.Q)) < target.n:
         warns.append(
             "Q is singular (positive semidefinite only); accepted because "
             "(A, Q^(1/2)) is controllable"

@@ -211,7 +211,7 @@ class _ExactTotal:
     def total(self, qs: list[float]) -> float:
         return sum(qs)
 
-    def within_budget(self, qs: list[float], gamma: float, lo: float, hi: float) -> bool:
+    def within_budget(self, qs: list[float]) -> bool:
         return sum(qs) <= 1.0
 
 
@@ -238,8 +238,8 @@ def _nested_bisection(targets, constraints, outer_tol, inner_tol, demand) -> Sol
 
     `demand` says how the network totals the demand vector qs:
     `demand.total(qs)` is the exact sum, used for bracket growth and the
-    read-out, and `demand.within_budget(qs, gamma, lo, hi)` is the verdict
-    sum(qs) <= 1 of the outer step probing gamma in [lo, hi]. Every
+    read-out, and `demand.within_budget(qs)` is the verdict sum(qs) <= 1
+    of an outer step, qs the demands at the gamma it probes. Every
     strategy totals with the same sequential sum, so all of them return
     bit-identical reports whenever their verdicts agree.
     """
@@ -315,7 +315,7 @@ def _nested_bisection(targets, constraints, outer_tol, inner_tol, demand) -> Sol
 
     while hi - lo > outer_tol:
         gamma = (lo + hi) / 2
-        if demand.within_budget(demands_at(gamma), gamma, lo, hi):
+        if demand.within_budget(demands_at(gamma)):
             hi = gamma
         else:
             lo = gamma

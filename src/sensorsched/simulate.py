@@ -87,14 +87,6 @@ def covariance_step(target: LtiTarget, P: np.ndarray, observed: bool) -> np.ndar
     return _riccati_step(target, np.asarray(P, dtype=float), 1.0 if observed else 0.0)
 
 
-def _dimension_classes(targets: list[LtiTarget]) -> list[list[int]]:
-    """Target indices grouped by (n, p), in order of first appearance."""
-    classes: dict[tuple[int, int], list[int]] = {}
-    for i, t in enumerate(targets):
-        classes.setdefault((t.n, t.p), []).append(i)
-    return list(classes.values())
-
-
 def _mask_or_scalar(seen: np.ndarray) -> float | np.ndarray:
     """The kernel's q for rows observed where `seen` holds: the mask, or a
     scalar when every row agrees (q = 0 then skips the gain)."""
@@ -111,15 +103,15 @@ def _cost_paths(targets: list[LtiTarget], steps: np.ndarray) -> Iterator[tuple[i
     update.
 
     The runs that share a target's observation history share one row, and
-    a group of runs splits only at a step where its runs disagree. The
-    rows of every target of a dimension class (n, p) share one stack: row
-    r belongs to the target at class position pos[line[r]], and
-    group[j, run] is the row of that run of target pos[j]. Each step makes
-    one kernel call; the per-row systems and cost weights are gathered by
-    class position whenever rows split or a target leaves. A target whose
-    runs all have rows of their own cannot split again: it leaves with its
-    rows in run order and finishes alone, one 2-D call per step. One run
-    never splits, so a single schedule stays in the stack throughout.
+    the rows of every target of a dimension class (n, p) one stack and one
+    kernel call per step: group[j, run] is the row of that run of target
+    pos[j], owner[r] the class position of row r's target. Where a row's
+    runs disagree, each new row is keyed by its parent row and observation
+    bit, 2 * row + bit; the sorted distinct keys number the new rows. A
+    target whose runs all have rows of their own cannot split again: it
+    leaves the stack with its rows in run order and finishes alone, one
+    2-D call per step. One run never splits, so a single schedule stays in
+    the stack throughout.
 
     Every run reads exactly the bits it would on its own: a slice of a
     stacked call has the bits of the call on that slice alone (a scalar
@@ -128,47 +120,42 @@ def _cost_paths(targets: list[LtiTarget], steps: np.ndarray) -> Iterator[tuple[i
     per stretch of steps without a split, at most `runs` rows per target.
     """
     T, runs = steps.shape
-    for members in _dimension_classes(targets):
-        members, ts = np.array(members), [targets[i] for i in members]
+    dims = [(t.n, t.p) for t in targets]
+    for dim in dict.fromkeys(dims):  # the classes in order of first appearance
+        members = np.flatnonzero([d == dim for d in dims])
+        ts = [targets[i] for i in members]
         system = _system_rows(ts)
         weights = np.stack([np.ones(t.n) if t.cost_weights is None else t.cost_weights
                             for t in ts])
-        pos = np.arange(len(members))
-        line = pos.copy()
-        first = np.zeros(len(pos), dtype=np.intp)  # a run of each row's group
-        group = np.repeat(line[:, None], runs, axis=1)
+        pos = owner = np.arange(len(members))
+        group = np.repeat(pos[:, None], runs, axis=1)
         P = np.stack([t.Q for t in ts])
         stretches, left = [], {}
         for k in range(T):
             obs = np.equal(steps[k], members[pos, None])  # obs[j, run]: pos[j] is observed
-            disagree = obs != obs[line, first][group]
+            seen = np.zeros(len(P), dtype=bool)  # seen[r]: a run of row r is observed
+            seen[group[obs]] = True
+            disagree = seen[group] != obs
             split = disagree.any()
             if split:
-                # the runs that disagree with their group's first run leave it
-                # together, for a new row that starts as a copy of the group's
-                moved = np.flatnonzero(disagree)
-                flat = group.reshape(-1)
-                old, at, new = np.unique(flat[moved], return_index=True, return_inverse=True)
-                flat[moved] = len(P) + new
-                first = np.concatenate((first, moved[at] % runs))
-                line = np.concatenate((line, line[old]))
-                P = np.concatenate((P, P[old]))
-                out = np.bincount(line, minlength=len(pos)) == runs
-                if out.any():
-                    left.update((pos[j], (k, P[group[j]])) for j in np.flatnonzero(out))
-                    keep = ~out[line]
-                    group = (np.cumsum(keep) - 1)[group[~out]]
-                    line = (np.cumsum(~out) - 1)[line[keep]]
-                    P, first, pos, obs = P[keep], first[keep], pos[~out], obs[~out]
-                    if not len(pos):
-                        break
+                # a row whose runs disagree splits in two, so a target
+                # leaves once that gives every run a row of its own
+                mixed = np.bincount(group[disagree], minlength=len(P)) > 0
+                out = np.bincount(owner, 1 + mixed, len(members))[pos] == runs
+                left.update((pos[j], (k, P[group[j]])) for j in np.flatnonzero(out))
+                group, obs, pos = group[~out], obs[~out], pos[~out]
+                if not len(pos):
+                    break
+                keys, group = np.unique(2 * group + obs, return_inverse=True)
+                group = group.reshape(obs.shape)
+                P, owner, seen = P[keys // 2], owner[keys // 2], keys % 2 == 1
             if k == 0 or split:
                 rows = group.astype(np.min_scalar_type(len(P) - 1))
                 stretches.append((k, dict(zip(pos.tolist(), rows)), []))
-                row_system = tuple(a[pos[line]] for a in system)
-                row_weights = weights[pos[line]]
+                row_system = tuple(a[owner] for a in system)
+                row_weights = weights[owner]
             stretches[-1][2].append((np.diagonal(P, axis1=-2, axis2=-1) * row_weights).sum(-1))
-            P = _riccati_step(row_system, P, _mask_or_scalar(obs[line, first]))
+            P = _riccati_step(row_system, P, _mask_or_scalar(seen))
         stretches = [(k, rows, np.array(c)) for k, rows, c in stretches]
         for j, (i, t) in enumerate(zip(members, ts)):
             costs = np.empty((runs, T))

@@ -1,12 +1,18 @@
 """Target construction, validation, and the distribution type."""
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sensorsched import (
     DelayChainSpec,
     LtiTarget,
     ScheduleDistribution,
+    critical_probability,
     expand_delay_chain,
+    solve_distribution,
     validate_target,
 )
 
@@ -67,6 +73,12 @@ class TestLtiTarget:
             t.critical_closed_form = 0.0
         with pytest.raises(TypeError):
             LtiTarget(A=A, C=[[1.0, 0.0]], Q=np.eye(2), R=[[1.0]], critical_closed_form=0.5)
+        # and so is the (observable, driven) verdict of each mode
+        assert t.pbh_modes is t.pbh_modes and t.pbh_modes.shape == (2, 2)
+        with pytest.raises(ValueError):
+            t.pbh_modes[0, 0] = False
+        with pytest.raises(AttributeError):
+            t.pbh_modes = None
         # two outputs and two unstable modes lie beyond the closed form
         wide = LtiTarget(A=np.diag([1.2, 1.1]), C=np.eye(2), Q=np.eye(2), R=np.eye(2))
         assert wide.critical_closed_form is None
@@ -193,3 +205,74 @@ class TestValidateTarget:
         report = validate_target(bad)
         assert not report.ok
         assert any("unobservable" in f for f in report.failures)
+
+
+def modal_target(lams, c, d, seed) -> LtiTarget:
+    """A single-output target with real modes `lams`, output weight c[i]
+    and noise variance d[i] on mode i, in the basis of a random rotation
+    (none when seed is None)."""
+    n = len(lams)
+    S = np.eye(n) if seed is None else np.linalg.qr(
+        np.random.default_rng(seed).normal(size=(n, n)))[0]
+    return LtiTarget(A=S @ np.diag(lams) @ S.T, C=[c[:n]] @ S.T,
+                     Q=S @ np.diag(d[:n]) @ S.T, R=[[1.0]])
+
+
+# A = diag(1.3, 0.5), noise 1e-10 on the growing mode: cond(Q) = 1e10, so
+# ranking Q itself would call that mode undriven while Q^(1/2) drives it
+WEAK = dict(lams=[1.3, 0.5], c=[1.0, 1.0], d=[1e-10, 1.0], seed=None)
+
+
+class TestModalFacts:
+    """`pbh_modes` is the one rank rule: validation and the closed-form
+    critical probability read the same verdict for every mode."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lams=st.lists(st.floats(-2.5, 2.5).filter(lambda x: abs(abs(x) - 1.0) > 1e-3),
+                      min_size=1, max_size=3),
+        c=st.lists(st.sampled_from([0.0, 1e-9, 1e-3, 1.0, -0.7]), min_size=3, max_size=3),
+        d=st.lists(st.sampled_from([0.0, 1e-12, 1e-10, 1e-6, 1.0]), min_size=3, max_size=3),
+        seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    )
+    @example(**WEAK)
+    def test_validation_and_closed_form_agree(self, lams, c, d, seed):
+        t = modal_target(lams, c, d, seed)
+        observable, driven = t.pbh_modes.T
+        unstable = np.abs(t.eigs) >= 1.0
+        report = validate_target(t)
+        unobservable = [f for f in report.failures if "unobservable" in f]
+        uncontrollable = [w for w in report.warnings if "not controllable" in w]
+        assert len(unobservable) == np.count_nonzero(unstable & ~observable)
+        assert bool(uncontrollable) == (not driven.all())
+        # the closed form holds exactly when every growing mode is
+        # observable and driven, by the verdicts validation reports
+        closed = t.critical_closed_form
+        assert (closed is None) == (not t.pbh_modes[unstable].all())
+        if unobservable:
+            assert closed is None
+        if not unobservable and not uncontrollable:
+            assert closed == 1.0 - 1.0 / float(np.prod(np.abs(t.eigs[unstable]))) ** 2
+
+    def test_an_undriven_growing_mode_is_undriven_in_any_basis(self):
+        # exactly no noise on the growing mode: in a rotated basis eigh
+        # rounds that zero eigenvalue of Q to about 1e-16, whose square root
+        # sits at the 1e-8 threshold unless it is taken as zero
+        for seed in range(200):
+            t = modal_target([1.5, 0.5, 0.3], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0], seed)
+            assert not t.pbh_modes[np.argmax(np.abs(t.eigs)), 1]
+            assert t.critical_closed_form is None
+            assert any("not controllable" in w for w in validate_target(t).warnings)
+
+    def test_weak_noise_on_a_growing_mode_has_the_exact_closed_form(self, pair):
+        t = modal_target(**WEAK)
+        assert t.pbh_modes.all()
+        report = validate_target(t)
+        assert report.failures == report.warnings == ()
+        assert t.critical_closed_form == 1.0 - 1.0 / 1.3**2
+        # ranking Q bisected it instead, with near-critical warnings on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert critical_probability(t) == 1.0 - 1.0 / 1.3**2
+            solved = solve_distribution([pair[0], t])
+        assert solved.per_target[1].q_critical == 1.0 - 1.0 / 1.3**2

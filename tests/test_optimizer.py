@@ -7,6 +7,7 @@ The two frozen solutions (re-derived independently before being pinned):
 """
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -60,19 +61,19 @@ def min_q(target: LtiTarget, gamma: float) -> float:
 
 class RecordingTotal(_ExactTotal):
     """The centralized demand strategy, recording every total it forms:
-    `totals` for bracket growth and read-out, `steps` as (lo, hi, gamma,
-    total) per outer step."""
+    `totals` for bracket growth and read-out, `steps` as (gamma, total)
+    per outer step, gamma the budget the demands were last inverted at."""
 
     def __init__(self):
-        self.totals, self.steps = [], []
+        self.totals, self.steps, self.gamma = [], [], None
 
     def total(self, qs):
         self.totals.append(sum(qs))
         return super().total(qs)
 
-    def within_budget(self, qs, gamma, lo, hi):
-        self.steps.append((lo, hi, gamma, sum(qs)))
-        return super().within_budget(qs, gamma, lo, hi)
+    def within_budget(self, qs):
+        self.steps.append((self.gamma, sum(qs)))
+        return super().within_budget(qs)
 
 
 @pytest.fixture()
@@ -91,7 +92,14 @@ def oracles(monkeypatch) -> list[_CostOracle]:
 
 def recorded_solve(targets) -> RecordingTotal:
     demand = RecordingTotal()
-    _nested_bisection(targets, None, 1e-3, INNER_TOL, demand)
+    bisect = optimizer._bisect_min_q
+
+    def recorded(oracle, gamma, tol):
+        demand.gamma = gamma
+        return bisect(oracle, gamma, tol)
+
+    with mock.patch.object(optimizer, "_bisect_min_q", recorded):
+        _nested_bisection(targets, None, 1e-3, INNER_TOL, demand)
     return demand
 
 
@@ -113,7 +121,7 @@ class TestBudgetInversion:
         assert min_q(pair[0], 10.0) == 1.0
 
     def test_total_demand_decreases(self, pair):
-        probes = sorted((gamma, mu) for _, _, gamma, mu in recorded_solve(pair).steps)
+        probes = sorted(recorded_solve(pair).steps)
         demands = [mu for _, mu in probes]
         assert all(a >= b for a, b in zip(demands, demands[1:]))
         # the probes straddle the threshold, so the ordering is not vacuous
@@ -123,7 +131,7 @@ class TestBudgetInversion:
         demand = recorded_solve(pair)
         lo, hi = _bracket([oracle_of(t) for t in pair])
         # the first outer step bisects the initial bracket, not a grown one
-        assert demand.steps[0][:2] == (lo, hi)
+        assert demand.steps[0][0] == (lo + hi) / 2
         assert lo <= hi
         assert sum(min_q(t, lo) for t in pair) >= 1.0 - 1e-9
         # bracket growth first totals the demand at hi

@@ -1,6 +1,7 @@
 """Covariance steps, schedule evaluation, Monte Carlo, and the lookahead
 baseline."""
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from sensorsched import (
     solve_mare,
 )
 from sensorsched.mare import _riccati_step
-from sensorsched.simulate import default_burn_in
+from sensorsched.simulate import _cost_paths, default_burn_in
 
 PAIR_Q = ScheduleDistribution([0.674, 0.326])
 TRIO_Q = (0.0649, 0.1612, 0.7739)
@@ -346,6 +347,54 @@ class TestMonteCarlo:
         # 6172 rows at this seed, against runs * T * n = 80000 when every
         # run has a row of its own
         assert sum(rows) < runs * T * n // 10
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        w=st.lists(weights, min_size=3, max_size=3),
+        runs=st.integers(1, 40),
+        T=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # noisy and drifty split fully and leave at different steps while far,
+    # rarely observed, keeps a few rows in its own stack
+    @example(w=[0.5, 0.01, 0.49], runs=40, T=30, seed=1)
+    # two runs: a target leaves at its first split
+    @example(w=[0.4, 0.3, 0.3], runs=2, T=10, seed=2)
+    def test_kernel_rows_are_the_distinct_histories(self, w, runs, T, seed):
+        """Each stacked kernel call has one row per distinct observation
+        history (bits up to and including its step) of every target still
+        stacked; a target leaves at the step its histories number `runs`
+        and then makes one call of its own per remaining step."""
+        noisy, drifty = make_pair()
+        far = make_chain_trio()[2]
+        targets = [noisy, far, drifty]  # classes (2, 1) and (3, 1)
+        w = np.array(w)
+        if not w.any():
+            w[0] = 1.0
+        steps = np.random.default_rng(seed).choice(3, size=(T, runs), p=w / w.sum())
+        calls = []
+
+        def counted(system, P, q):
+            calls.append(system.label if isinstance(system, LtiTarget) else (P.shape[-1], len(P)))
+            return _riccati_step(system, P, q)
+
+        with mock.patch("sensorsched.simulate._riccati_step", counted):
+            for _ in _cost_paths(targets, steps):
+                pass
+
+        want = []
+        for n, members in ((2, [0, 2]), (3, [1])):
+            # each run's bits so far as an integer, bit k for step k
+            histories = {i: np.cumsum((steps == i) * 2 ** np.arange(T)[:, None], axis=0)
+                         for i in members}
+            distinct = {i: [len(np.unique(h)) for h in histories[i]] for i in members}
+            leave = {i: next((k for k, m in enumerate(distinct[i]) if m == runs and runs > 1), T)
+                     for i in members}
+            for k in range(max(leave.values())):
+                want.append((n, sum(distinct[i][k] for i in members if leave[i] > k)))
+            for i in members:
+                want += [targets[i].label] * (T - leave[i])
+        assert calls == want
 
     def test_split_targets_leave_the_shared_stack(self, pair, monkeypatch):
         """Targets whose runs all have rows of their own step alone, one

@@ -179,7 +179,7 @@ def test_filter_drift_is_certified(seed, n, graph, log_delta, sign):
 
     diameter = graph_diameter(adj)
     network = FloodLog(W, diameter)
-    verdict = network.within_budget(list(local), 1.0, 0.0, 2.0)
+    verdict = network.within_budget(list(local))
     est, rounds, decided = distributed._consensus_demand(local, W, spectrum)
     assert rounds == len(spectrum)
     if decided:
