@@ -39,7 +39,6 @@ from .distributed import (
     complete_graph,
     graph_diameter,
     line_graph,
-    metropolis_weights,
     ring_graph,
     solve_distributed,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "complete_graph",
     "graph_diameter",
     "line_graph",
-    "metropolis_weights",
     "ring_graph",
     "solve_distributed",
     "BackoffConfig",

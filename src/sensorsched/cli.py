@@ -115,6 +115,8 @@ def _parse_target(entry: dict, index: int) -> LtiTarget:
     context = f"targets[{index}]"
     if not isinstance(entry, dict):
         raise ConfigError(f"{context}: expected an object")
+    if not isinstance(entry.get("label", ""), str):
+        raise ConfigError(f"{context}.label: expected a string, got {entry['label']!r}")
     if "chain" in entry:
         _check_keys(entry, {"chain", "label"}, context)
         chain, ctx = entry["chain"], f"{context}.chain"

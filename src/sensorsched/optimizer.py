@@ -15,10 +15,11 @@ bisection when it meets the budget; a marginal or unstable target never
 solves at its floor, just above q^c, where the solve is slow or
 ill-conditioned. The final probabilities are rescaled to sum to one
 exactly, which can only lower each target's cost.
-The distributed solver runs this same bisection; only the way the
-demands are totalled differs. `_nested_bisection` is the only driver. All
-it knows of target i (loss, floor, q^c, stability) sits in that target's
-`_CostOracle`, which is what node i knows in the distributed solve.
+The distributed solver runs this same bisection; its network floods the
+demands so every node forms the same sequential sum. `_nested_bisection`
+is the only driver. All it knows of target i (loss, floor, q^c,
+stability) sits in that target's `_CostOracle`, which is what node i
+knows in the distributed solve.
 
 Per-target costs are `target.cost_of` applied to the fixed point: the
 plain trace unless the target selects cost weights.
@@ -204,17 +205,6 @@ def _bracket(oracles):
     return lo, max(hi, lo)
 
 
-class _ExactTotal:
-    """How the centralized solver totals the demand vector: Python's
-    sequential sum, for bracket growth, outer steps and read-out alike."""
-
-    def total(self, qs: list[float]) -> float:
-        return sum(qs)
-
-    def within_budget(self, qs: list[float]) -> bool:
-        return sum(qs) <= 1.0
-
-
 def solve_distribution(
     targets: list[LtiTarget],
     constraints: Constraints | None = None,
@@ -230,18 +220,16 @@ def solve_distribution(
     feasible=False and no distribution, and an InfeasibilityWarning names
     the violated condition.
     """
-    return _nested_bisection(targets, constraints, outer_tol, inner_tol, _ExactTotal())
+    return _nested_bisection(targets, constraints, outer_tol, inner_tol, sum)
 
 
-def _nested_bisection(targets, constraints, outer_tol, inner_tol, demand) -> SolveReport:
+def _nested_bisection(targets, constraints, outer_tol, inner_tol, total) -> SolveReport:
     """The solver shared by solve_distribution and solve_distributed.
 
-    `demand` says how the network totals the demand vector qs:
-    `demand.total(qs)` is the exact sum, used for bracket growth and the
-    read-out, and `demand.within_budget(qs)` is the verdict sum(qs) <= 1
-    of an outer step, qs the demands at the gamma it probes. Every
-    strategy totals with the same sequential sum, so all of them return
-    bit-identical reports whenever their verdicts agree.
+    `total(qs)` totals the demand vector qs wherever the bisection needs
+    it: bracket growth, each outer step's verdict total <= 1 and the
+    read-out. Both solvers pass the sequential `sum` (the distributed one
+    also counts its floods), so their reports are bit-identical.
     """
     if not targets:
         raise ValueError("need at least one target")
@@ -298,7 +286,7 @@ def _nested_bisection(targets, constraints, outer_tol, inner_tol, demand) -> Sol
     # and let the final rescale honor the floors to within the tolerance.
     prev_mu = float("inf")
     for _ in range(60):
-        mu_hi = demand.total(demands_at(hi))
+        mu_hi = total(demands_at(hi))
         if mu_hi <= 1.0:
             break
         if mu_hi >= prev_mu:
@@ -315,14 +303,14 @@ def _nested_bisection(targets, constraints, outer_tol, inner_tol, demand) -> Sol
 
     while hi - lo > outer_tol:
         gamma = (lo + hi) / 2
-        if demand.within_budget(demands_at(gamma)):
+        if total(demands_at(gamma)) <= 1.0:
             hi = gamma
         else:
             lo = gamma
         outer += 1
 
     qs = demands_at(hi)
-    mu = demand.total(qs)
+    mu = total(qs)
     # Rescale so probabilities sum to one exactly; the factor is >= 1, so
     # every floor stays honored and every cost can only move down.
     q_star = np.array(qs) / mu

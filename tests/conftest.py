@@ -55,6 +55,19 @@ def make_two_sensor() -> LtiTarget:
     )
 
 
+
+def random_connected_graph(rng, n: int) -> np.ndarray:
+    """A random spanning tree plus a few random extra edges."""
+    adj = np.zeros((n, n), dtype=bool)
+    order = rng.permutation(n)
+    for k in range(1, n):
+        u, v = order[k], order[rng.integers(k)]
+        adj[u, v] = adj[v, u] = True
+    for _ in range(n // 2):
+        u, v = rng.choice(n, size=2, replace=False)
+        adj[u, v] = adj[v, u] = True
+    return adj
+
 @pytest.fixture()
 def pair() -> list[LtiTarget]:
     return make_pair()

@@ -185,10 +185,18 @@ class TestConfigValidation:
              "targets[0].chain: missing key(s) Q"),
             ({"targets": [{"chain": {"a": 1.0, "Q": -1.0, "R": 1.0}}]},
              "targets[0].chain: Q must be positive"),
+            # a label that is not a string used to crash `solve` after solving
+            ({"targets": [PAIR_TARGETS[0], dict(PAIR_TARGETS[1], label=None)]},
+             "targets[1].label: expected a string, got None"),
+            ({"targets": [PAIR_TARGETS[0], dict(PAIR_TARGETS[1], label=["drifty"])]},
+             "targets[1].label: expected a string, got ['drifty']"),
+            ({"targets": [{"chain": {"a": 1.0, "Q": 1.0, "R": 1.0}, "label": 7}]},
+             "targets[0].label: expected a string, got 7"),
         ],
         ids=["targets", "chain", "solver-list", "solver-number", "constraints", "cost-weights",
              "A-nan", "A-inf", "C-nan", "Q-inf", "R-nan", "cost-weights-nan",
-             "priorities-nan", "loss-nan", "target-entry", "chain-missing", "chain-rejected"],
+             "priorities-nan", "loss-nan", "target-entry", "chain-missing", "chain-rejected",
+             "label-null", "label-list", "chain-label"],
     )
     def test_malformed_section(self, tmp_path, capsys, sections, fragment):
         cfg = write_config(tmp_path, **sections)

@@ -29,7 +29,6 @@ from sensorsched.optimizer import (
     _bisect_min_q,
     _bracket,
     _CostOracle,
-    _ExactTotal,
     _nested_bisection,
 )
 
@@ -59,21 +58,17 @@ def min_q(target: LtiTarget, gamma: float) -> float:
     return _bisect_min_q(oracle_of(target), gamma, INNER_TOL)
 
 
-class RecordingTotal(_ExactTotal):
-    """The centralized demand strategy, recording every total it forms:
-    `totals` for bracket growth and read-out, `steps` as (gamma, total)
-    per outer step, gamma the budget the demands were last inverted at."""
+class RecordingTotal:
+    """The centralized total, `sum`, recording every total it forms as
+    (gamma, total), gamma the budget the demands were last inverted at:
+    bracket growth first, then one per outer step, then the read-out."""
 
     def __init__(self):
-        self.totals, self.steps, self.gamma = [], [], None
+        self.totals, self.gamma = [], None
 
-    def total(self, qs):
-        self.totals.append(sum(qs))
-        return super().total(qs)
-
-    def within_budget(self, qs):
-        self.steps.append((self.gamma, sum(qs)))
-        return super().within_budget(qs)
+    def __call__(self, qs):
+        self.totals.append((self.gamma, sum(qs)))
+        return sum(qs)
 
 
 @pytest.fixture()
@@ -121,7 +116,7 @@ class TestBudgetInversion:
         assert min_q(pair[0], 10.0) == 1.0
 
     def test_total_demand_decreases(self, pair):
-        probes = sorted(recorded_solve(pair).steps)
+        probes = sorted(recorded_solve(pair).totals)
         demands = [mu for _, mu in probes]
         assert all(a >= b for a, b in zip(demands, demands[1:]))
         # the probes straddle the threshold, so the ordering is not vacuous
@@ -131,11 +126,12 @@ class TestBudgetInversion:
         demand = recorded_solve(pair)
         lo, hi = _bracket([oracle_of(t) for t in pair])
         # the first outer step bisects the initial bracket, not a grown one
-        assert demand.steps[0][0] == (lo + hi) / 2
+        assert demand.totals[1][0] == (lo + hi) / 2
         assert lo <= hi
         assert sum(min_q(t, lo) for t in pair) >= 1.0 - 1e-9
         # bracket growth first totals the demand at hi
-        assert demand.totals[0] == sum(min_q(t, hi) for t in pair) <= 1.0 + 2 * INNER_TOL
+        assert demand.totals[0][0] == hi
+        assert demand.totals[0][1] == sum(min_q(t, hi) for t in pair) <= 1.0 + 2 * INNER_TOL
 
 
 class TestFloorFirst:
