@@ -30,7 +30,7 @@ from .model import (
     expand_delay_chain,
     validate_target,
 )
-from .optimizer import Constraints, solve_distribution
+from .optimizer import Constraints, InfeasibilityWarning, solve_distribution
 from .schedule import (
     BackoffConfig,
     ScheduleSequence,
@@ -271,10 +271,13 @@ def _solve(scn: Scenario, distributed: bool):
                 outer_tol=scn.outer_tol,
                 inner_tol=scn.inner_tol,
             )
+    # an infeasible solve's diagnosis goes on the `infeasible:` line alone
+    diagnosis = [w for w in caught if issubclass(w.category, InfeasibilityWarning)]
     for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+        if report.feasible or w not in diagnosis:
+            print(f"warning: {w.message}", file=sys.stderr)
     if not report.feasible:
-        detail = "; ".join(str(w.message) for w in caught) or "scenario is infeasible"
+        detail = "; ".join(str(w.message) for w in diagnosis) or "scenario is infeasible"
         raise InfeasibleError(detail)
     return report
 

@@ -22,16 +22,18 @@ Fixed points are found by iterating the map, taking a Newton step in
 place of the plain step whenever the Newton iterate is certified: g_q is
 monotone and concave on the positive semidefinite cone, so a positive
 semidefinite Y with g_q(Y) <= Y proves that a fixed point exists below Y,
-and Newton steps from such a Y descend to it quadratically. Below the
-critical probability no such Y exists and the solver only iterates the
-map. For a target with one output whose eigenvalues on or outside the
-unit circle all lie strictly outside it, are observable and are driven by
-the process noise, the critical probability is exactly 1 - 1/M(A)^2,
-with M(A) the product of their moduli; with more outputs the same holds
-for a single real unstable eigenvalue. Other unstable targets are
-bisected from the lower bound 1 - 1/rho(A)^2 to the feasible end of the
-bracket, so their value errs upward. The closed form is a fact of the
-target (`LtiTarget.critical_closed_form`), computed once.
+and Newton steps from such a Y descend to it quadratically. For a target
+with one output whose eigenvalues on or outside the unit circle all lie
+strictly outside it, are observable and are driven by the process noise,
+the critical probability is exactly 1 - 1/M(A)^2, with M(A) the product
+of their moduli; with more outputs the same holds for a single real
+unstable eigenvalue. The closed form is a fact of the target
+(`LtiTarget.critical_closed_form`), computed once, and it decides
+existence: at or below it a solve returns DIVERGED without iterating
+(no fixed point exists there; Sinopoli et al., IEEE TAC 2004). Other
+unstable targets are iterated until their trace passes a cap, and their
+critical probability is bisected from the lower bound 1 - 1/rho(A)^2 to
+the feasible end of the bracket, so their value errs upward.
 
 Covariance matrices are plain numpy arrays; `model.check_covariance`,
 re-exported here, enforces their invariants where inputs enter the public
@@ -60,22 +62,12 @@ __all__ = [
     "TRACE_DIVERGENCE_CAP",
 ]
 
-# A trajectory whose trace passes this cap is declared diverged. This is a
-# heuristic, not a proof: a fixed point with a larger trace exists yet is
-# reported as diverged (one random single-output target has a fixed point
-# of trace 2.3e12 at q^c + 1e-2).
+# For a target without a closed-form critical probability, a trajectory
+# whose trace passes this cap is declared diverged. This is a heuristic, not
+# a proof: a fixed point with a larger trace would be reported as diverged.
+# Targets with a closed form are decided by it instead, and the cap then
+# bounds only the certified Newton candidates.
 TRACE_DIVERGENCE_CAP = 1e12
-# The growth-ratio divergence signal: trace growing by more than RATIO_EPS
-# per step for RATIO_STREAK consecutive iterations, counted only after
-# iteration RATIO_START and only once the trace exceeds RATIO_TRACE_FLOOR.
-# The floor keeps slowly converging near-critical runs (which can hold a
-# per-step growth above 1e-6 for hundreds of iterations while heading to a
-# moderate fixed point) from being declared divergent; genuinely divergent
-# runs pass any floor on their way to the cap and are only caught sooner.
-_RATIO_EPS = 1e-6
-_RATIO_STREAK = 50
-_RATIO_START = 200
-_RATIO_TRACE_FLOOR = 1e8
 # A Newton iterate Y is accepted when its eigenvalues, and those of
 # g_q(Y) - Y, clear 0 from the certified side by at most this much
 # relative to the largest entry of Y (floating-point slack).
@@ -98,7 +90,7 @@ class MareResult:
     """Outcome of a fixed-point solve.
 
     X is the fixed point when converged, the last iterate when the
-    iteration budget ran out, and None when the trajectory diverged.
+    iteration budget ran out, and None on DIVERGED.
     `residual` is ||g_q(X) - X||_F at exit (inf on divergence).
     """
 
@@ -229,16 +221,14 @@ def _system_rows(targets: list[LtiTarget]) -> tuple[np.ndarray, np.ndarray, np.n
     )
 
 
-def _near_critical_check(target: LtiTarget, q: float) -> None:
+def _near_critical_check(target: LtiTarget, q: float, closed: float | None) -> None:
     # Strictly stable targets have a bounded fixed point at every q, so only
     # modes on or outside the unit circle can make a solve near-critical.
-    # The reference point is the closed-form critical probability when there
-    # is one, else the lower bound 1 - 1/rho^2.
+    # The reference point is the closed-form critical probability `closed`
+    # when there is one, else the lower bound 1 - 1/rho^2.
     if target.rho < 1.0 - _UNIT_CIRCLE_TOL:
         return
-    ref = target.critical_closed_form
-    if ref is None:
-        ref = 1.0 - 1.0 / target.rho**2
+    ref = 1.0 - 1.0 / target.rho**2 if closed is None else closed
     if 0.0 < q - ref < 1e-3:
         warnings.warn(
             f"q = {q:.6g} is within 1e-3 above the critical probability (or, "
@@ -306,14 +296,14 @@ def solve_mare(
     step from a certified iterate raises the trace by a step within the
     certificate's slack: rounding then outweighs the step, and that
     iterate is returned.
-    Divergence is declared when the trace passes TRACE_DIVERGENCE_CAP, or
-    when it grows by a factor above 1 + 1e-6 for 50 consecutive iterations
-    past iteration 200 while already above 1e8 (slow blowups near the
-    critical probability, where no certificate exists and every step is
-    plain). A fixed point whose trace exceeds the cap is therefore
-    reported as DIVERGED too. Exceeding `max_iter` returns MAX_ITERATIONS
-    with the last iterate; callers that need a certificate treat that as
-    "no fixed point found", never as convergence.
+    Existence is the target's own fact when it has a closed-form critical
+    probability q^c (`LtiTarget.critical_closed_form`, read only when
+    rho(A) > 1): at q <= q^c no fixed point exists and DIVERGED returns at
+    0 iterations, and above it one exists, so only `max_iter` ends the
+    loop. A target without a closed form is declared diverged when its
+    trace passes TRACE_DIVERGENCE_CAP. Exceeding `max_iter` returns
+    MAX_ITERATIONS with the last iterate; callers that need a certificate
+    treat that as "no fixed point found", never as convergence.
 
     The iteration converges from any positive semidefinite start when a
     fixed point exists, so x0 only affects the iteration count. A
@@ -324,8 +314,11 @@ def solve_mare(
         raise ValueError(f"q must lie in [0, 1], got {q!r}")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    _near_critical_check(target, q)
+    closed = target.critical_closed_form if target.rho > 1.0 else None
+    _near_critical_check(target, q, closed)
     X = check_covariance(target.Q, "Q") if x0 is None else check_covariance(x0, "x0")
+    if closed is not None and q <= closed:
+        return MareResult(MareStatus.DIVERGED, None, 0, float("inf"))
     # A super-solution Y >= (1-q) A Y A^T + Q needs (1-q) rho(A)^2 < 1
     # (for positive definite Q), so below that bound every step is plain.
     base = None
@@ -333,20 +326,13 @@ def solve_mare(
         base = np.eye(target.n**2) - (1.0 - q) * _kron_self(target.A)
     G = g_q(target, q, X, validate=False)
     tr_prev = float(np.trace(X))
-    streak = 0
     certified = False
     for k in range(1, max_iter + 1):
         step = None if base is None else _newton_step(target, q, base, X, G)
         Xn, Gn = step or (G, None)
         tr = float(np.trace(Xn))
-        if tr > TRACE_DIVERGENCE_CAP:
+        if closed is None and tr > TRACE_DIVERGENCE_CAP:
             return MareResult(MareStatus.DIVERGED, None, k, float("inf"))
-        if k > _RATIO_START and tr > tr_prev * (1 + _RATIO_EPS) and tr > _RATIO_TRACE_FLOOR:
-            streak += 1
-            if streak >= _RATIO_STREAK:
-                return MareResult(MareStatus.DIVERGED, None, k, float("inf"))
-        else:
-            streak = 0
         if Gn is None:
             Gn = g_q(target, q, Xn, validate=False)
         if np.linalg.norm(Xn - X) <= tol * (1 + np.linalg.norm(X)):

@@ -359,6 +359,32 @@ class TestSolveCommand:
         assert "constant observation" in err
         assert not (tmp_path / "o" / "solution.csv").exists()
 
+    def test_infeasible_line_holds_the_diagnosis_alone(self, tmp_path, capsys):
+        # the a = 2 chain's loss-adjusted floor lies within 1e-3 of its q^c,
+        # so its probe warns of conditioning before the demand check fails
+        cfg = tmp_path / "inf.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "targets": [
+                        {"chain": {"a": 2, "Q": 1, "R": 1}},
+                        {"chain": {"a": 1.25, "Q": 1, "R": 1}},
+                    ],
+                    "constraints": {"loss": [0.2495, 0]},
+                }
+            )
+        )
+        rc, _, err = run(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert rc == cli.EXIT_INFEASIBLE
+        lines = err.splitlines()
+        assert lines[-1] == (
+            "infeasible: priorities and loss-adjusted critical probabilities "
+            "demand total probability 1.35935 > 1"
+        )
+        assert err.count("demand total probability") == 1
+        conditioning = [line for line in lines if "within 1e-3 above" in line]
+        assert len(conditioning) == 1 and conditioning[0].startswith("warning: q = 0.7505")
+
     def test_numerical_failure_exits_4(self, tmp_path, capsys, monkeypatch):
         def explode(*args, **kwargs):
             raise np.linalg.LinAlgError("matrix is singular")

@@ -63,6 +63,8 @@ class TestMap:
             g_q(UNIT_SCALAR, 0.5, [[-1.0]])
         with pytest.raises(ValueError):
             check_covariance([[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=r"X must be square, got shape \(3,\)"):
+            check_covariance(np.zeros(3))
 
     def test_symmetrize(self):
         M = np.array([[1.0, 2.0], [0.0, 1.0]])
@@ -117,8 +119,14 @@ class TestSolver:
         assert solve_mare(t, 0.8).converged
 
     def test_slow_divergence_is_caught(self):
-        t = scalar_target(1.01)
-        assert solve_mare(t, 0.005).status is MareStatus.DIVERGED
+        # Two outputs and two unstable modes: no closed form decides, so the
+        # trace cap must. q^c is the lower bound 1 - 1/1.2^2 = 0.3056, and
+        # 6e-3 below it the trace grows by 0.8 % a step.
+        t = LtiTarget(A=np.diag([1.2, 1.1]), C=np.eye(2), Q=np.eye(2), R=np.eye(2))
+        assert t.critical_closed_form is None
+        res = solve_mare(t, 0.3)
+        assert res.status is MareStatus.DIVERGED
+        assert res.iterations > 1000
 
     def test_iteration_budget_is_reported(self):
         # close enough to q^c = 0.75 that plain steps must run for hundreds
@@ -206,7 +214,7 @@ class TestCriticalProbability:
         A[2, 2] = 1.1
         t = LtiTarget(A=A, C=[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], Q=np.eye(3), R=np.eye(2))
         # at width 1e-2 one more probe would land 6e-4 below q^c, where the
-        # divergence takes 16 000 iterations
+        # trace takes 31 000 iterations to reach the divergence cap
         qc = critical_probability(t, tol=2e-2)
         exact = 1 - 1 / 1.2**4
         # the feasible endpoint of a width-2e-2 bracket: errs upward only

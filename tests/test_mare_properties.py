@@ -13,7 +13,9 @@ the theory guarantees, checked on random targets.
   the product of the unstable moduli, whether the modes are real, a
   complex pair or a Jordan block (the dual of Elia, Systems & Control
   Letters 2005). At the value itself no fixed point exists, so the solver
-  is probed a little above and below it.
+  is probed a little above and below it. Below it the solver returns the
+  closed form's verdict without iterating, so on fixed targets of these
+  families the map itself is iterated there, and its trace must blow up.
 * Warm and cold starts agree: the fixed point at a smaller q' is a
   super-solution at q (g_q is non-increasing in q), and solving from it
   reaches the same closed-form fixed point as solving from Q.
@@ -28,6 +30,7 @@ the theory guarantees, checked on random targets.
   target's rows the bits of that target's own update.
 """
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -41,7 +44,7 @@ from sensorsched import (
     g_q,
     solve_mare,
 )
-from sensorsched.mare import _CERTIFY_RTOL, _riccati_step, _system_rows
+from sensorsched.mare import _CERTIFY_RTOL, TRACE_DIVERGENCE_CAP, _riccati_step, _system_rows
 from sensorsched.simulate import covariance_step
 
 seeds = st.integers(0, 2**32 - 1)
@@ -116,6 +119,8 @@ def single_unstable_mode_target(seed: int) -> tuple[LtiTarget, float]:
 
 @settings(max_examples=30, deadline=None)
 @given(seed=seeds)
+# a fixed point of trace 2.3e12 at q^c + 1e-2, above TRACE_DIVERGENCE_CAP
+@example(seed=1_869_544_603)
 def test_single_unstable_mode_has_analytic_critical_probability(seed):
     target, lam = single_unstable_mode_target(seed)
     shifted = target.A - lam * np.eye(target.n)
@@ -125,6 +130,8 @@ def test_single_unstable_mode_has_analytic_critical_probability(seed):
     assert abs(qc - (1.0 - 1.0 / lam**2)) <= 1e-12
     assert solve_mare(target, qc + 1e-2).converged
     assert solve_mare(target, qc - 1e-2).status is MareStatus.DIVERGED
+    at_qc = solve_mare(target, qc)
+    assert at_qc.status is MareStatus.DIVERGED and at_qc.iterations == 0
 
 
 def single_output_target(seed: int, kind: str) -> tuple[LtiTarget, float]:
@@ -139,8 +146,8 @@ def single_output_target(seed: int, kind: str) -> tuple[LtiTarget, float]:
     three disjoint ranges, and in the basis of T every entry of C has
     modulus at least 0.5, so each mode is observed with a margin: one
     output cannot tell nearly equal modes apart, and a mode observed with a
-    margin near 0 has a fixed point whose trace passes
-    TRACE_DIVERGENCE_CAP, which solve_mare reports as divergence.
+    margin near 0 has a fixed point so large that the solve above q^c
+    needs a long run of plain steps before a Newton step can be certified.
     """
     rng = np.random.default_rng(seed)
     floors = rng.permutation([1.05, 1.2, 1.35])
@@ -191,6 +198,42 @@ def test_single_output_critical_probability_is_closed_form(seed, kind):
     # both sides settled within 2 200 iterations
     assert solve_mare(target, qc + 1e-2, max_iter=5_000).converged
     assert solve_mare(target, qc - 1e-2, max_iter=5_000).status is MareStatus.DIVERGED
+    at_qc = solve_mare(target, qc, max_iter=5_000)
+    assert at_qc.status is MareStatus.DIVERGED and at_qc.iterations == 0
+
+
+def fixed_target(family: str, key) -> tuple[LtiTarget, float]:
+    """A target of one of the families above, or a scalar plant a (key),
+    with its critical probability from the exact spectrum."""
+    if family == "scalar":
+        return LtiTarget(A=[[key]], C=[[1.0]], Q=[[1.0]], R=[[1.0]]), 1.0 - 1.0 / key**2
+    if family == "mode":
+        target, lam = single_unstable_mode_target(key)
+        return target, 1.0 - 1.0 / lam**2
+    return single_output_target(key, family)
+
+
+@pytest.mark.parametrize(
+    "family,key",
+    [("scalar", 1.01), ("scalar", 2.0), ("mode", 0), ("mode", 2), ("mode", 1_869_544_603),
+     ("real", 1), ("complex", 1), ("jordan", 0)],
+)
+def test_iteration_diverges_below_the_closed_form(family, key):
+    # The solver returns the closed form's verdict below q^c without
+    # iterating; the map itself, iterated from Q, must agree: its trace
+    # passes 1e12 within the budget (at most 3 200 steps on these targets).
+    # A closed form below the exact q^c would leave the solve iterating to
+    # its budget instead.
+    target, exact = fixed_target(family, key)
+    q = exact - 1e-2
+    assert solve_mare(target, q, max_iter=10_000).status is MareStatus.DIVERGED
+    X = target.Q
+    for _ in range(10_000):
+        X = g_q(target, q, X, validate=False)
+        if np.trace(X) > TRACE_DIVERGENCE_CAP:
+            break
+    else:
+        pytest.fail(f"trace {np.trace(X):.3g} after 10 000 steps at q^c - 1e-2")
 
 
 @settings(max_examples=5, deadline=None)

@@ -330,6 +330,10 @@ class TestSolve:
         with pytest.raises(ValueError, match="inner_tol must be positive"):
             solve(targets, inner_tol=inner_tol)
 
+    def test_needs_a_target(self):
+        with pytest.raises(ValueError, match="need at least one target"):
+            solve_distribution([])
+
     def test_solves_start_from_smaller_fixed_points(self, pair, oracles):
         report = solve_distribution(pair)
         # 249 bisection solves plus one floor probe per (stable) target
