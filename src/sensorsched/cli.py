@@ -2,9 +2,11 @@
 
 Subcommands: solve (probability distribution + budget), schedule (turn a
 distribution into a concrete sequence), simulate (filter along a schedule
-and export traces), compare (methods side by side). Scenarios load from a
-JSON config; every artifact is a deterministic CSV or text file, so a
-rerun with the same config and seeds is byte-identical.
+and export traces), compare (methods side by side). The JSON scenario
+file holds every setting, seeds and topology included; the command line
+picks only the files and the output (--config, --out, --kind, compare
+--window). Every artifact is a deterministic CSV or text file, so a rerun
+is byte-identical.
 
 Exit codes: 0 success, 2 configuration problem, 3 infeasible scenario,
 4 numerical failure.
@@ -60,7 +62,7 @@ EXIT_INFEASIBLE = 3
 EXIT_NUMERIC = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     targets: list
     constraints: Constraints | None
@@ -73,7 +75,6 @@ class Scenario:
     duration: int | None
     T: int
     runs: int
-    window: int | None
     sim_seed: int
     key: str  # fingerprint of what the solution depends on
 
@@ -215,12 +216,12 @@ def load_scenario(path: str | Path) -> Scenario:
     sched = raw.get("schedule", {})
     _check_keys(sched, {"L", "seed", "epsilon_jitter", "duration"}, "schedule")
     sim = raw.get("simulate", {})
-    _check_keys(sim, {"T", "runs", "window", "seed"}, "simulate")
+    _check_keys(sim, {"T", "runs", "seed"}, "simulate")
 
     tols = [_scalar(solver, k, "solver", float, d) for k, d in
             (("outer_tol", 1e-3), ("inner_tol", 1e-5))]
-    # Topology and --distributed stay out of the key: the distributed
-    # solve returns the centralized distribution bit for bit.
+    # Topology stays out of the key: the distributed solve returns the
+    # centralized distribution bit for bit.
     key = zlib.crc32(json.dumps([entries, raw.get("constraints"), tols], sort_keys=True).encode())
     return Scenario(
         targets=targets,
@@ -234,7 +235,6 @@ def load_scenario(path: str | Path) -> Scenario:
         duration=_scalar(sched, "duration", "schedule", int, minimum=1),
         T=_scalar(sim, "T", "simulate", int, 500, minimum=1),
         runs=_scalar(sim, "runs", "simulate", int, 1000, minimum=1),
-        window=_scalar(sim, "window", "simulate", int, minimum=1),
         sim_seed=_scalar(sim, "seed", "simulate", int, 1, minimum=0),
         key=f"{key:08x}",
     )
@@ -252,11 +252,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _solve(scn: Scenario, distributed: bool):
+def _solve(scn: Scenario):
     """Run the solver, echoing any infeasibility diagnosis."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if distributed or scn.adjacency is not None:
+        if scn.adjacency is not None:
             report = solve_distributed(
                 scn.targets,
                 adjacency=scn.adjacency,
@@ -303,7 +303,7 @@ def _write_solution(path: Path, scn: Scenario, report) -> None:
     )
 
 
-def _load_distribution(out_dir: Path, scn: Scenario, distributed: bool):
+def _load_distribution(out_dir: Path, scn: Scenario):
     """(gamma_star, q) from this scenario's own solution.csv, else from a
     fresh solve, written to solution.csv so that later commands reuse it."""
     path = out_dir / "solution.csv"
@@ -317,13 +317,13 @@ def _load_distribution(out_dir: Path, scn: Scenario, distributed: bool):
             f"warning: {path} belongs to another scenario, re-solving and replacing it",
             file=sys.stderr,
         )
-    report = _solve(scn, distributed)
+    report = _solve(scn)
     _write_solution(path, scn, report)
     return report.gamma_star, report.q_star
 
 
 def cmd_solve(scn: Scenario, args) -> int:
-    report = _solve(scn, args.distributed)
+    report = _solve(scn)
     out = Path(args.out)
     print(f"gamma_star = {report.gamma_star:.6g}  "
           f"(outer iterations: {report.outer_iterations}, "
@@ -350,7 +350,7 @@ def _build_sequence(scn: Scenario, q: ScheduleDistribution, kind: str, length: i
 
 def cmd_schedule(scn: Scenario, args) -> int:
     out = Path(args.out)
-    _, q = _load_distribution(out, scn, args.distributed)
+    _, q = _load_distribution(out, scn)
     length = scn.duration if (args.kind == "csma" and scn.duration is not None) else scn.L
     seq = _build_sequence(scn, q, args.kind, length, scn.schedule_seed)
     path = out / f"schedule_{args.kind}.txt"
@@ -370,7 +370,7 @@ def _tile_to(seq_steps: np.ndarray, T: int) -> np.ndarray:
 
 def cmd_simulate(scn: Scenario, args) -> int:
     out = Path(args.out)
-    _, q = _load_distribution(out, scn, args.distributed)
+    _, q = _load_distribution(out, scn)
     if args.kind == "random":
         mc = monte_carlo_expected_cost(scn.targets, q, scn.T, scn.runs, scn.sim_seed)
         series = mc.mean_trace_series
@@ -405,7 +405,7 @@ def cmd_simulate(scn: Scenario, args) -> int:
 
 def cmd_compare(scn: Scenario, args) -> int:
     out = Path(args.out)
-    gamma_star, q = _load_distribution(out, scn, args.distributed)
+    gamma_star, q = _load_distribution(out, scn)
     rows: list[list] = []
 
     rows.append(["bound", _fmt(gamma_star), "", "optimized worst-case fixed-point trace"])
@@ -424,12 +424,11 @@ def cmd_compare(scn: Scenario, args) -> int:
     except ValueError as e:
         rows.append(["minconsec", "", "", f"failed: {e}"])
 
-    window = args.window if args.window is not None else scn.window
-    if window is not None:
+    if args.window is not None:
         try:
-            _, sw = sliding_window_schedule(scn.targets, window, scn.T)
+            _, sw = sliding_window_schedule(scn.targets, args.window, scn.T)
             rows.append(["sliding_window", _fmt(sw.max_over_targets), "",
-                         f"window={window}, T={scn.T}"])
+                         f"window={args.window}, T={scn.T}"])
         except ValueError as e:
             rows.append(["sliding_window", "", "", f"failed: {e}"])
 
@@ -460,10 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override schedule and simulation seeds")
-        p.add_argument("--distributed", action="store_true",
-                       help="solve with the per-node protocol")
         if name in ("schedule", "simulate"):
             p.add_argument("--kind", choices=("random", "minconsec", "csma"),
                            default="random")
@@ -477,13 +472,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scn = load_scenario(args.config)
-        for flag, low in (("seed", 0), ("window", 1)):
-            value = getattr(args, flag, None)
-            if value is not None and value < low:
-                raise ConfigError(f"--{flag}: must be at least {low}, got {value}")
-        if args.seed is not None:
-            scn.schedule_seed = args.seed
-            scn.sim_seed = args.seed
+        window = getattr(args, "window", None)
+        if window is not None and window < 1:
+            raise ConfigError(f"--window: must be at least 1, got {window}")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return args.fn(scn, args)

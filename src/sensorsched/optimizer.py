@@ -249,12 +249,16 @@ def _nested_bisection(targets, constraints, outer_tol, inner_tol, total) -> Solv
     # A target whose loss-adjusted critical probability reaches 1 cannot be
     # stabilized by any assignment, and floors that exhaust the budget leave
     # nothing to optimize over.
-    unstabilizable = any(not np.isfinite(o.cost(1.0)) for o in oracles)
+    unstabilizable = [
+        f"target {o.target.label or i} " + (
+            f"cannot be stabilized: with loss {o.loss:.6g}, even constant observation "
+            f"delivers it probability {1.0 - o.loss:.6g}, at or below its critical probability"
+            if o.loss > 0 else "diverges even under constant observation")
+        for i, o in enumerate(oracles) if not np.isfinite(o.cost(1.0))
+    ]
     if floor_total > 1.0 or unstabilizable:
-        reason = (
-            "a target diverges even under constant observation"
-            if unstabilizable
-            else "priorities and loss-adjusted critical probabilities "
+        reason = "; ".join(unstabilizable) or (
+            "priorities and loss-adjusted critical probabilities "
             f"demand total probability {floor_total:.6g} > 1"
         )
         warnings.warn(reason, InfeasibilityWarning, stacklevel=3)

@@ -321,24 +321,26 @@ def test_criterion_12_command_determinism(tmp_path, capsys):
             },
         ],
         "schedule": {"L": 120, "seed": 7, "duration": 150},
-        "simulate": {"T": 60, "runs": 5, "seed": 9, "window": 3},
+        "simulate": {"T": 60, "runs": 5, "seed": 9},
     }
     cfg = tmp_path / "scenario.json"
     cfg.write_text(json.dumps(config))
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps({**config, "topology": "ring"}))
     out = tmp_path / "out"
     commands = [
-        (["solve"], "solution.csv"),
-        (["solve", "--distributed"], "solution.csv"),
-        (["schedule", "--kind", "random"], "schedule_random.txt"),
-        (["schedule", "--kind", "minconsec"], "schedule_minconsec.txt"),
-        (["schedule", "--kind", "csma"], "schedule_csma.txt"),
-        (["simulate", "--kind", "random"], "traces.csv"),
-        (["simulate", "--kind", "minconsec"], "traces.csv"),
-        (["compare"], "comparison.csv"),
+        (cfg, ["solve"], "solution.csv"),
+        (ring, ["solve"], "solution.csv"),
+        (cfg, ["schedule", "--kind", "random"], "schedule_random.txt"),
+        (cfg, ["schedule", "--kind", "minconsec"], "schedule_minconsec.txt"),
+        (cfg, ["schedule", "--kind", "csma"], "schedule_csma.txt"),
+        (cfg, ["simulate", "--kind", "random"], "traces.csv"),
+        (cfg, ["simulate", "--kind", "minconsec"], "traces.csv"),
+        (cfg, ["compare", "--window", "3"], "comparison.csv"),
     ]
     stable = True
-    for argv, artifact in commands:
-        full = argv + ["--config", str(cfg), "--out", str(out)]
+    for path, argv, artifact in commands:
+        full = argv + ["--config", str(path), "--out", str(out)]
         assert cli.main(full) == 0
         first = (out / artifact).read_bytes()
         assert cli.main(full) == 0

@@ -4,6 +4,7 @@ Everything runs in-process through cli.main so exit codes and stderr text
 are asserted directly; artifacts land in per-test temp directories.
 """
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -80,6 +81,7 @@ class TestConfigValidation:
             ("schedule", "alpha"),
             ("schedule", "length"),
             ("simulate", "horizon"),
+            ("simulate", "window"),
             ("constraints", "weights"),
         ],
     )
@@ -231,7 +233,7 @@ class TestConfigValidation:
             ({"solver": {"outer_tol": [1e-3]}}, "solver.outer_tol"),
             ({"simulate": {"T": 1.5}}, "simulate.T"),
             ({"simulate": {"runs": False}}, "simulate.runs"),
-            ({"simulate": {"window": [3]}}, "simulate.window"),
+            ({"solver": {"outer_tol": True}}, "solver.outer_tol"),
             ({"simulate": {"seed": None}}, "simulate.seed"),
             ({"targets": [{"chain": {"a": 1, "Q": 1, "R": 1, "d": 1.5}}]}, "targets[0].chain.d"),
             ({"targets": [{"chain": {"a": "1", "Q": 1, "R": 1}}]}, "targets[0].chain.a"),
@@ -253,12 +255,10 @@ class TestConfigValidation:
             (["simulate"], {"simulate": {"runs": 0}}, "simulate.runs"),
             (["schedule", "--kind", "csma"], {"schedule": {"L": 0}}, "schedule.L"),
             (["schedule", "--kind", "csma"], {"schedule": {"duration": 0}}, "schedule.duration"),
-            (["compare"], {"simulate": {"window": 0}}, "simulate.window"),
-            (["simulate", "--seed", "-1"], {}, "--seed"),
             (["compare", "--window", "0"], {}, "--window"),
         ],
         ids=["simulate.seed", "schedule.seed", "simulate.T", "simulate.runs", "schedule.L",
-             "schedule.duration", "simulate.window", "seed-flag", "window-flag"],
+             "schedule.duration", "window-flag"],
     )
     def test_out_of_range_setting_fails_before_the_solve(
         self, tmp_path, capsys, argv, sections, fragment
@@ -271,6 +271,29 @@ class TestConfigValidation:
         assert rc == cli.EXIT_CONFIG
         assert f"{fragment}: must be at least" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "schedule", "simulate", "compare"])
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--distributed"]],
+                             ids=["seed", "distributed"])
+    def test_removed_flags_are_rejected(self, tmp_path, capsys, command, flag):
+        # the scenario file holds the seeds and the topology
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        assert flag[0] not in capsys.readouterr().out
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(cfg), "--out", str(out), *flag])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scenario_is_frozen(self, tmp_path):
+        # no flag overrides a setting of the scenario file
+        scn = cli.load_scenario(write_config(tmp_path))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scn.sim_seed = 2
 
     def test_nan_jitter_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, schedule={"epsilon_jitter": float("nan")})
@@ -316,16 +339,6 @@ class TestSolveCommand:
         assert run(capsys, "solve", "--config", str(cfg), "--out", str(out))[0] == 0
         assert (out / "solution.csv").read_bytes() == first
 
-    def test_distributed_flag_matches_centralized(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        central, dist = tmp_path / "c", tmp_path / "d"
-        assert run(capsys, "solve", "--config", str(cfg), "--out", str(central))[0] == 0
-        rc, _, _ = run(
-            capsys, "solve", "--config", str(cfg), "--out", str(dist), "--distributed"
-        )
-        assert rc == 0
-        assert (dist / "solution.csv").read_bytes() == (central / "solution.csv").read_bytes()
-
     def test_topology_in_config_matches_centralized(self, tmp_path, capsys):
         plain = write_config(tmp_path, name="plain.json")
         lined = write_config(tmp_path, name="lined.json", topology="line")
@@ -356,7 +369,10 @@ class TestSolveCommand:
         assert rc == cli.EXIT_INFEASIBLE
         assert "warning: targets[1]: Q is singular" in err
         assert "infeasible:" in err
-        assert "constant observation" in err
+        assert (
+            "infeasible: target hot cannot be stabilized: with loss 0.6, even constant "
+            "observation delivers it probability 0.4, at or below its critical probability"
+        ) in err
         assert not (tmp_path / "o" / "solution.csv").exists()
 
     def test_infeasible_line_holds_the_diagnosis_alone(self, tmp_path, capsys):
@@ -384,6 +400,27 @@ class TestSolveCommand:
         assert err.count("demand total probability") == 1
         conditioning = [line for line in lines if "within 1e-3 above" in line]
         assert len(conditioning) == 1 and conditioning[0].startswith("warning: q = 0.7505")
+
+    def test_infeasible_line_names_the_lossy_target(self, tmp_path, capsys):
+        # q = 1 delivers 0.7 of fast's slots, below its q^c = 0.75; slow is stable
+        cfg = tmp_path / "inf.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "targets": [
+                        {"label": "fast", "chain": {"a": 2, "Q": 1, "R": 1}},
+                        {"label": "slow", "chain": {"a": 0.5, "Q": 1, "R": 1}},
+                    ],
+                    "constraints": {"loss": [0.3, 0]},
+                }
+            )
+        )
+        rc, _, err = run(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert rc == cli.EXIT_INFEASIBLE
+        assert err.splitlines() == [
+            "infeasible: target fast cannot be stabilized: with loss 0.3, even constant "
+            "observation delivers it probability 0.7, at or below its critical probability"
+        ]
 
     def test_numerical_failure_exits_4(self, tmp_path, capsys, monkeypatch):
         def explode(*args, **kwargs):
@@ -460,15 +497,16 @@ class TestScheduleCommand:
     def test_random_schedule_is_seed_stable(self, tmp_path, capsys):
         cfg = write_config(tmp_path, schedule={"L": 200, "seed": 3})
         out = tmp_path / "out"
+        argv = ["schedule", "--config", str(cfg), "--out", str(out), "--kind", "random"]
         run(capsys, "solve", "--config", str(cfg), "--out", str(out))
-        run(capsys, "schedule", "--config", str(cfg), "--out", str(out), "--kind", "random")
+        run(capsys, *argv)
         first = (out / "schedule_random.txt").read_bytes()
-        run(capsys, "schedule", "--config", str(cfg), "--out", str(out), "--kind", "random")
+        run(capsys, *argv)
         assert (out / "schedule_random.txt").read_bytes() == first
-        run(
-            capsys, "schedule", "--config", str(cfg), "--out", str(out),
-            "--kind", "random", "--seed", "99",
-        )
+        # the schedule seed stays out of the solution's key: only the schedule changes
+        write_config(tmp_path, schedule={"L": 200, "seed": 99})
+        rc, _, err = run(capsys, *argv)
+        assert rc == 0 and err == ""
         assert (out / "schedule_random.txt").read_bytes() != first
 
     def test_csma_uses_duration(self, tmp_path, capsys):
@@ -528,10 +566,12 @@ class TestCompareCommand:
         cfg = write_config(
             tmp_path,
             schedule={"L": 100},
-            simulate={"T": 60, "runs": 4, "window": 3, "seed": 2},
+            simulate={"T": 60, "runs": 4, "seed": 2},
         )
         out = tmp_path / "out"
-        rc, stdout, _ = run(capsys, "compare", "--config", str(cfg), "--out", str(out))
+        rc, stdout, _ = run(
+            capsys, "compare", "--config", str(cfg), "--out", str(out), "--window", "3"
+        )
         assert rc == 0
         lines = (out / "comparison.csv").read_text().splitlines()
         assert lines[0] == "method,max_cost,half_width,note"
@@ -557,7 +597,7 @@ class TestCompareCommand:
         bound = (out / "comparison.csv").read_text().splitlines()[1].split(",")[1]
         assert bound == gamma
 
-    def test_window_flag_overrides_config(self, tmp_path, capsys):
+    def test_window_flag_adds_the_baseline(self, tmp_path, capsys):
         cfg = write_config(tmp_path, simulate={"T": 40, "runs": 2})
         out = tmp_path / "out"
         rc, stdout, _ = run(
@@ -581,10 +621,12 @@ class TestCompareCommand:
         cfg = write_config(
             tmp_path,
             schedule={"L": 3},
-            simulate={"T": 40, "runs": 2, "window": 25},
+            simulate={"T": 40, "runs": 2},
         )
         out = tmp_path / "out"
-        rc, _, _ = run(capsys, "compare", "--config", str(cfg), "--out", str(out))
+        rc, _, _ = run(
+            capsys, "compare", "--config", str(cfg), "--out", str(out), "--window", "25"
+        )
         assert rc == 0
         with open(out / "comparison.csv", newline="") as f:
             rows = {r["method"]: (r["max_cost"], r["note"]) for r in csv.DictReader(f)}

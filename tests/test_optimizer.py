@@ -411,11 +411,26 @@ class TestInfeasible:
 
     def test_loss_can_make_a_target_hopeless(self, unstable_scalar):
         # a = 2 needs q_eff > 0.75; with 60% loss even q = 1 gives 0.4
-        with pytest.warns(InfeasibilityWarning, match="constant observation"):
+        with pytest.warns(InfeasibilityWarning) as caught:
             report = solve_distribution(
                 [unstable_scalar], constraints=Constraints(loss=[0.6])
             )
         assert not report.feasible
+        assert [str(w.message) for w in caught] == [
+            "target unstable cannot be stabilized: with loss 0.6, even constant observation "
+            "delivers it probability 0.4, at or below its critical probability"
+        ]
+
+    def test_unobservable_target_is_named_by_its_index(self, unstable_scalar):
+        # C = 0: no schedule helps, loss or no loss
+        blind = LtiTarget(A=[[2.0]], C=[[0.0]], Q=[[1.0]], R=[[1.0]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = solve_distribution([unstable_scalar, blind])
+        assert not report.feasible
+        assert [str(w.message) for w in caught if w.category is InfeasibilityWarning] == [
+            "target 1 diverges even under constant observation"
+        ]
 
     @pytest.mark.filterwarnings("ignore::sensorsched.ConditioningWarning")
     def test_floors_without_slack_warn(self, no_slack_pair):
