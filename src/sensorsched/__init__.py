@@ -43,7 +43,6 @@ from .distributed import (
     solve_distributed,
 )
 from .schedule import (
-    BackoffConfig,
     ScheduleSequence,
     build_min_consecutive_schedule,
     max_run_length,
@@ -89,7 +88,6 @@ __all__ = [
     "line_graph",
     "ring_graph",
     "solve_distributed",
-    "BackoffConfig",
     "ScheduleSequence",
     "build_min_consecutive_schedule",
     "max_run_length",

@@ -5,8 +5,9 @@ distribution into a concrete sequence), simulate (filter along a schedule
 and export traces), compare (methods side by side). The JSON scenario
 file holds every setting, seeds and topology included; the command line
 picks only the files and the output (--config, --out, --kind, compare
---window). Every artifact is a deterministic CSV or text file, so a rerun
-is byte-identical.
+--window). Contention runs for schedule.duration periods (L when unset) in
+`schedule --kind csma` and for simulate.T in `simulate`. Every artifact is
+a deterministic CSV or text file, so a rerun is byte-identical.
 
 Exit codes: 0 success, 2 configuration problem, 3 infeasible scenario,
 4 numerical failure.
@@ -34,7 +35,6 @@ from .model import (
 )
 from .optimizer import Constraints, InfeasibilityWarning, solve_distribution
 from .schedule import (
-    BackoffConfig,
     ScheduleSequence,
     build_min_consecutive_schedule,
     max_run_length,
@@ -71,7 +71,6 @@ class Scenario:
     inner_tol: float
     L: int
     schedule_seed: int
-    epsilon_jitter: float
     duration: int | None
     T: int
     runs: int
@@ -214,7 +213,7 @@ def load_scenario(path: str | Path) -> Scenario:
     solver = raw.get("solver", {})
     _check_keys(solver, {"outer_tol", "inner_tol"}, "solver")
     sched = raw.get("schedule", {})
-    _check_keys(sched, {"L", "seed", "epsilon_jitter", "duration"}, "schedule")
+    _check_keys(sched, {"L", "seed", "duration"}, "schedule")
     sim = raw.get("simulate", {})
     _check_keys(sim, {"T", "runs", "seed"}, "simulate")
 
@@ -231,7 +230,6 @@ def load_scenario(path: str | Path) -> Scenario:
         inner_tol=tols[1],
         L=_scalar(sched, "L", "schedule", int, 500, minimum=1),
         schedule_seed=_scalar(sched, "seed", "schedule", int, 1, minimum=0),
-        epsilon_jitter=_scalar(sched, "epsilon_jitter", "schedule", float, 1e-3),
         duration=_scalar(sched, "duration", "schedule", int, minimum=1),
         T=_scalar(sim, "T", "simulate", int, 500, minimum=1),
         runs=_scalar(sim, "runs", "simulate", int, 1000, minimum=1),
@@ -339,20 +337,19 @@ def cmd_solve(scn: Scenario, args) -> int:
     return 0
 
 
-def _build_sequence(scn: Scenario, q: ScheduleDistribution, kind: str, length: int, seed: int):
+def _build_sequence(q: ScheduleDistribution, kind: str, length: int, seed: int):
     if kind == "random":
         return sample_stochastic_schedule(q, length, seed)
     if kind == "minconsec":
         return build_min_consecutive_schedule(q, length)
-    cfg = BackoffConfig(epsilon_jitter=scn.epsilon_jitter, duration=length)
-    return simulate_csma_schedule(q, cfg, seed)
+    return simulate_csma_schedule(q, length, seed)
 
 
 def cmd_schedule(scn: Scenario, args) -> int:
     out = Path(args.out)
     _, q = _load_distribution(out, scn)
     length = scn.duration if (args.kind == "csma" and scn.duration is not None) else scn.L
-    seq = _build_sequence(scn, q, args.kind, length, scn.schedule_seed)
+    seq = _build_sequence(q, args.kind, length, scn.schedule_seed)
     path = out / f"schedule_{args.kind}.txt"
     write_sequence(seq, path)
     counts = seq.counts()
@@ -383,11 +380,8 @@ def cmd_simulate(scn: Scenario, args) -> int:
             )
         print(f"max expected cost = {exp.max_over_targets:.4f}")
     else:
-        base = _build_sequence(
-            scn, q, args.kind,
-            scn.T if args.kind == "csma" else scn.L,
-            scn.schedule_seed,
-        )
+        length = scn.T if args.kind == "csma" else scn.L
+        base = _build_sequence(q, args.kind, length, scn.schedule_seed)
         steps = _tile_to(base.steps, scn.T)
         seq = ScheduleSequence(steps=steps, n_targets=len(q))
         report = evaluate_schedule(scn.targets, seq)

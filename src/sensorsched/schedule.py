@@ -19,7 +19,6 @@ from .model import ScheduleDistribution
 
 __all__ = [
     "ScheduleSequence",
-    "BackoffConfig",
     "sample_stochastic_schedule",
     "build_min_consecutive_schedule",
     "max_run_length",
@@ -57,25 +56,6 @@ class ScheduleSequence:
     def counts(self) -> np.ndarray:
         """Occurrences of each target, length n_targets."""
         return np.bincount(self.steps, minlength=self.n_targets)
-
-
-@dataclass(frozen=True)
-class BackoffConfig:
-    """Knobs for the contention simulation.
-
-    epsilon_jitter bounds the random probability nudge used to break
-    timer collisions. duration is the number of sampling periods, i.e.
-    the length of the returned sequence.
-    """
-
-    epsilon_jitter: float = 1e-3
-    duration: int = 1000
-
-    def __post_init__(self):
-        if not self.epsilon_jitter > 0:
-            raise ValueError("epsilon_jitter must be positive")
-        if self.duration < 1:
-            raise ValueError("duration must be at least 1")
 
 
 def sample_stochastic_schedule(q: ScheduleDistribution, L: int, seed: int) -> ScheduleSequence:
@@ -173,47 +153,38 @@ def max_run_length(seq: ScheduleSequence | np.ndarray) -> int:
     return int(np.diff(boundaries).max())
 
 
-def simulate_csma_schedule(
-    q: ScheduleDistribution,
-    cfg: BackoffConfig,
-    seed: int,
-    with_diagnostics: bool = False,
-):
-    """Contention-based schedule: timers T_i = 1 / q_i race per slot.
+def simulate_csma_schedule(q: ScheduleDistribution, duration: int, seed: int) -> ScheduleSequence:
+    """Contention-based schedule of `duration` periods: timers T_i = 1 / q_i race.
 
     Every estimator counts its timer down while the channel is idle and
     freezes it while the channel is busy; the first timer to expire takes
     the next whole sampling period and resets to 1 / q_i. Expiries closer
     together than the time resolution (1e-9) collide; the colliders redraw
-    with probability nudged down by a random epsilon in (0, epsilon_jitter]
-    and race again. Over many periods each target's observation frequency
-    approaches q_i. The timers need no time unit: a win always takes one
-    whole period, and scaling every timer and the resolution by the same
-    unit leaves every race with the same winner. Returns the sequence, plus
-    the collision count when with_diagnostics is set.
+    with probability nudged down by a random epsilon in (0, jitter], with
+    jitter = min(1e-3, min_i q_i / 2) so every nudged probability stays
+    positive, and race again. Over many periods each target's observation
+    frequency approaches q_i. The timers need no time unit: a win always
+    takes one whole period, and scaling every timer and the resolution by
+    the same unit leaves every race with the same winner.
     """
+    if not duration >= 1:
+        raise ValueError("duration must be at least 1")
     probs = q.q
     if np.any(probs <= 0):
         raise ValueError("contention simulation needs strictly positive probabilities")
-    if cfg.epsilon_jitter >= probs.min():
-        raise ValueError(
-            "epsilon_jitter must stay below the smallest probability, "
-            f"got {cfg.epsilon_jitter} vs {probs.min():.4g}"
-        )
+    jitter = min(1e-3, probs.min() / 2)
     rng = np.random.default_rng(seed)
     remaining = 1.0 / probs
-    steps = np.empty(cfg.duration, dtype=np.int64)
-    collisions = 0
-    for k in range(cfg.duration):
+    steps = np.empty(duration, dtype=np.int64)
+    for k in range(duration):
         while True:
             t_min = remaining.min()
             contenders = np.flatnonzero(remaining - t_min <= 1e-9)
             if contenders.size == 1:
                 break
-            collisions += 1
-            eps = rng.uniform(0.0, cfg.epsilon_jitter, size=contenders.size)
+            eps = rng.uniform(0.0, jitter, size=contenders.size)
             # uniform() can return 0.0; the nudge must be strictly positive.
-            eps = np.maximum(eps, cfg.epsilon_jitter * 1e-12)
+            eps = np.maximum(eps, jitter * 1e-12)
             remaining[contenders] = 1.0 / (probs[contenders] - eps)
         winner = int(contenders[0])
         # Idle time t_min elapses for everyone, then the channel is busy
@@ -221,8 +192,7 @@ def simulate_csma_schedule(
         remaining -= t_min
         remaining[winner] = 1.0 / probs[winner]
         steps[k] = winner
-    seq = ScheduleSequence(steps=steps, n_targets=len(q))
-    return (seq, collisions) if with_diagnostics else seq
+    return ScheduleSequence(steps=steps, n_targets=len(q))
 
 
 def write_sequence(seq: ScheduleSequence, path: str | Path) -> None:

@@ -157,7 +157,7 @@ def test_criterion_06_closed_form_oracle():
         )
         exact = closed_form_delay_chain(spec, q)
         assert exact is not None
-        res = solve_mare(expand_delay_chain(spec), q, tol=1e-12, max_iter=300_000)
+        res = solve_mare(expand_delay_chain(spec), q, max_iter=300_000)
         assert res.converged
         rel = np.abs(res.X - exact).max() / np.abs(exact).max()
         worst = max(worst, rel)
@@ -187,8 +187,8 @@ def test_criterion_07_monotone_in_probability():
             R=[[rng.uniform(0.2, 2.0)]],
         )
         q1, q2 = np.sort(rng.uniform(0.45, 0.97, size=2))
-        r1 = solve_mare(target, q1, tol=1e-12, max_iter=300_000)
-        r2 = solve_mare(target, q2, tol=1e-12, max_iter=300_000)
+        r1 = solve_mare(target, q1, max_iter=300_000)
+        r2 = solve_mare(target, q2, max_iter=300_000)
         if not (r1.converged and r2.converged):
             continue
         scale = max(1.0, float(np.abs(r1.X).max()))

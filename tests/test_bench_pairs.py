@@ -1,8 +1,11 @@
 """The BENCH record tool: the summary's quartiles per side and pairs won per
-metric, and the parent extract's cleanup when the run is terminated."""
+metric, the parent extract's cleanup when the run is terminated, and the
+copy of the working tree that the change side runs in."""
 import importlib.util
 import io
+import json
 import signal
+import subprocess
 import tarfile
 from pathlib import Path
 
@@ -70,6 +73,34 @@ def test_sigterm_still_removes_the_extract(tmp_path, monkeypatch):
     assert parent != bench_pairs.ROOT
     assert not parent.exists() and not parent.parent.exists()
     # the repository's git state is left alone: no worktree command runs
-    assert [c[0] for c in calls] == ["rev-parse", "archive"]
+    assert [c[0] for c in calls] == ["rev-parse", "archive", "ls-files"]
     assert signal.getsignal(signal.SIGTERM) is handler
     assert not (tmp_path / "record.json").exists()
+
+
+def test_an_edit_after_the_snapshot_is_not_measured(tmp_path, monkeypatch):
+    root = tmp_path / "repo"
+    (root / "src").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "w"}], "run_seconds": 1, "end_to_end": [{"name": "session_s"}]}))
+    (root / "src" / "module.py").write_text("VALUE = 'committed'\n")
+    git = ["git", "-C", str(root), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "add", "-A"], check=True)
+    subprocess.run([*git, "commit", "-qm", "parent"], check=True)
+    (root / "src" / "module.py").write_text("VALUE = 'working tree'\n")
+    (root / "src" / "new.py").write_text("")  # untracked, not ignored: measured too
+    seen = {"parent": set(), "change": set()}
+
+    def bench(checkout, workload, seed, seconds, trace):
+        side = checkout.name
+        assert checkout != root and (checkout / "src" / "new.py").is_file() == (side == "change")
+        seen[side].add((checkout / "src" / "module.py").read_text())
+        # an edit while the record runs, as from an editor or another session
+        (root / "src" / "module.py").write_text(f"VALUE = 'edit {seed} {trace}'\n")
+        return result(1.0)
+
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    bench_pairs.main(["--parent", "HEAD", "--out", str(tmp_path / "record.json")])
+    assert seen == {"parent": {"VALUE = 'committed'\n"}, "change": {"VALUE = 'working tree'\n"}}

@@ -46,28 +46,29 @@ def run(capsys, *argv):
 
 class TestConfigValidation:
     def test_missing_file(self, tmp_path, capsys):
-        rc, _, err = run(capsys, "solve", "--config", str(tmp_path / "nope.json"))
+        path = tmp_path / "nope.json"
+        rc, _, err = run(capsys, "solve", "--config", str(path), "--out", str(tmp_path))
         assert rc == cli.EXIT_CONFIG
         assert "not found" in err
 
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        rc, _, err = run(capsys, "solve", "--config", str(path))
+        rc, _, err = run(capsys, "solve", "--config", str(path), "--out", str(tmp_path))
         assert rc == cli.EXIT_CONFIG
         assert "not valid JSON" in err
 
     def test_non_object_root(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
-        rc, _, err = run(capsys, "solve", "--config", str(path))
+        rc, _, err = run(capsys, "solve", "--config", str(path), "--out", str(tmp_path))
         assert rc == cli.EXIT_CONFIG
         assert "root must be an object" in err
 
     def test_no_targets(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"targets": []}))
-        rc, _, err = run(capsys, "solve", "--config", str(path))
+        rc, _, err = run(capsys, "solve", "--config", str(path), "--out", str(tmp_path))
         assert rc == cli.EXIT_CONFIG
         assert "no targets" in err
 
@@ -82,13 +83,14 @@ class TestConfigValidation:
             ("schedule", "length"),
             ("simulate", "horizon"),
             ("simulate", "window"),
+            ("schedule", "epsilon_jitter"),
             ("constraints", "weights"),
         ],
     )
     def test_unknown_keys_rejected(self, tmp_path, capsys, section, key):
         sections = {section: {key: 1}} if section else {key: 1}
         cfg = write_config(tmp_path, **sections)
-        rc, _, err = run(capsys, "solve", "--config", str(cfg))
+        rc, _, err = run(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path))
         assert rc == cli.EXIT_CONFIG
         assert "unknown key" in err and key in err
 
@@ -96,7 +98,7 @@ class TestConfigValidation:
         cfg = tmp_path / "t.json"
         entry = dict(PAIR_TARGETS[0], gain=2.0)
         cfg.write_text(json.dumps({"targets": [entry]}))
-        rc, _, err = run(capsys, "solve", "--config", str(cfg))
+        rc, _, err = run(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path))
         assert rc == cli.EXIT_CONFIG
         assert "targets[0]" in err and "gain" in err
 
@@ -104,7 +106,7 @@ class TestConfigValidation:
         cfg = tmp_path / "t.json"
         entry = dict(PAIR_TARGETS[0], A=[["x", 1], [0, 1]])
         cfg.write_text(json.dumps({"targets": [entry]}))
-        rc, _, err = run(capsys, "solve", "--config", str(cfg))
+        rc, _, err = run(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path))
         assert rc == cli.EXIT_CONFIG
         assert "not a numeric matrix" in err
 
@@ -112,7 +114,7 @@ class TestConfigValidation:
         cfg = tmp_path / "t.json"
         entry = {k: v for k, v in PAIR_TARGETS[0].items() if k != "C"}
         cfg.write_text(json.dumps({"targets": [entry]}))
-        rc, _, err = run(capsys, "solve", "--config", str(cfg))
+        rc, _, err = run(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path))
         assert rc == cli.EXIT_CONFIG
         assert "missing matrix" in err
 
@@ -121,14 +123,14 @@ class TestConfigValidation:
         # a bare number is a 1x1 matrix
         entry = dict(PAIR_TARGETS[0], R=0.0)
         cfg.write_text(json.dumps({"targets": [entry]}))
-        rc, _, err = run(capsys, "solve", "--config", str(cfg))
+        rc, _, err = run(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path))
         assert rc == cli.EXIT_CONFIG
         assert "failed validation" in err
         assert "positive definite" in err
 
     def test_bad_constraints(self, tmp_path, capsys):
         cfg = write_config(tmp_path, constraints={"priorities": [0.8, 0.8]})
-        rc, _, err = run(capsys, "solve", "--config", str(cfg))
+        rc, _, err = run(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path))
         assert rc == cli.EXIT_CONFIG
         assert "constraints" in err
 
@@ -148,7 +150,7 @@ class TestConfigValidation:
     )
     def test_bad_topology(self, tmp_path, capsys, topology, fragment):
         cfg = write_config(tmp_path, topology=topology)
-        rc, _, err = run(capsys, "solve", "--config", str(cfg))
+        rc, _, err = run(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path))
         assert rc == cli.EXIT_CONFIG
         assert fragment in err
 
@@ -202,7 +204,7 @@ class TestConfigValidation:
     )
     def test_malformed_section(self, tmp_path, capsys, sections, fragment):
         cfg = write_config(tmp_path, **sections)
-        rc, _, err = run(capsys, "solve", "--config", str(cfg))
+        rc, _, err = run(capsys, "solve", "--config", str(cfg), "--out", str(tmp_path))
         assert rc == cli.EXIT_CONFIG
         assert fragment in err
 
@@ -228,7 +230,7 @@ class TestConfigValidation:
             ({"schedule": {"L": "12"}}, "schedule.L"),
             ({"schedule": {"seed": True}}, "schedule.seed"),
             ({"schedule": {"duration": None}}, "schedule.duration"),
-            ({"schedule": {"epsilon_jitter": "x"}}, "schedule.epsilon_jitter"),
+            ({"schedule": {"duration": 2.5}}, "schedule.duration"),
             ({"solver": {"inner_tol": None}}, "solver.inner_tol"),
             ({"solver": {"outer_tol": [1e-3]}}, "solver.outer_tol"),
             ({"simulate": {"T": 1.5}}, "simulate.T"),
@@ -295,24 +297,15 @@ class TestConfigValidation:
         with pytest.raises(dataclasses.FrozenInstanceError):
             scn.sim_seed = 2
 
-    def test_nan_jitter_is_a_config_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, schedule={"epsilon_jitter": float("nan")})
-        out = tmp_path / "out"
-        rc, _, err = run(
-            capsys, "schedule", "--config", str(cfg), "--out", str(out), "--kind", "csma"
-        )
-        assert rc == cli.EXIT_CONFIG
-        assert "epsilon_jitter must be positive" in err
-
     def test_runtime_value_error_maps_to_config_exit(self, tmp_path, capsys):
-        # jitter above the smallest probability is caught inside the run
-        cfg = write_config(tmp_path, schedule={"L": 100, "epsilon_jitter": 0.5})
+        # a length too short for q* is caught inside the run
+        cfg = write_config(tmp_path, schedule={"L": 1})
         out = tmp_path / "out"
         rc, _, err = run(
-            capsys, "schedule", "--config", str(cfg), "--out", str(out), "--kind", "csma"
+            capsys, "schedule", "--config", str(cfg), "--out", str(out), "--kind", "minconsec"
         )
         assert rc == cli.EXIT_CONFIG
-        assert "epsilon_jitter" in err
+        assert "choose a larger L" in err
 
 
 class TestSolveCommand:
@@ -519,6 +512,24 @@ class TestScheduleCommand:
         assert rc == 0
         assert "L = 250" in stdout
         assert len(read_sequence(out / "schedule_csma.txt")) == 250
+
+    def test_csma_accepts_a_target_at_its_floor(self, tmp_path, capsys):
+        # a cheap, strictly stable target gets q* = inner_tol = 1e-5, which
+        # the contention model must accept like any other probability
+        quiet = {"A": [[0.1]], "C": [[1.0]], "Q": [[0.01]], "R": [[1.0]], "label": "quiet"}
+        cfg = tmp_path / "floor.json"
+        cfg.write_text(json.dumps({"targets": [*PAIR_TARGETS, quiet], "simulate": {"T": 200}}))
+        out = tmp_path / "out"
+        run(capsys, "solve", "--config", str(cfg), "--out", str(out))
+        with open(out / "solution.csv", newline="") as f:
+            assert float(list(csv.DictReader(f))[2]["q_star"]) == pytest.approx(1e-5, rel=1e-3)
+        for command in ("schedule", "simulate"):
+            rc, _, err = run(
+                capsys, command, "--config", str(cfg), "--out", str(out), "--kind", "csma"
+            )
+            assert rc == 0, err
+        assert len(read_sequence(out / "schedule_csma.txt")) == 500
+        assert len((out / "traces.csv").read_text().splitlines()) == 201
 
 
 class TestSimulateCommand:

@@ -5,17 +5,19 @@
 
 This is how the BENCH_*.json records at the root of the repository are
 made. The parent ref is extracted with `git archive` into a temporary
-directory, removed afterwards (on SIGTERM too), so a record leaves the
-repository's git state alone. Both sides are byte-compiled before the
-runs, so that no run pays for writing bytecode the other side already
-has. For every workload of BENCHMARK.json, pair i of 10 runs
-`python3 perfbench/run.py --workload W --seed S --seconds N
---trace 0`, with N the benchmark's `run_seconds`, once in the parent
-checkout and once in the working tree, with the parent first in odd pairs
-and second in even ones, so that a drift in the host's speed falls on both
-sides alike. Workload j (from 0) uses the seeds first_seed + 100 j,
-first_seed + 100 j + 1, ...; pick seeds that were not used while writing
-the change. After the pairs, one `--trace 1` run at seed 1 per side
+directory, and the working tree's files (those `git add -A` would
+record) are copied next to it when the record starts, so an edit made
+while it runs is not measured. Both copies are removed afterwards (on
+SIGTERM too), so a record leaves the repository's git state alone. Both
+sides are byte-compiled before the runs, so that no run pays for writing
+bytecode the other side already has. For every workload of
+BENCHMARK.json, pair i of 10 runs `python3 perfbench/run.py --workload W
+--seed S --seconds N --trace 0`, with N the benchmark's `run_seconds`,
+once in the parent checkout and once in the working tree's copy, with
+the parent first in odd pairs and second in even ones, so that a drift
+in the host's speed falls on both sides alike. Workload j (from 0) uses
+the seeds first_seed + 100 j, first_seed + 100 j + 1, ...; pick seeds
+that were not used while writing the change. After the pairs, one `--trace 1` run at seed 1 per side
 records the per-layer counters.
 
 The record keeps every result line (the last line of each run's
@@ -30,6 +32,7 @@ import compileall
 import json
 import os
 import platform
+import shutil
 import signal
 import statistics
 import subprocess
@@ -62,6 +65,15 @@ def extract(ref: str, into: Path) -> None:
     with tarfile.open(archive) as tar:
         tar.extractall(into, filter="data")
     archive.unlink()
+
+
+def snapshot(into: Path) -> None:
+    """The working tree's tracked and unignored files, as they are now, under `into`."""
+    for name in git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
+        source = ROOT / name
+        if name and source.is_file():  # a tracked file deleted from the tree is skipped
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(source, into / name)
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -118,7 +130,8 @@ def main(argv=None) -> int:
     sha = git("rev-parse", "--short", args.parent)
     record = {
         "what": (f"perfbench/run.py result lines, parent {sha} (a `git archive` extract) "
-                 "against the working tree, both byte-compiled before the runs; "
+                 "against a copy of the working tree taken at the start, both byte-compiled "
+                 "before the runs; "
                  f"{PAIRS} alternating untraced pairs per workload "
                  f"({seconds:g} s runs, odd pairs run the parent first), "
                  "plus the traced seed-1 counters of both sides"),
@@ -128,13 +141,15 @@ def main(argv=None) -> int:
         "traced_seed_1": {},
     }
     # SIGTERM unwinds like Ctrl-C, so the temporary directory holding the
-    # parent's extract is removed
+    # parent's extract and the working tree's copy is removed
     previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         with tempfile.TemporaryDirectory() as tmp:
             parent = Path(tmp) / "parent"
             extract(args.parent, parent)
-            sides = {"parent": parent, "change": ROOT}
+            change = Path(tmp) / "change"
+            snapshot(change)
+            sides = {"parent": parent, "change": change}
             for checkout in sides.values():
                 for package in ("src", "perfbench"):
                     compileall.compile_dir(checkout / package, quiet=1)
