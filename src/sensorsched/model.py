@@ -62,7 +62,8 @@ class LtiTarget:
 
     Arrays are copied and frozen; dimension mismatches and non-finite
     entries raise immediately. `eigs`, the eigenvalues of A, is computed
-    once here and frozen too; `rho` is the spectral radius, `pbh_modes`
+    once here and frozen too; `rho` is the spectral radius, `AC_T` the
+    stacked [A; C]^T that every Riccati update multiplies by, `pbh_modes`
     whether each mode is observable and driven, and `critical_closed_form`
     the closed-form critical probability, each derived on first read.
     """
@@ -123,6 +124,14 @@ class LtiTarget:
     def rho(self) -> float:
         """Spectral radius of A."""
         return float(np.max(np.abs(self.eigs)))
+
+    @cached_property
+    def AC_T(self) -> np.ndarray:
+        """[A; C]^T, n x (n + p), read only: the one operand of the
+        Riccati update (`mare._riccati_step`)."""
+        AC_T = np.concatenate((self.A.T, self.C.T), axis=1)
+        AC_T.flags.writeable = False
+        return AC_T
 
     @cached_property
     def critical_closed_form(self) -> float | None:

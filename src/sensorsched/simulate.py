@@ -14,6 +14,13 @@ of stochastic scheduling, `evaluate_schedule` on one. A receding-horizon
 tree search, whose lookahead tree is carried from step to step, is the
 deterministic planning baseline.
 
+Stacks that mix targets keep one covariance per row ([rows, n, n], per-row
+systems). A stack of one target is held as planes [n, n, rows], rows
+innermost, so the kernel's elementwise steps run on long vectors (see
+`mare._riccati_step`): the rows of a target that leaves the Monte Carlo's
+shared stack become planes once, and the lookahead tree is planes
+throughout. `_plane_costs` scores planes with `cost_of`'s bits.
+
 Time averages drop a short burn-in prefix (min(T // 5, 200) steps) so the
 initial covariance does not bias finite-horizon readings of an asymptotic
 quantity.
@@ -91,7 +98,37 @@ def _mask_or_scalar(seen: np.ndarray) -> float | np.ndarray:
     """The kernel's q for rows observed where `seen` holds: the mask, or a
     scalar when every row agrees (q = 0 then skips the gain)."""
     n_seen = np.count_nonzero(seen)
-    return seen[:, None, None] if 0 < n_seen < len(seen) else float(n_seen > 0)
+    return seen if 0 < n_seen < len(seen) else float(n_seen > 0)
+
+
+def _plane_costs(target: LtiTarget, P: np.ndarray) -> np.ndarray:
+    """`cost_of` of every plane of P [n, n, rows], with the bits of that
+    covariance scored alone: its weighted diagonal summed in the order of
+    numpy's pairwise `sum` along one matrix's diagonal."""
+    n = target.n
+    d = P.reshape(n * n, -1)[::n + 1]  # d[i] is the diagonal entry i of every plane
+    if target.cost_weights is not None:
+        d = d * target.cost_weights[:, None]
+    return _pairwise_sum(d)
+
+
+def _pairwise_sum(d: np.ndarray) -> np.ndarray:
+    """d.sum(0) in the order numpy sums a contiguous vector of len(d):
+    sequentially below 8 terms, else in 8 running partial sums joined as a
+    tree, then the remainder, with halves of blocks of 8 above 128 terms."""
+    n = len(d)
+    if n < 8:
+        return d.sum(0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(d[:half]) + _pairwise_sum(d[half:])
+    r = d[:8]
+    for i in range(8, n - n % 8, 8):
+        r = r + d[i:i + 8]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(n - n % 8, n):
+        total = total + d[i]
+    return total
 
 
 def _cost_paths(targets: list[LtiTarget], steps: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -110,7 +147,7 @@ def _cost_paths(targets: list[LtiTarget], steps: np.ndarray) -> Iterator[tuple[i
     bit, 2 * row + bit; the sorted distinct keys number the new rows. A
     target whose runs all have rows of their own cannot split again: it
     leaves the stack with its rows in run order and finishes alone, one
-    2-D call per step. One run never splits, so a single schedule stays in
+    call per step. One run never splits, so a single schedule stays in
     the stack throughout.
 
     Every run reads exactly the bits it would on its own: a slice of a
@@ -118,6 +155,8 @@ def _cost_paths(targets: list[LtiTarget], steps: np.ndarray) -> Iterator[tuple[i
     q = 0 or 1 those of the mask), and `cost_of` sums each row on its own.
     The stack keeps one cost per row and step and one copy of the grouping
     per stretch of steps without a split, at most `runs` rows per target.
+    A target that leaves converts its rows to planes [n, n, runs] once
+    (see `mare._riccati_step`), and steps and scores them as planes.
     """
     T, runs = steps.shape
     dims = [(t.n, t.p) for t in targets]
@@ -165,8 +204,9 @@ def _cost_paths(targets: list[LtiTarget], steps: np.ndarray) -> Iterator[tuple[i
                 costs[:, start:start + len(block)] = block[:, rows[j]].T
             if j in left:
                 start, P = left.pop(j)
+                P = np.ascontiguousarray(P.transpose(1, 2, 0))
                 for k in range(start, T):
-                    costs[:, k] = t.cost_of(P)
+                    costs[:, k] = _plane_costs(t, P)
                     P = _riccati_step(t, P, _mask_or_scalar(steps[k] == i))
             yield i, costs
 
@@ -195,6 +235,22 @@ def evaluate_schedule(targets: list[LtiTarget], seq: ScheduleSequence) -> CostRe
     )
 
 
+def _draw_schedules(q: ScheduleDistribution, T: int, runs: int, seed: int) -> np.ndarray:
+    """steps[k, r], the target run r observes at step k.
+
+    Run r's T uniforms come from its own child of the master seed and are
+    mapped to targets by `searchsorted` on the normalized cumulative q:
+    the draws of `Generator.choice(len(q), T, p=q)`, bit for bit, without
+    its per-call checks of p. One run at a time keeps the buffers small.
+    """
+    cdf = np.cumsum(q.q)
+    cdf /= cdf[-1]
+    steps = np.empty((T, runs), dtype=np.min_scalar_type(len(q) - 1))
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(runs)):
+        steps[:, r] = cdf.searchsorted(np.random.default_rng(child).random(T), side="right")
+    return steps
+
+
 def monte_carlo_expected_cost(
     targets: list[LtiTarget],
     q: ScheduleDistribution,
@@ -218,13 +274,8 @@ def monte_carlo_expected_cost(
         raise ValueError("T and runs must be at least 1")
     tail = max(1, T // 5)
 
-    children = np.random.SeedSequence(seed).spawn(runs)
     n = len(targets)
-    # steps[k, r] is the target run r observes at step k
-    steps = np.empty((T, runs), dtype=np.min_scalar_type(n - 1))
-    for r in range(runs):
-        rng = np.random.default_rng(children[r])
-        steps[:, r] = rng.choice(n, size=T, p=q.q)
+    steps = _draw_schedules(q, T, runs, seed)
 
     emp = np.empty((runs, n))
     tavg = np.empty((runs, n))
@@ -279,7 +330,7 @@ def sliding_window_schedule(
             f"{n}^{window} window sequences is beyond the enumeration guard "
             "(1e6); use a smaller window"
         )
-    stacks = [t.Q[None] for t in targets]
+    stacks = [t.Q[:, :, None] for t in targets]  # planes [n, n, leaves]
     committed = np.empty(T, dtype=np.int64)
     subtree = n ** (window - 1)
     for k in range(1 - window, T):
@@ -288,13 +339,13 @@ def sliding_window_schedule(
         for i, t in enumerate(targets):
             seen, unseen = (_riccati_step(t, stacks[i], q) for q in (1.0, 0.0))
             stacks[i] = np.stack(
-                [seen if c == i else unseen for c in range(n)], axis=1
-            ).reshape(-1, t.n, t.n)
+                [seen if c == i else unseen for c in range(n)], axis=-1
+            ).reshape(t.n, t.n, -1)
         if k < 0:
             continue  # still building the first tree
-        scores = np.max([t.cost_of(s) for t, s in zip(targets, stacks)], axis=0)
+        scores = np.max([_plane_costs(t, s) for t, s in zip(targets, stacks)], axis=0)
         move = int(np.argmin(scores)) // subtree
         committed[k] = move
-        stacks = [s[move * subtree:(move + 1) * subtree] for s in stacks]
+        stacks = [s[..., move * subtree:(move + 1) * subtree] for s in stacks]
     seq = ScheduleSequence(steps=committed, n_targets=n)
     return seq, evaluate_schedule(targets, seq)

@@ -45,7 +45,7 @@ from sensorsched import (
     solve_mare,
 )
 from sensorsched.mare import _CERTIFY_RTOL, TRACE_DIVERGENCE_CAP, _riccati_step, _system_rows
-from sensorsched.simulate import covariance_step
+from sensorsched.simulate import _plane_costs, covariance_step
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -274,19 +274,42 @@ def test_riccati_map_is_monotone(seed, n, q1, q2):
     assert least_eig(G1 - g_q(target, hi, X1), G1) >= -1e-9
 
 
+def planes(P: np.ndarray) -> np.ndarray:
+    """Rows [k, n, n] as planes [n, n, k], rows innermost and contiguous."""
+    return np.ascontiguousarray(P.transpose(1, 2, 0))
+
+
+def kernel_q(kind: str, rng, stack: int) -> float | np.ndarray:
+    if kind == "all":
+        return np.ones(stack, dtype=bool)
+    if kind == "none":
+        return np.zeros(stack, dtype=bool)
+    if kind == "mixed":
+        return rng.integers(2, size=stack).astype(bool)
+    if kind == "float":
+        return rng.uniform(size=stack)
+    return float(kind)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=seeds,
-    stack=st.integers(1, 2048),
-    n=st.integers(1, 4),
+    stack=st.one_of(st.sampled_from([1, 2, 127, 1000, 2048]), st.integers(1, 2048)),
+    n=st.integers(1, 9),
     p=st.integers(1, 2),
-    fractional=st.booleans(),
+    kind=st.sampled_from(["all", "none", "mixed", "float", "0", "1"]),
 )
-# the stack sizes of the Monte Carlo runs, and the largest size drawn
-@example(seed=1, stack=200, n=3, p=1, fractional=False)
-@example(seed=2, stack=1000, n=2, p=1, fractional=False)
-@example(seed=3, stack=2048, n=4, p=2, fractional=True)
-def test_stacked_step_equals_step_per_slice(seed, stack, n, p, fractional):
+# the stack sizes of the Monte Carlo runs, the window's, and the largest size drawn
+@example(seed=1, stack=200, n=3, p=1, kind="mixed")
+@example(seed=2, stack=1000, n=2, p=1, kind="mixed")
+@example(seed=4, stack=128, n=2, p=1, kind="1")
+@example(seed=3, stack=2048, n=4, p=2, kind="float")
+@example(seed=5, stack=127, n=9, p=2, kind="mixed")
+def test_stacked_step_equals_step_per_slice(seed, stack, n, p, kind):
+    """Each plane of a planes call has the bits of its own 2-D call and of
+    its row in a call on per-row systems, and is bitwise symmetric; its
+    cost has the bits of `cost_of` on that plane alone and in a stack of
+    rows, with and without cost weights (n >= 8 sums pairwise)."""
     rng = np.random.default_rng(seed)
     target = LtiTarget(
         A=rng.normal(size=(n, n)),
@@ -297,23 +320,57 @@ def test_stacked_step_equals_step_per_slice(seed, stack, n, p, fractional):
     G = rng.normal(size=(stack, n, n))
     P = G @ G.swapaxes(1, 2)
     P = (P + P.swapaxes(1, 2)) / 2  # exactly symmetric, so g_q's check keeps every bit
-    if fractional:
-        q = rng.uniform(size=stack)
-        out = _riccati_step(target, P, q[:, None, None])
-        for b in range(stack):
-            assert np.array_equal(out[b], g_q(target, q[b], P[b]))
-    else:
-        observed = rng.integers(2, size=stack).astype(bool)
-        out = _riccati_step(target, P, observed[:, None, None])
-        unobserved = _riccati_step(target, P, 0.0)
-        for b in range(stack):
-            assert np.array_equal(out[b], covariance_step(target, P[b], observed[b]))
-            assert np.array_equal(unobserved[b], covariance_step(target, P[b], False))
-    # a cost with fractional weights is scored row by row as well
+    q = kernel_q(kind, rng, stack)
+    out = _riccati_step(target, planes(P), q)
+    assert out.shape == (n, n, stack)
+    assert np.array_equal(out, out.swapaxes(0, 1))
+    system = tuple(a[np.zeros(stack, dtype=int)] for a in _system_rows([target]))
+    assert np.array_equal(out, planes(_riccati_step(system, P, q)))
+    for b in range(stack):
+        if isinstance(q, float):
+            assert np.array_equal(out[..., b], g_q(target, q, P[b]))
+        elif q.dtype == bool:
+            assert np.array_equal(out[..., b], covariance_step(target, P[b], q[b]))
+        else:
+            assert np.array_equal(out[..., b], g_q(target, q[b], P[b]))
+    for weights in (None, rng.uniform(0.1, 2.0, size=n)):
+        scored = LtiTarget(A=target.A, C=target.C, Q=target.Q, R=target.R, cost_weights=weights)
+        costs = _plane_costs(scored, out)
+        assert all(costs[b] == scored.cost_of(out[..., b]) for b in range(stack))
+        assert np.array_equal(scored.cost_of(np.ascontiguousarray(out.transpose(2, 0, 1))), costs)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 128, 129, 130, 300])
+def test_plane_costs_sum_in_numpys_order(n):
+    """Scoring planes reproduces numpy's pairwise summation of one
+    diagonal, across its block and halving thresholds."""
+    rng = np.random.default_rng(n)
+    target = LtiTarget(A=np.eye(n), C=np.ones((1, n)), Q=np.eye(n), R=[[1.0]])
     weighted = LtiTarget(A=target.A, C=target.C, Q=target.Q, R=target.R,
                          cost_weights=rng.uniform(0.1, 2.0, size=n))
-    costs = weighted.cost_of(out)
-    assert all(costs[b] == weighted.cost_of(out[b]) for b in range(stack))
+    P = rng.lognormal(sigma=3.0, size=(n, n, 5))
+    for t in (target, weighted):
+        costs = _plane_costs(t, P)
+        assert all(costs[b] == t.cost_of(P[..., b]) for b in range(5))
+
+
+def test_planes_rely_on_bitwise_symmetry():
+    """An asymmetric P gets the textbook update in both layouts, with other
+    rounding; the planes reproduce the rows' bits for bitwise symmetric P,
+    which every kernel output is, so chained steps stay equal."""
+    rng = np.random.default_rng(11)
+    target = LtiTarget(A=rng.normal(size=(3, 3)), C=rng.normal(size=(1, 3)),
+                       Q=random_psd(rng, 3) + np.eye(3), R=[[0.5]])
+    system = tuple(a[np.zeros(64, dtype=int)] for a in _system_rows([target]))
+    P = rng.normal(size=(64, 3, 3)) + 3 * np.eye(3)
+    rows = _riccati_step(system, P, 1.0)
+    out = _riccati_step(target, planes(P), 1.0)
+    assert np.abs(out - planes(rows)).max() <= 1e-12 * np.abs(rows).max()
+    for _ in range(3):
+        assert np.array_equal(rows, rows.swapaxes(1, 2))
+        out = _riccati_step(target, planes(rows), 1.0)
+        rows = _riccati_step(system, rows, 1.0)
+        assert np.array_equal(out, planes(rows))
 
 
 @settings(max_examples=40, deadline=None)
@@ -367,4 +424,5 @@ def test_per_row_systems_equal_each_targets_step(seed, stack, n_targets, n, p, q
         else:
             own = [observed[rows][:, None, None]]
         for q_t in own:
-            assert np.array_equal(out[rows], _riccati_step(target, P[rows], q_t))
+            own_step = _riccati_step(target, planes(P[rows]), q_t)
+            assert np.array_equal(out[rows], own_step.transpose(2, 0, 1))

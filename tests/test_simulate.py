@@ -19,10 +19,11 @@ from sensorsched import (
     g_q,
     monte_carlo_expected_cost,
     sliding_window_schedule,
+    solve_distribution,
     solve_mare,
 )
-from sensorsched.mare import _riccati_step
-from sensorsched.simulate import _cost_paths, default_burn_in
+from sensorsched.mare import _riccati_step, _system_rows
+from sensorsched.simulate import _cost_paths, _draw_schedules, default_burn_in
 
 PAIR_Q = ScheduleDistribution([0.674, 0.326])
 TRIO_Q = (0.0649, 0.1612, 0.7739)
@@ -188,10 +189,10 @@ class TestEvaluateSchedule:
         mc = monte_carlo_expected_cost(targets, q, 4, 2, 108)
         _, _, series = per_run_monte_carlo(targets, q, 4, 2, 108)
         assert np.array_equal(mc.mean_trace_series, series)
-        P = np.stack([blind.Q, blind.Q])
+        P = np.stack([blind.Q, blind.Q], axis=-1)  # planes [n, n, rows]
         for _ in range(2):
-            P = _riccati_step(blind, P, np.array([False, True])[:, None, None])
-        assert np.linalg.matrix_rank(blind.C @ P[0] @ blind.C.T + blind.R) == 1
+            P = _riccati_step(blind, P, np.array([False, True]))
+        assert np.linalg.matrix_rank(blind.C @ P[..., 0] @ blind.C.T + blind.R) == 1
 
     def test_rejects_mismatched_sequence(self, pair):
         seq = ScheduleSequence(np.zeros(10, dtype=np.int64), 3)
@@ -203,16 +204,17 @@ class TestBatchedStep:
     def test_matches_scalar_path(self, pair):
         rng = np.random.default_rng(5)
         t = pair[0]
-        stack = np.stack([np.eye(2) + g @ g.T for g in rng.normal(size=(6, 2, 2))])
+        # planes [n, n, rows] of one target
+        stack = np.stack([np.eye(2) + g @ g.T for g in rng.normal(size=(6, 2, 2))], axis=-1)
         observed = np.array([True, False, True, True, False, False])
-        batched = _riccati_step(t, stack, observed[:, None, None])
+        batched = _riccati_step(t, stack, observed)
         for b in range(6):
-            single = covariance_step(t, stack[b], bool(observed[b]))
-            assert np.array_equal(batched[b], single)
+            single = covariance_step(t, stack[..., b], bool(observed[b]))
+            assert np.array_equal(batched[..., b], single)
         q = rng.uniform(size=6)
-        batched = _riccati_step(t, stack, q[:, None, None])
+        batched = _riccati_step(t, stack, q)
         for b in range(6):
-            assert np.array_equal(batched[b], g_q(t, q[b], stack[b]))
+            assert np.array_equal(batched[..., b], g_q(t, q[b], stack[..., b]))
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_asymmetric_input_matches_textbook_formula(self, p):
@@ -226,11 +228,29 @@ class TestBatchedStep:
         gain = A @ P @ C.T @ np.linalg.inv(C @ P @ C.T + R) @ C @ P @ A.T
         want = A @ P @ A.T + Q - q * gain
         want = (want + want.swapaxes(1, 2)) / 2
-        got = _riccati_step(t, P, q)
+        # planes of the one target, and rows with per-row systems
+        got = _riccati_step(t, np.ascontiguousarray(P.transpose(1, 2, 0)), q)
+        assert np.abs(got.transpose(2, 0, 1) - want).max() <= 1e-12 * np.abs(want).max()
+        got = _riccati_step(tuple(a[[0] * 5] for a in _system_rows([t])), P, q)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestMonteCarlo:
+    def test_draws_equal_per_run_choice(self, pair):
+        """One searchsorted of every run's uniforms draws the schedules that
+        each run's own `Generator.choice` would, bit for bit: on the pair's
+        q* and on 20 targets, 19 of them at 1e-5."""
+        rare = np.full(20, 1e-5)
+        rare[7] = 1.0 - rare.sum() + 1e-5
+        for q, T, runs, seed in ((solve_distribution(pair).q_star, 500, 1000, 1),
+                                 (ScheduleDistribution(rare), 500, 200, 3)):
+            steps = np.empty((T, runs), dtype=np.min_scalar_type(len(q) - 1))
+            for r, child in enumerate(np.random.SeedSequence(seed).spawn(runs)):
+                steps[:, r] = np.random.default_rng(child).choice(len(q), size=T, p=q.q)
+            drawn = _draw_schedules(q, T, runs, seed)
+            assert drawn.dtype == steps.dtype
+            assert np.array_equal(drawn, steps)
+
     def test_deterministic_per_seed(self, pair):
         a = monte_carlo_expected_cost(pair, PAIR_Q, T=120, runs=8, seed=9)
         b = monte_carlo_expected_cost(pair, PAIR_Q, T=120, runs=8, seed=9)
