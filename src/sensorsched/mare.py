@@ -8,15 +8,14 @@ filter is bounded by the fixed point of the modified Riccati map
 
 the ordinary Riccati update with the correction term scaled by q. This
 module holds the one implementation of that update, which the filter and
-the simulations share. It takes a stack of covariances of one target as
-planes, rows innermost, and multiplies the whole stack by [A; C] in two
-matrix products, which keeps Monte Carlo over thousands of runs cheap; a
-stack may also mix targets of one dimension class, one row each with its
-own A, C, Q and R. Scalar
-measurements, the common case, get the gain by division. A slice of a
-stacked update equals the update of that one matrix bit for bit. The
-module also computes g_q's fixed points, the exact fixed point for scalar
-plants with delayed measurements, and the critical observation
+the simulations share. It takes a stack of covariances as planes, rows
+innermost, and multiplies a stack of one target by [A; C] in two matrix
+products, which keeps Monte Carlo over thousands of runs cheap; a stack
+may also mix targets of one dimension class, each row with its own A, C,
+Q and R. Scalar measurements, the common case, get the gain by division.
+A slice of a stacked update equals the update of that one matrix bit for
+bit. The module also computes g_q's fixed points, the exact fixed point
+for scalar plants with delayed measurements, and the critical observation
 probability below which no fixed point exists.
 
 Fixed points are found by iterating the map, taking a Newton step in
@@ -140,115 +139,91 @@ def _riccati_step(
     """sym(A P A^T + Q - q * A P C^T (C P C^T + R)^(-1) C P A^T), unchecked.
 
     The one Riccati update of the package: g_q, the filter's covariance
-    step and the batched simulations all call it. q is a scalar or holds
-    one value per matrix of the stack (any shape of that size). A scalar
-    q = 0 returns the open-loop (Lyapunov) update without forming the gain.
-    A boolean q is a mask of the observed matrices: only those form the
-    gain, as in their own call at q = 1, and the others get the bits of
-    q = 0, so an unobserved matrix whose innovation covariance is singular
-    never enters a solve. A float array q scales the gain of each matrix.
+    step and the batched simulations all call it. P holds planes
+    [n, n, rows], the rows innermost and contiguous; a 2-D P [n, n] is the
+    one-row case. q is a scalar or holds one value per matrix of the stack
+    (any shape of that size). A scalar q = 0 returns the open-loop
+    (Lyapunov) update without forming the gain. A boolean q is a mask of
+    the observed matrices: only those form the gain, as in their own call
+    at q = 1, and the others get the bits of q = 0, so an unobserved matrix
+    whose innovation covariance is singular never enters a solve. A float
+    array q scales the gain of each matrix.
 
-    The layout of P depends on `target`:
+    `target` decides only how Y = B P^T B^T is formed, with B = [A; C]
+    (A alone at q = 0), whose blocks are A P A^T, A P C^T, C P A^T and
+    C P C^T for symmetric P:
 
-    * One LtiTarget: P holds planes [n, n, rows], the rows innermost and
-      contiguous; a 2-D P [n, n] is the one-row case, of either layout, in
-      the same memory. With B = [A; C] (`LtiTarget.AC_T` transposed, A
-      alone at q = 0), B P is one GEMM over all rows at once, giving
-      [c, (i, rows)]; a copy of whole row-blocks to [i, (c, rows)] and
-      one more GEMM give Y = B (B P)^T = B P^T B^T, whose blocks are
-      A P A^T, A P C^T, C P A^T and C P C^T for symmetric P. Every other step (+ Q, the
-      gain, the masked subtract on the seen columns, symmetrize) runs on
-      length-rows vectors.
-    * Per-row systems (see `_system_rows`): P holds rows [k, n, n] of
-      different targets of one dimension class (n, p), with B^T
-      [k, n, n + p], Q^T [k, n, n] and R^T [k, p, p] for its k rows. The
-      products are then one batched matmul, which makes one BLAS call per
-      row. Y = B P^T B^T of each row gives the update of P^T with Q^T and
-      R^T, the transpose of the update of P exactly, so no symmetry of P,
-      Q or R is assumed, and symmetrize maps both to the same bits.
+    * One LtiTarget: B P is one GEMM over all rows at once, giving
+      [c, (i, rows)]; a copy of whole row-blocks to [i, (c, rows)] and one
+      more GEMM give Y.
+    * Per-row systems (see `_system_rows`) of different targets of one
+      dimension class (n, p): B^T [rows, n, n + p], Q [n, n, rows] and
+      R [p, p, rows]. P's transposed matrices are copied to rows once, one
+      batched matmul (one BLAS call per row) gives B P B^T per row, and a
+      transposed copy back makes Y contiguous planes.
 
-    The planes rely on P being bitwise symmetric, as every P the package
-    passes is (a symmetrize output, a validated covariance or a target's
-    Q): then the planes' Y is each row's Y transposed, and the two layouts
-    give the same bits (for p > 1 when R is bitwise symmetric too). An
-    asymmetric P still gets the textbook update of P, rounded otherwise.
-    For a scalar measurement (p = 1) the innovation covariance S is 1x1
-    and the gain a division; for p > 1 the planes' blocks are copied to
-    rows for `np.linalg.solve` and its product, so both layouts round
-    them alike.
+    Every other step (+ Q, the gain, the masked subtract on the seen
+    columns, symmetrize) runs on length-rows vectors. For a scalar
+    measurement (p = 1) the innovation covariance S is 1x1 and the gain a
+    division; for p > 1 Y is copied to rows for `np.linalg.solve`.
 
     Each entry of a product depends on its own matrix alone, so a slice of
-    a stacked call equals the call on that slice bit for bit, in either
-    layout, as long as BLAS rounds a matrix the same whatever the row
-    count and the call; the property tests check this for stacks of up to
-    2048 matrices.
+    a stacked call equals the call on that slice bit for bit, for either
+    kind of `target`, as long as BLAS rounds a matrix the same whatever the
+    row count and the call, and P is bitwise symmetric, as every P the
+    package passes is (a symmetrize output, a validated covariance or a
+    target's Q); the property tests check this for stacks of up to 2048
+    matrices. An asymmetric P still gets the textbook update of P, rounded
+    otherwise.
     """
     open_loop = not isinstance(q, np.ndarray) and q == 0
     mask = isinstance(q, np.ndarray) and q.dtype == bool
     if isinstance(target, LtiTarget):
         n, rows = target.n, P.shape[2:]
-        ones = (1,) * len(rows)
         B = target.A if open_loop else target.AC_T.T
         m = len(B)
         PB = (B @ P.reshape(n, -1)).reshape(m, n, *rows)
         Y = (B @ PB.swapaxes(0, 1).reshape(n, -1)).reshape(m, m, *rows)
-        out = Y[:n, :n] + target.Q.reshape(n, n, *ones)
-        if mask:
-            seen = np.flatnonzero(q)
-            out[..., seen] = out.take(seen, axis=-1) - _plane_correction(
-                Y.take(seen, axis=-1), target.R, n)
-        elif not open_loop:
-            q = q.reshape(-1) if isinstance(q, np.ndarray) else q
-            out = out - q * _plane_correction(Y, target.R, n)
-        return (out + out.swapaxes(0, 1)) / 2
-    Bt, Qt, Rt = target
-    n = Qt.shape[-1]
-    if open_loop:
-        Bt = Bt[..., :n]
-    Y = (P @ Bt).swapaxes(-1, -2) @ Bt
-    out = Y[..., :n, :n] + Qt
-    if open_loop:
-        return symmetrize(out)
+        Q, R = target.Q.reshape(n, n, *(1,) * len(rows)), target.R
+    else:
+        Bt, Q, R = target
+        n = len(Q)
+        Bt = Bt[..., :n] if open_loop else Bt
+        Y = (np.ascontiguousarray(P.T) @ Bt).swapaxes(1, 2) @ Bt
+        Y = np.ascontiguousarray(Y.T)
+    out = Y[:n, :n] + Q
     if mask:
         seen = np.flatnonzero(q)
-        out[seen] = out.take(seen, axis=0) - _correction(
-            Y.take(seen, axis=0), Rt.take(seen, axis=0), n)
-        return symmetrize(out)
-    q = q.reshape(-1, 1, 1) if isinstance(q, np.ndarray) else q
-    return symmetrize(out - q * _correction(Y, Rt, n))
+        out[..., seen] = out.take(seen, axis=-1) - _correction(
+            Y.take(seen, axis=-1), R if R.ndim == 2 else R.take(seen, axis=-1), n)
+    elif not open_loop:
+        q = q.reshape(-1) if isinstance(q, np.ndarray) else q
+        out = out - q * _correction(Y, R, n)
+    return (out + out.swapaxes(0, 1)) / 2
 
 
-def _correction(Y: np.ndarray, Rt: np.ndarray, n: int) -> np.ndarray:
-    """M S^-1 N from the blocks of rows Y [k, m, m], with S the lower right
-    block of Y plus Rt."""
-    M, N = Y[..., :n, n:], Y[..., n:, :n]
-    S = Y[..., n:, n:] + Rt
-    if S.shape[-1] == 1:
-        return M * (N / S)
-    return M @ np.linalg.solve(S, N)
-
-
-def _plane_correction(Y: np.ndarray, R: np.ndarray, n: int) -> np.ndarray:
+def _correction(Y: np.ndarray, R: np.ndarray, n: int) -> np.ndarray:
     """Planes of (A P C^T) S^-1 (C P A^T) from the planes Y [m, m, rows],
-    with S = C P C^T + R: the rows' `_correction` transposed, bit for bit
-    for bitwise symmetric P and R."""
-    if len(R) == 1:
-        M, N = Y[:n, n:], Y[n:, :n]
-        return N * (M / (Y[n:, n:] + R))  # [i, j] = (M[i] / S) N[j]
+    with S = C P C^T + R and R one [p, p] or planes [p, p, rows]."""
+    if len(R) == 1:  # M = Y[:n, n:], N = Y[n:, :n]: [i, j] = (M[i] / S) N[j]
+        return Y[n:, :n] * (Y[:n, n:] / (Y[n:, n:] + R))
     rows = np.ascontiguousarray(Y.reshape(*Y.shape[:2], -1).T)  # each plane's transpose
-    return _correction(rows, R, n).T.reshape(n, n, *Y.shape[2:])
+    S = rows[:, n:, n:] + R.reshape(*R.shape[:2], -1).transpose(2, 0, 1)
+    gain = rows[:, :n, n:] @ np.linalg.solve(S, rows[:, n:, :n])
+    return gain.T.reshape(n, n, *Y.shape[2:])
 
 
 def _system_rows(targets: list[LtiTarget]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """[A; C]^T, Q^T and R^T of targets of one dimension class, stacked.
+    """[A; C]^T of targets of one dimension class stacked as rows, and their
+    Q and R stacked as planes.
 
-    Indexed by each row's target, the three are the per-row systems that
-    `_riccati_step` takes for a stack mixing those targets.
+    With one entry per row of a stack that mixes those targets, the three
+    are the per-row systems that `_riccati_step` takes.
     """
     return (
         np.stack([t.AC_T for t in targets]),
-        np.stack([t.Q.T for t in targets]),
-        np.stack([t.R.T for t in targets]),
+        np.stack([t.Q for t in targets], axis=-1),
+        np.stack([t.R for t in targets], axis=-1),
     )
 
 

@@ -165,14 +165,41 @@ class LtiTarget:
     def cost_of(self, X: np.ndarray) -> float | np.ndarray:
         """Estimation cost of an error covariance: its weighted trace.
 
-        X may also be a stack of covariances (shape (..., n, n)); the
-        result then has one cost per covariance, with the bits of that
-        covariance scored alone: each weighted diagonal is summed on its
-        own, which unit weights turn into the trace bit for bit.
+        X may also be planes [n, n, *rows] (see `mare._riccati_step`); the
+        result then has one cost per plane, with the bits of that
+        covariance scored alone (`_weighted_trace`).
         """
-        if self.cost_weights is None:
-            return X.trace(axis1=-2, axis2=-1)
-        return (np.diagonal(X, axis1=-2, axis2=-1) * self.cost_weights).sum(-1)
+        w = self.cost_weights
+        return _weighted_trace(X, None if w is None else w.reshape(-1, *(1,) * (X.ndim - 2)))
+
+
+def _weighted_trace(X: np.ndarray, weights: np.ndarray | None) -> float | np.ndarray:
+    """The diagonal of every plane of X [n, n, *rows], times `weights`
+    (broadcast against [n, *rows]) unless None, summed in the order numpy
+    sums one matrix's diagonal, whatever X's memory layout: unit weights
+    give each plane's trace bit for bit."""
+    n = len(X)
+    d = X.reshape(n * n, *X.shape[2:])[::n + 1]  # d[i]: entry (i, i) of every plane
+    return _pairwise_sum(d if weights is None else d * weights)
+
+
+def _pairwise_sum(d: np.ndarray) -> np.ndarray:
+    """d.sum(0) in the order numpy sums a contiguous vector of len(d):
+    sequentially below 8 terms, else in 8 running partial sums joined as a
+    tree, then the remainder, with halves of blocks of 8 above 128 terms."""
+    n = len(d)
+    if n < 8:
+        return d.sum(0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(d[:half]) + _pairwise_sum(d[half:])
+    r = d[:8]
+    for i in range(8, n - n % 8, 8):
+        r = r + d[i:i + 8]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(n - n % 8, n):
+        total = total + d[i]
+    return total
 
 
 @dataclass(frozen=True)

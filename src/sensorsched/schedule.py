@@ -205,11 +205,10 @@ def write_sequence(seq: ScheduleSequence, path: str | Path) -> None:
 def read_sequence(path: str | Path) -> ScheduleSequence:
     """Inverse of write_sequence."""
     text = Path(path).read_text().strip().splitlines()
-    if not text or not text[0].startswith("# L="):
+    head = text[0].split() if text else []
+    if len(head) < 3 or head[0] != "#" or head[1][:2] != "L=" or head[2][:2] != "N=":
         raise ValueError(f"{path}: not a schedule file (missing header)")
-    head = text[0].lstrip("# ").split()
-    L = int(head[0].split("=", 1)[1])
-    n = int(head[1].split("=", 1)[1])
+    L, n = int(head[1][2:]), int(head[2][2:])
     steps = np.array([int(line) for line in text[1:]], dtype=np.int64)
     if steps.size != L:
         raise ValueError(f"{path}: header says L={L} but found {steps.size} steps")

@@ -14,12 +14,9 @@ of stochastic scheduling, `evaluate_schedule` on one. A receding-horizon
 tree search, whose lookahead tree is carried from step to step, is the
 deterministic planning baseline.
 
-Stacks that mix targets keep one covariance per row ([rows, n, n], per-row
-systems). A stack of one target is held as planes [n, n, rows], rows
-innermost, so the kernel's elementwise steps run on long vectors (see
-`mare._riccati_step`): the rows of a target that leaves the Monte Carlo's
-shared stack become planes once, and the lookahead tree is planes
-throughout. `_plane_costs` scores planes with `cost_of`'s bits.
+Every stack of covariances is held as planes [n, n, rows], rows innermost,
+so the kernel's elementwise steps run on long vectors (see
+`mare._riccati_step`), and `cost_of` scores all its planes at once.
 
 Time averages drop a short burn-in prefix (min(T // 5, 200) steps) so the
 initial covariance does not bias finite-horizon readings of an asymptotic
@@ -33,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mare import _riccati_step, _system_rows
-from .model import LtiTarget, ScheduleDistribution
+from .model import LtiTarget, ScheduleDistribution, _weighted_trace
 from .schedule import ScheduleSequence
 
 __all__ = [
@@ -101,36 +98,6 @@ def _mask_or_scalar(seen: np.ndarray) -> float | np.ndarray:
     return seen if 0 < n_seen < len(seen) else float(n_seen > 0)
 
 
-def _plane_costs(target: LtiTarget, P: np.ndarray) -> np.ndarray:
-    """`cost_of` of every plane of P [n, n, rows], with the bits of that
-    covariance scored alone: its weighted diagonal summed in the order of
-    numpy's pairwise `sum` along one matrix's diagonal."""
-    n = target.n
-    d = P.reshape(n * n, -1)[::n + 1]  # d[i] is the diagonal entry i of every plane
-    if target.cost_weights is not None:
-        d = d * target.cost_weights[:, None]
-    return _pairwise_sum(d)
-
-
-def _pairwise_sum(d: np.ndarray) -> np.ndarray:
-    """d.sum(0) in the order numpy sums a contiguous vector of len(d):
-    sequentially below 8 terms, else in 8 running partial sums joined as a
-    tree, then the remainder, with halves of blocks of 8 above 128 terms."""
-    n = len(d)
-    if n < 8:
-        return d.sum(0)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(d[:half]) + _pairwise_sum(d[half:])
-    r = d[:8]
-    for i in range(8, n - n % 8, 8):
-        r = r + d[i:i + 8]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for i in range(n - n % 8, n):
-        total = total + d[i]
-    return total
-
-
 def _cost_paths(targets: list[LtiTarget], steps: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Every target's costs along given schedules, one target at a time.
 
@@ -152,48 +119,48 @@ def _cost_paths(targets: list[LtiTarget], steps: np.ndarray) -> Iterator[tuple[i
 
     Every run reads exactly the bits it would on its own: a slice of a
     stacked call has the bits of the call on that slice alone (a scalar
-    q = 0 or 1 those of the mask), and `cost_of` sums each row on its own.
-    The stack keeps one cost per row and step and one copy of the grouping
-    per stretch of steps without a split, at most `runs` rows per target.
-    A target that leaves converts its rows to planes [n, n, runs] once
-    (see `mare._riccati_step`), and steps and scores them as planes.
+    q = 0 or 1 those of the mask), and `cost_of` sums each plane on its
+    own. The stack keeps one cost per row and step and one copy of the
+    grouping per stretch of steps without a split, at most `runs` rows per
+    target. A target that leaves takes its planes [n, n, runs] by a column
+    gather of the stack.
     """
     T, runs = steps.shape
     dims = [(t.n, t.p) for t in targets]
     for dim in dict.fromkeys(dims):  # the classes in order of first appearance
         members = np.flatnonzero([d == dim for d in dims])
         ts = [targets[i] for i in members]
-        system = _system_rows(ts)
+        Bt, Qs, Rs = _system_rows(ts)
         weights = np.stack([np.ones(t.n) if t.cost_weights is None else t.cost_weights
-                            for t in ts])
+                            for t in ts], axis=-1)
         pos = owner = np.arange(len(members))
         group = np.repeat(pos[:, None], runs, axis=1)
-        P = np.stack([t.Q for t in ts])
+        P = Qs  # every row starts at its target's Q
         stretches, left = [], {}
         for k in range(T):
             obs = np.equal(steps[k], members[pos, None])  # obs[j, run]: pos[j] is observed
-            seen = np.zeros(len(P), dtype=bool)  # seen[r]: a run of row r is observed
+            seen = np.zeros(P.shape[-1], dtype=bool)  # seen[r]: a run of row r is observed
             seen[group[obs]] = True
             disagree = seen[group] != obs
             split = disagree.any()
             if split:
                 # a row whose runs disagree splits in two, so a target
                 # leaves once that gives every run a row of its own
-                mixed = np.bincount(group[disagree], minlength=len(P)) > 0
+                mixed = np.bincount(group[disagree], minlength=P.shape[-1]) > 0
                 out = np.bincount(owner, 1 + mixed, len(members))[pos] == runs
-                left.update((pos[j], (k, P[group[j]])) for j in np.flatnonzero(out))
+                left.update((pos[j], (k, P[..., group[j]])) for j in np.flatnonzero(out))
                 group, obs, pos = group[~out], obs[~out], pos[~out]
                 if not len(pos):
                     break
                 keys, group = np.unique(2 * group + obs, return_inverse=True)
                 group = group.reshape(obs.shape)
-                P, owner, seen = P[keys // 2], owner[keys // 2], keys % 2 == 1
+                P, owner, seen = P[..., keys // 2], owner[keys // 2], keys % 2 == 1
             if k == 0 or split:
-                rows = group.astype(np.min_scalar_type(len(P) - 1))
+                rows = group.astype(np.min_scalar_type(P.shape[-1] - 1))
                 stretches.append((k, dict(zip(pos.tolist(), rows)), []))
-                row_system = tuple(a[owner] for a in system)
-                row_weights = weights[owner]
-            stretches[-1][2].append((np.diagonal(P, axis1=-2, axis2=-1) * row_weights).sum(-1))
+                row_system = Bt[owner], Qs[..., owner], Rs[..., owner]
+                row_weights = weights[:, owner]
+            stretches[-1][2].append(_weighted_trace(P, row_weights))
             P = _riccati_step(row_system, P, _mask_or_scalar(seen))
         stretches = [(k, rows, np.array(c)) for k, rows, c in stretches]
         for j, (i, t) in enumerate(zip(members, ts)):
@@ -204,9 +171,8 @@ def _cost_paths(targets: list[LtiTarget], steps: np.ndarray) -> Iterator[tuple[i
                 costs[:, start:start + len(block)] = block[:, rows[j]].T
             if j in left:
                 start, P = left.pop(j)
-                P = np.ascontiguousarray(P.transpose(1, 2, 0))
                 for k in range(start, T):
-                    costs[:, k] = _plane_costs(t, P)
+                    costs[:, k] = t.cost_of(P)
                     P = _riccati_step(t, P, _mask_or_scalar(steps[k] == i))
             yield i, costs
 
@@ -343,7 +309,7 @@ def sliding_window_schedule(
             ).reshape(t.n, t.n, -1)
         if k < 0:
             continue  # still building the first tree
-        scores = np.max([_plane_costs(t, s) for t, s in zip(targets, stacks)], axis=0)
+        scores = np.max([t.cost_of(s) for t, s in zip(targets, stacks)], axis=0)
         move = int(np.argmin(scores)) // subtree
         committed[k] = move
         stacks = [s[..., move * subtree:(move + 1) * subtree] for s in stacks]

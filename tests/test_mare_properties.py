@@ -45,7 +45,8 @@ from sensorsched import (
     solve_mare,
 )
 from sensorsched.mare import _CERTIFY_RTOL, TRACE_DIVERGENCE_CAP, _riccati_step, _system_rows
-from sensorsched.simulate import _plane_costs, covariance_step
+from sensorsched.model import _weighted_trace
+from sensorsched.simulate import covariance_step
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -279,6 +280,13 @@ def planes(P: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(P.transpose(1, 2, 0))
 
 
+def own_cost(target: LtiTarget, X: np.ndarray) -> float:
+    """numpy's own weighted trace of one matrix."""
+    if target.cost_weights is None:
+        return X.trace()
+    return (np.diagonal(X) * target.cost_weights).sum()
+
+
 def kernel_q(kind: str, rng, stack: int) -> float | np.ndarray:
     if kind == "all":
         return np.ones(stack, dtype=bool)
@@ -307,9 +315,10 @@ def kernel_q(kind: str, rng, stack: int) -> float | np.ndarray:
 @example(seed=5, stack=127, n=9, p=2, kind="mixed")
 def test_stacked_step_equals_step_per_slice(seed, stack, n, p, kind):
     """Each plane of a planes call has the bits of its own 2-D call and of
-    its row in a call on per-row systems, and is bitwise symmetric; its
-    cost has the bits of `cost_of` on that plane alone and in a stack of
-    rows, with and without cost weights (n >= 8 sums pairwise)."""
+    its plane in a call on per-row systems, and is bitwise symmetric; its
+    cost, scored in the stack, has the bits of numpy's own sum over that
+    plane alone, and so does the class stack's sum with per-row weights,
+    with and without cost weights (n >= 8 sums pairwise)."""
     rng = np.random.default_rng(seed)
     target = LtiTarget(
         A=rng.normal(size=(n, n)),
@@ -324,8 +333,7 @@ def test_stacked_step_equals_step_per_slice(seed, stack, n, p, kind):
     out = _riccati_step(target, planes(P), q)
     assert out.shape == (n, n, stack)
     assert np.array_equal(out, out.swapaxes(0, 1))
-    system = tuple(a[np.zeros(stack, dtype=int)] for a in _system_rows([target]))
-    assert np.array_equal(out, planes(_riccati_step(system, P, q)))
+    assert np.array_equal(out, _riccati_step(_system_rows([target] * stack), planes(P), q))
     for b in range(stack):
         if isinstance(q, float):
             assert np.array_equal(out[..., b], g_q(target, q, P[b]))
@@ -335,9 +343,10 @@ def test_stacked_step_equals_step_per_slice(seed, stack, n, p, kind):
             assert np.array_equal(out[..., b], g_q(target, q[b], P[b]))
     for weights in (None, rng.uniform(0.1, 2.0, size=n)):
         scored = LtiTarget(A=target.A, C=target.C, Q=target.Q, R=target.R, cost_weights=weights)
-        costs = _plane_costs(scored, out)
-        assert all(costs[b] == scored.cost_of(out[..., b]) for b in range(stack))
-        assert np.array_equal(scored.cost_of(np.ascontiguousarray(out.transpose(2, 0, 1))), costs)
+        costs = scored.cost_of(out)
+        assert all(costs[b] == own_cost(scored, out[..., b]) for b in range(stack))
+        per_row = np.ones((n, stack)) if weights is None else np.repeat(weights[:, None], stack, 1)
+        assert np.array_equal(_weighted_trace(out, per_row), costs)
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 128, 129, 130, 300])
@@ -350,8 +359,21 @@ def test_plane_costs_sum_in_numpys_order(n):
                          cost_weights=rng.uniform(0.1, 2.0, size=n))
     P = rng.lognormal(sigma=3.0, size=(n, n, 5))
     for t in (target, weighted):
-        costs = _plane_costs(t, P)
-        assert all(costs[b] == t.cost_of(P[..., b]) for b in range(5))
+        costs = t.cost_of(P)
+        assert all(costs[b] == own_cost(t, P[..., b]) for b in range(5))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_cost_of_ignores_the_planes_layout(weighted):
+    """Planes that are a view of rows, not contiguous, are scored with the
+    bits of each matrix alone; numpy's trace over the stack axes sums
+    their diagonals in another order once n >= 8."""
+    rng = np.random.default_rng(9)
+    t = LtiTarget(A=np.eye(9), C=np.ones((1, 9)), Q=np.eye(9), R=[[1.0]],
+                  cost_weights=rng.uniform(0.1, 2.0, size=9) if weighted else None)
+    rows = rng.lognormal(sigma=3.0, size=(50, 9, 9))
+    costs = t.cost_of(rows.transpose(1, 2, 0))
+    assert all(costs[b] == own_cost(t, rows[b]) for b in range(50))
 
 
 def test_planes_rely_on_bitwise_symmetry():
@@ -361,16 +383,16 @@ def test_planes_rely_on_bitwise_symmetry():
     rng = np.random.default_rng(11)
     target = LtiTarget(A=rng.normal(size=(3, 3)), C=rng.normal(size=(1, 3)),
                        Q=random_psd(rng, 3) + np.eye(3), R=[[0.5]])
-    system = tuple(a[np.zeros(64, dtype=int)] for a in _system_rows([target]))
-    P = rng.normal(size=(64, 3, 3)) + 3 * np.eye(3)
+    system = _system_rows([target] * 64)
+    P = planes(rng.normal(size=(64, 3, 3)) + 3 * np.eye(3))
     rows = _riccati_step(system, P, 1.0)
-    out = _riccati_step(target, planes(P), 1.0)
-    assert np.abs(out - planes(rows)).max() <= 1e-12 * np.abs(rows).max()
+    out = _riccati_step(target, P, 1.0)
+    assert np.abs(out - rows).max() <= 1e-12 * np.abs(rows).max()
     for _ in range(3):
-        assert np.array_equal(rows, rows.swapaxes(1, 2))
-        out = _riccati_step(target, planes(rows), 1.0)
+        assert np.array_equal(rows, rows.swapaxes(0, 1))
+        out = _riccati_step(target, rows, 1.0)
         rows = _riccati_step(system, rows, 1.0)
-        assert np.array_equal(out, planes(rows))
+        assert np.array_equal(out, rows)
 
 
 @settings(max_examples=40, deadline=None)
@@ -411,8 +433,7 @@ def test_per_row_systems_equal_each_targets_step(seed, stack, n_targets, n, p, q
         q_arg = observed[:, None, None]
     else:
         q_arg = float(q)
-    system = tuple(a[tid] for a in _system_rows(targets))
-    out = _riccati_step(system, P, q_arg)
+    out = _riccati_step(_system_rows([targets[t] for t in tid]), planes(P), q_arg)
     for t, target in enumerate(targets):
         rows = np.flatnonzero(tid == t)
         if not len(rows):
@@ -425,4 +446,4 @@ def test_per_row_systems_equal_each_targets_step(seed, stack, n_targets, n, p, q
             own = [observed[rows][:, None, None]]
         for q_t in own:
             own_step = _riccati_step(target, planes(P[rows]), q_t)
-            assert np.array_equal(out[rows], own_step.transpose(2, 0, 1))
+            assert np.array_equal(out[..., rows], own_step)

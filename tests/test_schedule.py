@@ -276,6 +276,13 @@ class TestSequenceFiles:
         with pytest.raises(ValueError, match="header"):
             read_sequence(path)
 
+    @pytest.mark.parametrize("header", ["# L=2", "# L=2 X=2"])
+    def test_rejects_incomplete_header(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{header}\n0\n1\n")
+        with pytest.raises(ValueError, match="not a schedule file"):
+            read_sequence(path)
+
     def test_rejects_length_mismatch(self, tmp_path):
         path = tmp_path / "short.txt"
         path.write_text("# L=5 N=2\n0\n1\n")

@@ -193,6 +193,17 @@ class TestEvaluateSchedule:
         for _ in range(2):
             P = _riccati_step(blind, P, np.array([False, True]))
         assert np.linalg.matrix_rank(blind.C @ P[..., 0] @ blind.C.T + blind.R) == 1
+        # a class stack of two such targets with per-row systems: the rows
+        # grown open loop are singular and unobserved, the others observed
+        other = LtiTarget(A=np.diag([1e5, 0.4, 0.6]), C=blind.C, Q=2 * np.eye(3), R=blind.R)
+        owners, seen = [blind, other, blind, other], np.array([False, False, True, True])
+        P = np.stack([t.Q for t in owners], axis=-1)
+        for _ in range(3):
+            P = _riccati_step(_system_rows(owners), P, seen)
+        for r, t in enumerate(owners):
+            assert np.linalg.matrix_rank(t.C @ P[..., r] @ t.C.T + t.R) == 1 + seen[r]
+            assert np.array_equal(P[..., r], covariance_step(t, covariance_step(
+                t, covariance_step(t, t.Q, seen[r]), seen[r]), seen[r]))
 
     def test_rejects_mismatched_sequence(self, pair):
         seq = ScheduleSequence(np.zeros(10, dtype=np.int64), 3)
@@ -228,11 +239,12 @@ class TestBatchedStep:
         gain = A @ P @ C.T @ np.linalg.inv(C @ P @ C.T + R) @ C @ P @ A.T
         want = A @ P @ A.T + Q - q * gain
         want = (want + want.swapaxes(1, 2)) / 2
-        # planes of the one target, and rows with per-row systems
-        got = _riccati_step(t, np.ascontiguousarray(P.transpose(1, 2, 0)), q)
+        # planes of the one target, and of per-row systems
+        planes = np.ascontiguousarray(P.transpose(1, 2, 0))
+        got = _riccati_step(t, planes, q)
         assert np.abs(got.transpose(2, 0, 1) - want).max() <= 1e-12 * np.abs(want).max()
-        got = _riccati_step(tuple(a[[0] * 5] for a in _system_rows([t])), P, q)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        got = _riccati_step(_system_rows([t] * 5), planes, q)
+        assert np.abs(got.transpose(2, 0, 1) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestMonteCarlo:
@@ -355,7 +367,7 @@ class TestMonteCarlo:
 
         def counted(system, P, q):
             calls.append(system)
-            rows.append(len(P))
+            rows.append(P.shape[-1])
             return _riccati_step(system, P, q)
 
         monkeypatch.setattr("sensorsched.simulate._riccati_step", counted)
@@ -395,7 +407,7 @@ class TestMonteCarlo:
         calls = []
 
         def counted(system, P, q):
-            calls.append(system.label if isinstance(system, LtiTarget) else (P.shape[-1], len(P)))
+            calls.append(system.label if isinstance(system, LtiTarget) else (len(P), P.shape[-1]))
             return _riccati_step(system, P, q)
 
         with mock.patch("sensorsched.simulate._riccati_step", counted):
