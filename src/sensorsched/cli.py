@@ -67,7 +67,6 @@ class Scenario:
     targets: list
     constraints: Constraints | None
     adjacency: np.ndarray | None
-    outer_tol: float
     inner_tol: float
     L: int
     schedule_seed: int
@@ -211,23 +210,22 @@ def load_scenario(path: str | Path) -> Scenario:
         adjacency = _parse_topology(raw["topology"], len(targets))
 
     solver = raw.get("solver", {})
-    _check_keys(solver, {"outer_tol", "inner_tol"}, "solver")
+    _check_keys(solver, {"inner_tol"}, "solver")
     sched = raw.get("schedule", {})
     _check_keys(sched, {"L", "seed", "duration"}, "schedule")
     sim = raw.get("simulate", {})
     _check_keys(sim, {"T", "runs", "seed"}, "simulate")
 
-    tols = [_scalar(solver, k, "solver", float, d) for k, d in
-            (("outer_tol", 1e-3), ("inner_tol", 1e-5))]
+    inner_tol = _scalar(solver, "inner_tol", "solver", float, 1e-5)
     # Topology stays out of the key: the distributed solve returns the
     # centralized distribution bit for bit.
-    key = zlib.crc32(json.dumps([entries, raw.get("constraints"), tols], sort_keys=True).encode())
+    key = zlib.crc32(json.dumps([entries, raw.get("constraints"), inner_tol],
+                                sort_keys=True).encode())
     return Scenario(
         targets=targets,
         constraints=constraints,
         adjacency=adjacency,
-        outer_tol=tols[0],
-        inner_tol=tols[1],
+        inner_tol=inner_tol,
         L=_scalar(sched, "L", "schedule", int, 500, minimum=1),
         schedule_seed=_scalar(sched, "seed", "schedule", int, 1, minimum=0),
         duration=_scalar(sched, "duration", "schedule", int, minimum=1),
@@ -259,14 +257,12 @@ def _solve(scn: Scenario):
                 scn.targets,
                 adjacency=scn.adjacency,
                 constraints=scn.constraints,
-                outer_tol=scn.outer_tol,
                 inner_tol=scn.inner_tol,
             ).solution
         else:
             report = solve_distribution(
                 scn.targets,
                 constraints=scn.constraints,
-                outer_tol=scn.outer_tol,
                 inner_tol=scn.inner_tol,
             )
     # an infeasible solve's diagnosis goes on the `infeasible:` line alone
@@ -324,8 +320,8 @@ def cmd_solve(scn: Scenario, args) -> int:
     report = _solve(scn)
     out = Path(args.out)
     print(f"gamma_star = {report.gamma_star:.6g}  "
-          f"(outer iterations: {report.outer_iterations}, "
-          f"inner: {report.inner_iterations})")
+          f"(Newton steps: {report.outer_iterations}, "
+          f"MARE solves: {report.inner_iterations})")
     print(f"{'target':>6}  {'label':<16} {'q_star':>10} {'cost':>12} {'q_critical':>11}")
     for i, pt in enumerate(report.per_target):
         print(

@@ -1,16 +1,19 @@
 """Peer-to-peer version of the probability solver.
 
 Each node owns one target model and talks only to its graph neighbors,
-yet the network must agree on one distribution. The only global quantity
-the bisection needs is the total demand at a trial budget. So the network
-runs the centralized solver's own nested bisection
-(`optimizer._nested_bisection`) at every node on an agreed starting bracket,
-and floods the demands wherever the bisection totals them: every node
-sends each (node, demand) pair it has not yet sent to its neighbors, so
-after diameter-many rounds every node holds all n demands and knows it
-does. Each node then forms the centralized solver's own sequential sum in
-node order, so every verdict is the exact one, all nodes take the same
-branch, and the distribution comes out bit-identical.
+yet the network must agree on one distribution. The solver's global
+quantities are sums and extrema over the targets. So the network runs the
+centralized solver's own Newton loop (`optimizer._newton`) at every
+node, and floods what that loop shares: every node sends each
+(node, values) pair it has not yet sent to its neighbors, so after
+diameter-many rounds every node holds all n entries and knows it does.
+Each node floods three values once at setup: its floor, its critical
+probability unless it is strictly stable, and its cost under constant
+observation. It floods its (q_i, u_i, u_i') once per evaluated point, and
+its cost at q* once for the read-out. Every node then runs the same
+clamp-and-release update with the same sequential sums in node order, so
+all nodes take the same steps and the distribution comes out
+bit-identical to the centralized one.
 
 No exact total takes fewer rounds on a graph of diameter D, since the
 two nodes D hops apart must hear from each other. Averaging does not
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import LtiTarget
-from .optimizer import Constraints, SolveReport, _nested_bisection
+from .optimizer import Constraints, SolveReport, _newton
 
 __all__ = [
     "DistributedReport",
@@ -91,10 +94,11 @@ class DistributedReport:
     """Distributed solution plus protocol accounting.
 
     `solution` has the same shape a centralized solve returns.
-    consensus_rounds lists the message rounds each outer step spent
-    agreeing on the demand: one flood, diameter rounds. total_rounds adds
-    the other floods: two at setup (the floors, then the costs that fix
-    the starting bracket), one per bracket check and one for the read-out.
+    consensus_rounds lists the message rounds each Newton step spent
+    sharing its evaluated point: one flood, diameter rounds. total_rounds
+    adds the other floods: one at setup (floors, q^c, costs at q = 1),
+    one for the starting point and one for the read-out, so it is
+    (3 + steps) * diameter on a feasible solve.
     """
 
     solution: SolveReport
@@ -106,17 +110,16 @@ def solve_distributed(
     targets: list[LtiTarget],
     adjacency: np.ndarray | None = None,
     constraints: Constraints | None = None,
-    outer_tol: float = 1e-3,
     inner_tol: float = 1e-5,
 ) -> DistributedReport:
     """Solve the shared-budget problem with one node per target.
 
-    Runs the centralized solver's own bisection with every demand total
-    flooded through the network, so the solution equals
-    `solve_distribution`'s on the same tolerances bit for bit. Defaults to
+    Runs the centralized solver's own Newton loop with every shared
+    value flooded through the network, so the solution equals
+    `solve_distribution`'s on the same inner_tol bit for bit. Defaults to
     a complete graph; any connected undirected adjacency works. Node i
-    knows only targets[i], its constraint entries, the shared tolerances
-    and n; the starting bracket is agreed during setup.
+    knows only targets[i], its constraint entries, inner_tol and n; the
+    floors are shared during setup.
     """
     if not targets:
         raise ValueError("need at least one target")
@@ -124,14 +127,14 @@ def solve_distributed(
     adj, diameter = _check_adjacency(complete_graph(n) if adjacency is None else adjacency)
     if adj.shape[0] != n:
         raise ValueError(f"adjacency is {adj.shape[0]} nodes, expected {n}")
-    floods = 2  # setup
+    floods = 0
 
-    def flood(qs: list[float]) -> float:
+    def flood(values: list) -> list:
         nonlocal floods
         floods += 1
-        return sum(qs)
+        return values
 
-    solution = _nested_bisection(targets, constraints, outer_tol, inner_tol, flood)
+    solution = _newton(targets, constraints, inner_tol, flood)
     return DistributedReport(
         solution=solution,
         consensus_rounds=(diameter,) * solution.outer_iterations,

@@ -251,22 +251,43 @@ def _kron_self(M: np.ndarray) -> np.ndarray:
     return (M[:, None, :, None] * M[None, :, None, :]).reshape(n * n, n * n)
 
 
+def _linearization(
+    target: LtiTarget, q: float, X: np.ndarray, base: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """I - L_X as an n^2 x n^2 matrix, with the gain K and S it is formed from.
+
+    The derivative of g_q at X is L_X: H -> (1-q) A H A^T + q Abar H Abar^T
+    with Abar = A - K C, K = A X C^T S^(-1) and S = C X C^T + R; `base` is
+    I - (1-q) A kron A. Raises LinAlgError when S is singular.
+    """
+    S = target.C @ X @ target.C.T + target.R
+    K = np.linalg.solve(S, target.C @ X @ target.A.T).T
+    return base - q * _kron_self(target.A - K @ target.C), K, S
+
+
+def _fixed_point_slope(target: LtiTarget, q: float, X: np.ndarray) -> np.ndarray:
+    """dX/dq at the fixed point X of g_q.
+
+    Differentiating X = g_q(X) in q (implicit function theorem) gives
+    (I - L_X) X' = -K S K^T, the q-derivative of g_q at fixed X.
+    """
+    n = target.n
+    M, K, S = _linearization(target, q, X, np.eye(n * n) - (1.0 - q) * _kron_self(target.A))
+    return symmetrize(np.linalg.solve(M, -(K @ S @ K.T).ravel()).reshape(n, n))
+
+
 def _newton_step(
     target: LtiTarget, q: float, base: np.ndarray, X: np.ndarray, G: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Certified Newton iterate from X, where G = g_q(X), with its image.
 
-    The derivative of g_q at X is H -> (1-q) A H A^T + q Abar H Abar^T with
-    Abar = A - L C and L = A X C^T (C X C^T + R)^(-1), so the step solves
-    (base - q Abar kron Abar) vec(H) = vec(G - X) with
-    base = I - (1-q) A kron A. Returns (Y, g_q(Y)) when Y = X + H is
-    positive semidefinite with g_q(Y) <= Y, else None.
+    The step solves (I - L_X) vec(H) = vec(G - X) (`_linearization`).
+    Returns (Y, g_q(Y)) when Y = X + H is positive semidefinite with
+    g_q(Y) <= Y, else None.
     """
-    A, C = target.A, target.C
-    n = A.shape[0]
+    n = target.n
     try:
-        Abar = A - np.linalg.solve(C @ X @ C.T + target.R, C @ X @ A.T).T @ C
-        H = np.linalg.solve(base - q * _kron_self(Abar), (G - X).ravel())
+        H = np.linalg.solve(_linearization(target, q, X, base)[0], (G - X).ravel())
         Y = symmetrize(X + H.reshape(n, n))
         scale = float(np.abs(Y).max())
         # keeps trace(Y) under the divergence cap; also rejects inf and nan

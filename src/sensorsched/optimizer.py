@@ -1,28 +1,36 @@
 """Optimal observation probabilities under a shared-sensor budget.
 
-Minimizing the worst per-target steady-state cost subject to the
-probabilities summing to one is quasi-convex: for a trial budget gamma,
-each target independently needs some least probability to keep its
-fixed-point cost within gamma, and the total demand (the sum of those
-least probabilities) is non-increasing in gamma. The solver therefore
-runs two nested bisections: an outer one on gamma keeping the demand at
-the upper endpoint at most 1, and an inner one per target on q over
-[floor, 1] (the fixed-point cost is non-increasing in q). A target's
-floor is q^c + tol, or its priority when that is larger. A strictly
-stable target (rho(A) < 1) has q^c = 0 and a cheap fixed point at its
-floor, so the inner inversion tries that floor first and skips the
-bisection when it meets the budget; a marginal or unstable target never
-solves at its floor, just above q^c, where the solve is slow or
-ill-conditioned. The final probabilities are rescaled to sum to one
-exactly, which can only lower each target's cost.
-The distributed solver runs this same bisection; its network floods the
-demands so every node forms the same sequential sum. `_nested_bisection`
-is the only driver. All it knows of target i (loss, floor, q^c,
-stability) sits in that target's `_CostOracle`, which is what node i
-knows in the distributed solve.
+The solver minimizes the worst steady-state cost max_i c_i(q_i) over
+distributions q, each q_i at or above its floor: q^c + inner_tol, or the
+target's priority when larger. Each c_i strictly falls as q_i grows
+(Sinopoli et al., IEEE TAC 2004), so the optimum is the one distribution
+where every target above its floor costs the same gamma, every target at
+its floor costs at most gamma, and sum q = 1: any other one lowers some
+free q_i, whose cost then rises above gamma.
 
-Per-target costs are `target.cost_of` applied to the fixed point: the
-plain trace unless the target selects cost weights.
+It gets there by Newton's method on u_i = 1 / c_i; on c itself the step
+vanishes near q^c, where c' reaches 1e10. Each step solves every target's
+MARE once, warm started from the fixed point at the nearest smaller q it
+has solved, with u_i' from the implicit function theorem
+(`mare._fixed_point_slope`). The free targets solve u_i + u_i' dq_i = v
+with sum dq = 1 - sum q, which gives v from three sequential sums. A
+target the step would push below its floor is clamped to it, so floors
+hold exactly, and a clamped target with u_i < v is released. A marginal
+or unstable target moves at most halfway to its q^c per step: its tangent
+overrates u far below q, and solves near q^c are slow. The solve stops
+when the step is below 1e-12 and every free u_i is within 1e-10 relative
+of v; gamma* is the largest cost at q*.
+
+A step that does not lower the worst cost is halved until it does, which
+a short enough step must: the worst target lies below v, so its q grows.
+So the loop ends: each accepted step strictly lowers the worst cost, a
+float bounded below by the optimum, and a step halved below 1e-12 ends
+the solve at the best point found. Near the optimum Newton converges
+quadratically (four steps on the README pair, one on the 20-target
+benchmark). The distributed solver runs this same loop, flooding each
+node's (q_i, u_i, u_i') once per step; all the loop knows of target i
+sits in its `_Node`, which is what node i knows. Costs are
+`target.cost_of` of the fixed point.
 """
 from __future__ import annotations
 
@@ -31,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mare import critical_probability, solve_mare
+from .mare import _fixed_point_slope, critical_probability, solve_mare
 from .model import _UNIT_CIRCLE_TOL, LtiTarget, ScheduleDistribution
 
 __all__ = [
@@ -94,10 +102,11 @@ class PerTargetReport:
 class SolveReport:
     """Solution of the scheduling problem.
 
-    gamma_star is the certified budget (feasible outer endpoint), q_star
-    the rescaled distribution (None when infeasible). Every per-target
-    cost at q_star is <= gamma_star. Iteration counts cover the outer
-    bisection and the total inner bisection steps.
+    q_star is the optimal distribution (None when infeasible) and
+    gamma_star the worst per-target cost at q_star, so every per-target
+    cost is <= gamma_star. outer_iterations counts the Newton steps the
+    solve evaluated, halved ones included, and inner_iterations the MARE
+    solves it made (critical-probability searches aside).
     """
 
     gamma_star: float
@@ -108,153 +117,149 @@ class SolveReport:
     feasible: bool
 
 
-class _CostOracle:
-    """One target's solver state and memoized fixed-point cost of q.
+# The solve stops when no probability moves by this much in a step ...
+_STEP_TOL = 1e-12
+# ... and every free target's u = 1 / cost lies this close to v, relatively.
+_LEVEL_RTOL = 1e-10
 
-    `q_critical` is the critical probability on the assigned scale (at
-    most 1), `floor` the least demand: the larger of the priority and
-    q_critical + inner_tol (at most 1), and `stable` says rho(A) < 1.
-    Inner bisections always probe midpoints of [floor, 1] (and, for a
-    stable target, the floor), so the same q values recur across outer
-    iterations; caching makes repeated mu(gamma) evaluations cheap and
-    exactly consistent. Non-converged solves (diverged or out of budget)
-    count as cost infinity: only a certified fixed point may satisfy a
-    budget.
 
-    `cache` maps each assigned q to its cost, `fixed_points` each converged
-    one to its fixed point X; a solve starts from X at the largest smaller
-    q (g_q is non-increasing in q, so g_q(X) <= X: Newton's certificate).
-    `iterations` counts MARE iterations, `warm_starts` such starts and
-    `steps` inner bisection steps.
+class _Node:
+    """One target's solver state: what node i knows in the distributed solve.
+
+    `q_critical` is on the assigned scale (at most 1), `floor` the larger
+    of the priority and q_critical + inner_tol (at most 1), `cost_one` the
+    cost at q = 1 (inf without a fixed point), and `edge` q_critical, or
+    -inf for a strictly stable target, whose cost is finite down to q = 0.
+    `fixed_points` maps each solved q to X; a solve starts from X at the
+    largest smaller q (g_q falls with q, so g_q(X) <= X: Newton's
+    certificate).
     """
 
     def __init__(self, target: LtiTarget, loss: float, priority: float, inner_tol: float):
         self.target = target
         self.loss = loss
-        self.stable = target.rho < 1.0 - _UNIT_CIRCLE_TOL
         qc_eff = critical_probability(target, tol=inner_tol)
         self.q_critical = min(qc_eff / (1.0 - loss), 1.0)
         self.floor = max(priority, min(self.q_critical + inner_tol, 1.0))
-        self.cache: dict[float, float] = {}
+        self.edge = -np.inf if target.rho < 1.0 - _UNIT_CIRCLE_TOL else self.q_critical
         self.fixed_points: dict[float, np.ndarray] = {}
-        self.iterations = 0
-        self.warm_starts = 0
-        self.steps = 0
+        self.solves = 0
+        self.solve(1.0)
+        self.cost_one = self.cost(1.0)
 
-    def cost(self, q_assigned: float) -> float:
-        c = self.cache.get(q_assigned)
-        if c is None:
-            q_eff = q_assigned * (1.0 - self.loss)
-            below = [p for p in self.fixed_points if p < q_assigned]
-            x0 = self.fixed_points[max(below)] if below else None
-            res = solve_mare(self.target, q_eff, x0=x0)
-            self.iterations += res.iterations
-            self.warm_starts += x0 is not None
-            if res.converged:
-                self.fixed_points[q_assigned] = res.X
-            c = float(self.target.cost_of(res.X)) if res.converged else float("inf")
-            self.cache[q_assigned] = c
-        return c
+    def solve(self, q: float) -> bool:
+        """Solve the MARE at assigned probability q; True when it converged."""
+        below = [p for p in self.fixed_points if p < q]
+        x0 = self.fixed_points[max(below)] if below else None
+        res = solve_mare(self.target, q * (1.0 - self.loss), x0=x0)
+        self.solves += 1
+        if res.converged:
+            self.fixed_points[q] = res.X
+        return res.converged
+
+    def cost(self, q: float) -> float:
+        """The cost at a solved q: inf when that solve did not converge."""
+        X = self.fixed_points.get(q)
+        return float("inf") if X is None else float(self.target.cost_of(X))
+
+    def point(self, q: float) -> tuple[float, float, float]:
+        """(q, u, u') with u = 1 / cost at q. Without a fixed point u is 0,
+        and u' the secant slope to q = 1, which pushes q up."""
+        if not self.solve(q):
+            return q, 0.0, 1.0 / (self.cost_one * (1.0 - q))
+        c = self.cost(q)
+        q_eff = q * (1.0 - self.loss)
+        dc = (1.0 - self.loss) * float(
+            self.target.cost_of(_fixed_point_slope(self.target, q_eff, self.fixed_points[q])))
+        return q, 1.0 / c, -dc / (c * c)
 
 
-def _bisect_min_q(oracle: _CostOracle, gamma: float, tol: float) -> float:
-    """Least assigned q in [floor, 1] with cost <= gamma: the target's demand.
+def _step(point, bounds):
+    """The Newton step from `point`, one (q_i, u_i, u_i') per target in node
+    order, over per-target lower `bounds`: (the new q, which targets are
+    free, v).
 
-    Returns 1.0 when even q = 1 misses the budget, which the driver never
-    asks. A strictly stable target (rho(A) < 1) then tries its floor
-    (tol, or its priority when larger): that fixed point lies below the
-    Lyapunov solution and takes a few iterations, and the oracle caches
-    its cost and keeps its X as a warm start like any other, so a target
-    pays for it once per solve. When it meets gamma the floor is the
-    answer, without bisecting. Any other target never evaluates its floor,
-    which without a priority sits just above q^c, where a solve is
-    slowest, or for rho(A) = 1 at q = tol, where it is ill-conditioned.
-    Its bisection collapses onto the floor from above when every probed
-    midpoint is feasible, which keeps the usual width-tol guarantee. Each
-    bisection step adds one to `oracle.steps`.
+    Free targets solve u_i + u_i' dq_i = v, the others sit at their bounds,
+    and the new q sums to one. Starting from every target free, each pass
+    computes v and clamps the targets whose linear model reaches their
+    bound at a level of v or above; v only falls from pass to pass, so a
+    clamped target never returns, and every target left free has
+    u_i + u_i' (bound_i - q_i) < v, which releases a target at its bound
+    with u_i < v. A target whose cost does not fall with q (u_i' <= 0) is
+    never free; when no target is, the step is zero.
     """
-    if oracle.cost(1.0) > gamma:
-        return 1.0
-    if oracle.stable and oracle.cost(oracle.floor) <= gamma:
-        return oracle.floor
-    lo, hi = oracle.floor, 1.0
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if oracle.cost(mid) <= gamma:
-            hi = mid
-        else:
-            lo = mid
-        oracle.steps += 1
-    return hi
-
-
-def _bracket(oracles):
-    """Budget bracket [lo, hi] with mu(hi) <= 1 <= mu(lo).
-
-    lo: even the largest single-target cost under constant observation
-    cannot be beaten, and at that budget the worst target demands all of
-    the probability. hi: the cost of the uniform distribution that splits
-    the slack 1 - sum(floors) evenly on top of the floors; each target
-    then demands no more than its uniform share, so the demands sum to at
-    most one.
-    """
-    lo = max(o.cost(1.0) for o in oracles)
-    slack = (1.0 - sum(o.floor for o in oracles)) / len(oracles)
-    hi = max(o.cost(min(o.floor + slack, 1.0)) for o in oracles)
-    # Costs are non-increasing in q, so hi >= lo up to roundoff.
-    return lo, max(hi, lo)
+    free = [du > 0 for _, _, du in point]
+    if not any(free):
+        return [q for q, _, _ in point], free, np.inf
+    while True:
+        fixed = sum(b for b, fr in zip(bounds, free) if not fr)
+        base = sum(q - u / du for (q, u, du), fr in zip(point, free) if fr)
+        weight = sum(1.0 / du for (_, _, du), fr in zip(point, free) if fr)
+        v = (1.0 - fixed - base) / weight
+        still = [fr and u + du * (b - q) < v for (q, u, du), b, fr in zip(point, bounds, free)]
+        if still == free:
+            break
+        free = still
+    new = [q + (v - u) / du if fr else b for (q, u, du), b, fr in zip(point, bounds, free)]
+    # v - u carries the rounding of v, which a flat cost (small u') turns
+    # into a large error in q: the free targets share what the sum misses
+    # in proportion to 1 / u', as they would share a change of v
+    miss = 1.0 - sum(new)
+    new = [max(b, a + miss / (du * weight)) if fr else b
+           for a, (_, _, du), b, fr in zip(new, point, bounds, free)]
+    return new, free, v
 
 
 def solve_distribution(
     targets: list[LtiTarget],
     constraints: Constraints | None = None,
-    outer_tol: float = 1e-3,
     inner_tol: float = 1e-5,
 ) -> SolveReport:
     """Minimize the worst per-target fixed-point cost over distributions.
 
-    Nested bisection as described in the module docstring; `constraints`
-    adds probability floors (priorities) and channel loss. The scenario is
-    feasible only if the floors and loss-adjusted critical probabilities
-    leave total demand below one; otherwise the report comes back with
-    feasible=False and no distribution, and an InfeasibilityWarning names
-    the violated condition.
+    Newton's method on 1/cost as described in the module docstring;
+    `constraints` adds probability floors (priorities) and channel loss.
+    The scenario is feasible only if the floors and loss-adjusted critical
+    probabilities leave total demand at most one; otherwise the report
+    comes back with feasible=False and no distribution, and an
+    InfeasibilityWarning names the violated condition.
     """
-    return _nested_bisection(targets, constraints, outer_tol, inner_tol, sum)
+    return _newton(targets, constraints, inner_tol, lambda values: values)
 
 
-def _nested_bisection(targets, constraints, outer_tol, inner_tol, total) -> SolveReport:
+def _newton(targets, constraints, inner_tol, flood) -> SolveReport:
     """The solver shared by solve_distribution and solve_distributed.
 
-    `total(qs)` totals the demand vector qs wherever the bisection needs
-    it: bracket growth, each outer step's verdict total <= 1 and the
-    read-out. Both solvers pass the sequential `sum` (the distributed one
-    also counts its floods), so their reports are bit-identical.
+    `flood(values)` shares one entry per target with every node and returns
+    them in node order: once at setup (floor, q^c, cost at q = 1), once
+    per evaluated point (q, u, u') and once for the read-out (costs at q*).
+    The centralized solver passes the entries through, the distributed one
+    also counts its floods, so their reports are bit-identical.
     """
     if not targets:
         raise ValueError("need at least one target")
-    for name, tol in (("outer_tol", outer_tol), ("inner_tol", inner_tol)):
-        if not tol > 0:
-            raise ValueError(f"{name} must be positive")
+    if not inner_tol > 0:
+        raise ValueError("inner_tol must be positive")
     cons = constraints or Constraints()
     for name in ("priorities", "loss"):
         v = getattr(cons, name)
         if v is not None and v.shape[0] != len(targets):
             raise ValueError(f"{name} has length {v.shape[0]}, expected {len(targets)}")
 
-    oracles = [_CostOracle(t, cons.loss_rate(i), cons.priority(i), inner_tol)
-               for i, t in enumerate(targets)]
-    floor_total = sum(o.floor for o in oracles)
+    nodes = [_Node(t, cons.loss_rate(i), cons.priority(i), inner_tol)
+             for i, t in enumerate(targets)]
+    floors, edges, costs_one = zip(*flood([(o.floor, o.edge, o.cost_one) for o in nodes]))
+    floor_total = sum(floors)
 
     # A target whose loss-adjusted critical probability reaches 1 cannot be
-    # stabilized by any assignment, and floors that exhaust the budget leave
-    # nothing to optimize over.
+    # stabilized by any assignment, and floors that exceed the budget leave
+    # no distribution.
     unstabilizable = [
         f"target {o.target.label or i} " + (
             f"cannot be stabilized: with loss {o.loss:.6g}, even constant observation "
             f"delivers it probability {1.0 - o.loss:.6g}, at or below its critical probability"
             if o.loss > 0 else "diverges even under constant observation")
-        for i, o in enumerate(oracles) if not np.isfinite(o.cost(1.0))
+        for i, (o, c) in enumerate(zip(nodes, costs_one)) if not np.isfinite(c)
     ]
     if floor_total > 1.0 or unstabilizable:
         reason = "; ".join(unstabilizable) or (
@@ -262,71 +267,40 @@ def _nested_bisection(targets, constraints, outer_tol, inner_tol, total) -> Solv
             f"demand total probability {floor_total:.6g} > 1"
         )
         warnings.warn(reason, InfeasibilityWarning, stacklevel=3)
-        per = tuple(
-            PerTargetReport(q=float("nan"), cost=float("inf"), q_critical=o.q_critical)
-            for o in oracles
-        )
-        return SolveReport(
-            gamma_star=float("inf"),
-            q_star=None,
-            per_target=per,
-            outer_iterations=0,
-            inner_iterations=0,
-            feasible=False,
-        )
+        per = tuple(PerTargetReport(q=float("nan"), cost=float("inf"), q_critical=o.q_critical)
+                    for o in nodes)
+        return SolveReport(gamma_star=float("inf"), q_star=None, per_target=per,
+                           outer_iterations=0, inner_iterations=0, feasible=False)
 
-    lo, hi = _bracket(oracles)
-    outer = 0
-
-    def demands_at(gamma):
-        return [_bisect_min_q(o, gamma, inner_tol) for o in oracles]
-
-    # The bracket guarantees total demand at hi of at most 1 plus a few
-    # inner tolerances. Usually that is comfortably below 1; when floors
-    # eat nearly the whole budget it can sit a hair above, so expand hi
-    # until the bisection invariant mu(hi) <= 1 actually holds. Demand
-    # cannot drop below the floors, so when their sum plus bisection slop
-    # pins mu above 1 the expansion stalls; accept the stalled budget then
-    # and let the final rescale honor the floors to within the tolerance.
-    prev_mu = float("inf")
-    for _ in range(60):
-        mu_hi = total(demands_at(hi))
-        if mu_hi <= 1.0:
+    # Start from the floors with the slack split evenly on top of them.
+    slack = (1.0 - floor_total) / len(nodes)
+    point = flood([o.point(f + slack) for o, f in zip(nodes, floors)])
+    steps = 0
+    while slack > 0:
+        # at most halfway to a marginal or unstable target's q^c
+        bounds = [max(f, (p[0] + e) / 2) for p, f, e in zip(point, floors, edges)]
+        new, free, v = _step(point, bounds)
+        size = max(abs(a - p[0]) for a, p in zip(new, point))
+        if size < _STEP_TOL and all(
+                abs(p[1] - v) <= _LEVEL_RTOL * v for p, fr in zip(point, free) if fr):
             break
-        if mu_hi >= prev_mu:
-            warnings.warn(
-                "floors leave no slack; they are honored only to within "
-                "the inner tolerance",
-                InfeasibilityWarning,
-                stacklevel=3,
-            )
-            hi = lo
-            break
-        prev_mu = mu_hi
-        lo, hi = hi, 2.0 * hi
+        worst = min(p[1] for p in point)  # the least u: the worst cost
+        t, trial = 1.0, new
+        while True:
+            steps += 1
+            tried = flood([o.point(q) for o, q in zip(nodes, trial)])
+            if min(p[1] for p in tried) > worst or t * size < _STEP_TOL:
+                break
+            t /= 2
+            trial = [max(b, p[0] + t * (a - p[0])) for a, p, b in zip(new, point, bounds)]
+        if min(p[1] for p in tried) <= worst:
+            break  # no step lowers the worst cost: stop at the best point found
+        point = tried
 
-    while hi - lo > outer_tol:
-        gamma = (lo + hi) / 2
-        if total(demands_at(gamma)) <= 1.0:
-            hi = gamma
-        else:
-            lo = gamma
-        outer += 1
-
-    qs = demands_at(hi)
-    mu = total(qs)
-    # Rescale so probabilities sum to one exactly; the factor is >= 1, so
-    # every floor stays honored and every cost can only move down.
-    q_star = np.array(qs) / mu
-    per = tuple(
-        PerTargetReport(q=float(q), cost=o.cost(float(q)), q_critical=o.q_critical)
-        for o, q in zip(oracles, q_star)
-    )
-    return SolveReport(
-        gamma_star=hi,
-        q_star=ScheduleDistribution(q_star),
-        per_target=per,
-        outer_iterations=outer,
-        inner_iterations=sum(o.steps for o in oracles),
-        feasible=True,
-    )
+    q_star = [p[0] for p in point]
+    costs = flood([o.cost(q) for o, q in zip(nodes, q_star)])
+    per = tuple(PerTargetReport(q=q, cost=c, q_critical=o.q_critical)
+                for o, q, c in zip(nodes, q_star, costs))
+    return SolveReport(gamma_star=max(costs), q_star=ScheduleDistribution(np.array(q_star)),
+                       per_target=per, outer_iterations=steps,
+                       inner_iterations=sum(o.solves for o in nodes), feasible=True)

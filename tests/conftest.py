@@ -98,8 +98,7 @@ def no_slack_pair() -> list[LtiTarget]:
     """Two copies of a scalar plant with q^c = 1 - 0.500012 = 0.499988.
 
     At the default inner_tol of 1e-5 the floors q^c + tol sum to
-    0.999996, so inner bisections of width 1e-5 cannot bring the demand
-    total at any budget down to 1.
+    0.999996, leaving 2e-6 of slack per target above its floor.
     """
     t = LtiTarget(A=[[1 / np.sqrt(0.500012)]], C=[[1.0]], Q=[[1.0]], R=[[1.0]], label="tight")
     return [t, t]

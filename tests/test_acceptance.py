@@ -234,7 +234,7 @@ def test_criterion_08_divergence_boundary():
 def test_criterion_09_distributed_equivalence(
     pair_targets, trio_targets, pair_solution, trio_solution
 ):
-    gamma_tol = 1e-3 + 10.0 * 1e-12  # outer_tol plus slack; the solves agree bit for bit
+    gamma_tol = 1e-3 + 10.0 * 1e-12  # the criterion's band; the solves agree bit for bit
     worst_gamma = 0.0
     worst_q = 0.0
     for targets, central in (

@@ -1,12 +1,13 @@
 """Graphs and the peer-to-peer solver.
 
 The load-bearing check is exact agreement with the centralized solver:
-the network floods the demands, so every node forms the centralized
-solver's own sum and takes the same bisection branch, and the distributed
-run must reproduce the centralized result bit for bit.
+the network floods every node's (q, u, u') once per Newton step, so every
+node forms the centralized solver's own sums and takes the same step, and
+the distributed run must reproduce the centralized result bit for bit.
 """
 import importlib.util
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,14 @@ class TestSolveDistributed:
         assert all(r >= 1 for r in dist.consensus_rounds)
         assert dist.total_rounds > sum(dist.consensus_rounds)
 
+    @pytest.mark.parametrize("topology", [complete_graph, ring_graph, line_graph])
+    def test_rounds_are_three_floods_plus_one_per_step(self, chain_trio, topology):
+        adj = topology(3)
+        dist = solve_distributed(chain_trio, adjacency=adj)
+        steps, diameter = dist.solution.outer_iterations, graph_diameter(adj)
+        assert dist.consensus_rounds == (diameter,) * steps
+        assert dist.total_rounds == (3 + steps) * diameter
+
     def test_line_needs_more_rounds_than_complete(self, chain_trio):
         on_line = solve_distributed(chain_trio, adjacency=line_graph(3))
         on_complete = solve_distributed(chain_trio, adjacency=complete_graph(3))
@@ -112,15 +121,21 @@ class TestSolveDistributed:
 
     @pytest.mark.filterwarnings("ignore::sensorsched.ConditioningWarning")
     def test_floors_without_slack_match_centralized(self, no_slack_pair):
-        with pytest.warns(InfeasibilityWarning, match="floors leave no slack"):
+        # floors summing to 0.999996 are honored exactly, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", InfeasibilityWarning)
             central = solve_distribution(no_slack_pair)
-        with pytest.warns(InfeasibilityWarning, match="floors leave no slack"):
             dist = solve_distributed(no_slack_pair, adjacency=line_graph(2))
+        floor = no_slack_pair[0].critical_closed_form + 1e-5
         assert dist.solution.feasible
+        assert all(q >= floor for q in central.q_star.q)
+        assert abs(central.q_star.q.sum() - 1.0) <= 1e-12
         assert dist.solution.gamma_star == central.gamma_star
         assert np.array_equal(dist.solution.q_star.q, central.q_star.q)
-        # no outer step, so no consensus: only floods
+        # the start, the floors plus an even share of the slack, is optimal
+        # for two copies of one target: no step, so only the three floods
         assert dist.consensus_rounds == ()
+        assert dist.total_rounds == 3
 
     def test_rejects_wrong_adjacency_size(self, pair):
         with pytest.raises(ValueError, match="expected 2"):
@@ -147,12 +162,13 @@ class TestSolveDistributed:
 
     @pytest.mark.parametrize("topology, rounds, diameter", [(ring_graph, 10, 10), (line_graph, 19, 19)])
     def test_scale20_steps_take_one_flood(self, topology, rounds, diameter, monkeypatch):
-        """On the benchmark's 20-target instance every total is one flood of
-        D rounds, D the graph's diameter: each outer step takes D rounds, and
-        two setup floods, the bracket check and the read-out take four more
-        floods, so total_rounds == (4 + outer) * D, 220 on the 20-ring and
-        418 on the 20-line. q* and gamma* equal the centralized ones bit for
-        bit."""
+        """On the benchmark's 20-target instance every shared vector is one
+        flood of D rounds, D the graph's diameter: each Newton step takes D
+        rounds, and the setup, the starting point and the read-out take
+        three more floods, so total_rounds == (3 + steps) * D. One step
+        clamps 19 targets to their floors and gives t12 the rest, so that is
+        40 on the 20-ring and 76 on the 20-line. q* and gamma* equal the
+        centralized ones bit for bit."""
         spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
         workloads = importlib.util.module_from_spec(spec)
         monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
@@ -165,8 +181,8 @@ class TestSolveDistributed:
         assert dist.solution.gamma_star == central.gamma_star
         assert np.array_equal(dist.solution.q_star.q, central.q_star.q)
         assert dist.consensus_rounds == (rounds,) * central.outer_iterations
-        assert dist.total_rounds == (4 + central.outer_iterations) * diameter
-        assert dist.total_rounds == {10: 220, 19: 418}[diameter]
+        assert dist.total_rounds == (3 + central.outer_iterations) * diameter
+        assert dist.total_rounds == {10: 40, 19: 76}[diameter]
 
     def test_rejects_disconnected_graph(self, pair):
         with pytest.raises(ValueError, match="connected"):

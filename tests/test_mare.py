@@ -28,7 +28,7 @@ from sensorsched import (
     g_q,
     solve_mare,
 )
-from sensorsched.mare import check_covariance, symmetrize
+from sensorsched.mare import _fixed_point_slope, check_covariance, symmetrize
 
 UNIT_SCALAR = LtiTarget(A=1.0, C=1.0, Q=1.0, R=1.0)
 
@@ -285,3 +285,33 @@ class TestClosedForm:
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             closed_form_delay_chain(DelayChainSpec(a=1.0, Q=1.0, R=1.0), 1.5)
+
+
+class TestFixedPointSlope:
+    """dX/dq from the implicit function theorem, (I - L_X) X' = -K S K^T,
+    against central differences of fixed points at q +- 1e-6."""
+
+    @pytest.mark.parametrize(
+        "a,d,q", [(0.9, 0, 0.3), (1.0, 2, 0.5), (1.3, 1, 0.6), (-0.8, 3, 0.25)]
+    )
+    def test_matches_the_closed_form(self, a, d, q):
+        spec = DelayChainSpec(a=a, Q=1.7, R=0.6, d=d)
+        h = 1e-6
+        fd = (closed_form_delay_chain(spec, q + h) - closed_form_delay_chain(spec, q - h)) / (2 * h)
+        slope = _fixed_point_slope(expand_delay_chain(spec), q, closed_form_delay_chain(spec, q))
+        np.testing.assert_allclose(slope, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
+
+    @pytest.mark.parametrize(
+        "which,q", [("noisy", 0.5), ("drifty", 0.3), ("two_sensor", 0.7), ("unstable", 0.9)]
+    )
+    def test_matches_solved_fixed_points(self, pair, two_sensor, unstable_scalar, which, q):
+        target = {"noisy": pair[0], "drifty": pair[1], "two_sensor": two_sensor,
+                  "unstable": unstable_scalar}[which]
+        h = 1e-6
+        lo, mid, hi = (solve_mare(target, q + dq) for dq in (-h, 0.0, h))
+        assert lo.converged and mid.converged and hi.converged
+        fd = (hi.X - lo.X) / (2 * h)
+        slope = _fixed_point_slope(target, q, mid.X)
+        np.testing.assert_allclose(slope, fd, rtol=1e-5, atol=1e-5 * np.abs(fd).max())
+        # more observation can only shrink the fixed point
+        assert np.linalg.eigvalsh(slope)[-1] <= 1e-12 * np.abs(slope).max()

@@ -1,13 +1,12 @@
-"""Budget inversion and the nested bisection solver.
+"""The Newton solver on 1/cost and its optimality conditions.
 
-The two frozen solutions (re-derived independently before being pinned):
+The frozen solutions (re-derived independently before being pinned):
 
-* benchmark pair: gamma* = 59.0734 with q* = (0.6740, 0.3260)
-* chain trio: gamma* = 17.3415 with q* = (0.0649, 0.1612, 0.7739)
+* benchmark pair: gamma* = 59.0724 with q* = (0.6740, 0.3260)
+* chain trio: gamma* = 17.3408 with q* = (0.0649, 0.1612, 0.7739)
 """
 import sys
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,23 +17,22 @@ from sensorsched import (
     DelayChainSpec,
     InfeasibilityWarning,
     LtiTarget,
+    MareResult,
+    MareStatus,
+    closed_form_delay_chain,
     critical_probability,
     expand_delay_chain,
+    ring_graph,
     solve_distributed,
     solve_distribution,
     solve_mare,
 )
 from sensorsched import model, optimizer
-from sensorsched.optimizer import (
-    _bisect_min_q,
-    _bracket,
-    _CostOracle,
-    _nested_bisection,
-)
+from sensorsched.optimizer import _Node, _step
 
-PAIR_GAMMA = 59.0734
+PAIR_GAMMA = 59.0724
 PAIR_Q = (0.6740, 0.3260)
-TRIO_GAMMA = 17.3415
+TRIO_GAMMA = 17.3408
 TRIO_Q = (0.0649, 0.1612, 0.7739)
 INNER_TOL = 1e-5
 
@@ -48,146 +46,106 @@ def cost_at(target: LtiTarget, q: float) -> float:
     return target.cost_of(res.X) if res.converged else float("inf")
 
 
-def oracle_of(target: LtiTarget) -> _CostOracle:
-    """The driver's cost oracle of one lossless target without a priority."""
-    return _CostOracle(target, 0.0, 0.0, INNER_TOL)
-
-
-def min_q(target: LtiTarget, gamma: float) -> float:
-    """The driver's inner inversion of one lossless target at its own floor."""
-    return _bisect_min_q(oracle_of(target), gamma, INNER_TOL)
-
-
-class RecordingTotal:
-    """The centralized total, `sum`, recording every total it forms as
-    (gamma, total), gamma the budget the demands were last inverted at:
-    bracket growth first, then one per outer step, then the read-out."""
-
-    def __init__(self):
-        self.totals, self.gamma = [], None
-
-    def __call__(self, qs):
-        self.totals.append((self.gamma, sum(qs)))
-        return sum(qs)
-
-
 @pytest.fixture()
-def oracles(monkeypatch) -> list[_CostOracle]:
-    """Every cost oracle the solver builds, in the order it builds them."""
+def nodes(monkeypatch) -> list[_Node]:
+    """Every target state the solver builds, in the order it builds them."""
     made = []
 
-    class CountedOracle(_CostOracle):
+    class CountedNode(_Node):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             made.append(self)
 
-    monkeypatch.setattr(optimizer, "_CostOracle", CountedOracle)
+    monkeypatch.setattr(optimizer, "_Node", CountedNode)
     return made
 
 
-def recorded_solve(targets) -> RecordingTotal:
-    demand = RecordingTotal()
-    bisect = optimizer._bisect_min_q
+@pytest.fixture()
+def solved(monkeypatch) -> list[tuple]:
+    """(target, effective q, x0) of every solve_mare call the solver makes."""
+    calls = []
+    real_solve = optimizer.solve_mare
 
-    def recorded(oracle, gamma, tol):
-        demand.gamma = gamma
-        return bisect(oracle, gamma, tol)
+    def recording_solve(target, q, **kwargs):
+        calls.append((target, q, kwargs.get("x0")))
+        return real_solve(target, q, **kwargs)
 
-    with mock.patch.object(optimizer, "_bisect_min_q", recorded):
-        _nested_bisection(targets, None, 1e-3, INNER_TOL, demand)
-    return demand
+    monkeypatch.setattr(optimizer, "solve_mare", recording_solve)
+    return calls
 
 
 class TestBudgetInversion:
+    """At q* each free target's probability is the least that meets gamma*."""
+
     def test_meets_budget_tightly(self, pair):
-        t = pair[0]
-        gamma = 55.0
-        q = min_q(t, gamma)
-        assert cost_at(t, q) <= gamma
-        assert cost_at(t, q - 5e-4) > gamma
+        report = solve_distribution(pair)
+        gamma = report.gamma_star
+        for t, q in zip(pair, report.q_star.q):
+            assert cost_at(t, q) <= gamma * (1 + 1e-9)
+            assert cost_at(t, q - 5e-4) > gamma
 
     def test_monotone_in_budget(self, pair):
-        t = pair[1]
-        qs = [min_q(t, g) for g in (20.0, 40.0, 80.0)]
+        # loss on drifty raises the budget; noisy then needs less probability
+        reports = [solve_distribution(pair, constraints=Constraints(loss=[0.0, tau]))
+                   for tau in (0.0, 0.2, 0.4)]
+        gammas = [r.gamma_star for r in reports]
+        qs = [r.q_star.q[0] for r in reports]
+        assert gammas[0] < gammas[1] < gammas[2]
         assert qs[0] > qs[1] > qs[2]
+        for r in reports:
+            assert abs(r.per_target[0].cost - r.gamma_star) <= 1e-10 * r.gamma_star
 
     def test_unreachable_budget_returns_one(self, pair):
-        # constant observation of the noisy system still costs ~46
-        assert min_q(pair[0], 10.0) == 1.0
-
-    def test_total_demand_decreases(self, pair):
-        probes = sorted(recorded_solve(pair).totals)
-        demands = [mu for _, mu in probes]
-        assert all(a >= b for a, b in zip(demands, demands[1:]))
-        # the probes straddle the threshold, so the ordering is not vacuous
-        assert demands[0] > 1.0 >= demands[-1]
-
-    def test_bracket_encloses_unit_demand(self, pair):
-        demand = recorded_solve(pair)
-        lo, hi = _bracket([oracle_of(t) for t in pair])
-        # the first outer step bisects the initial bracket, not a grown one
-        assert demand.totals[1][0] == (lo + hi) / 2
-        assert lo <= hi
-        assert sum(min_q(t, lo) for t in pair) >= 1.0 - 1e-9
-        # bracket growth first totals the demand at hi
-        assert demand.totals[0][0] == hi
-        assert demand.totals[0][1] == sum(min_q(t, hi) for t in pair) <= 1.0 + 2 * INNER_TOL
+        # constant observation of the noisy system still costs ~46, ~70 with
+        # half its observations lost: no budget below that is reachable
+        t = pair[0]
+        report = solve_distribution([t], constraints=Constraints(loss=[0.5]))
+        assert report.q_star.q.tolist() == [1.0]
+        assert report.gamma_star == pytest.approx(cost_at(t, 0.5), rel=1e-12)
+        assert report.gamma_star > cost_at(t, 1.0) > 10.0
 
 
 class TestFloorFirst:
-    def test_stable_floor_meeting_the_budget_is_returned_exactly(self):
-        # rho(A) = 0.5, so the floor is INNER_TOL and its cost ~ 4/3 meets 10
+    def test_stable_floor_meeting_the_budget_is_returned_exactly(self, pair):
+        # rho(A) = 0.5, so the floor is INNER_TOL, whose cost ~ 4/3 is far
+        # below what drifty costs even under constant observation
         t = scalar_target(0.5)
-        oracle = oracle_of(t)
-        assert _bisect_min_q(oracle, 10.0, INNER_TOL) == INNER_TOL
-        assert sorted(oracle.cache) == sorted(oracle.fixed_points) == [INNER_TOL, 1.0]
-        assert oracle.steps == 0
-        assert cost_at(t, INNER_TOL) <= 10.0
+        report = solve_distribution([t, pair[1]])
+        assert report.q_star.q[0] == INNER_TOL
+        assert abs(report.q_star.q.sum() - 1.0) <= 1e-12
+        assert report.per_target[0].cost == cost_at(t, INNER_TOL) <= report.gamma_star
 
-    def test_floor_probe_seeds_later_warm_starts(self, pair, monkeypatch):
-        # drifty's floor misses every budget here, yet its fixed point is
-        # kept: the first midpoint starts from it, like any converged solve
-        starts = []
-        real_solve = optimizer.solve_mare
+    def test_floor_probe_seeds_later_warm_starts(self, nodes, solved):
+        # the first step clamps the third target to its floor; that solve's
+        # fixed point is kept, and the next step, which releases the target,
+        # starts from it, like from any converged solve
+        targets = [LtiTarget(A=[[a]], C=[[1.0]], Q=[[w]], R=[[1.0]])
+                   for a, w in ((0.8, 8.0), (1.04, 9.0), (0.875, 3.5))]
+        report = solve_distribution(targets, constraints=Constraints(priorities=[0, 0.13, 0]))
+        third = nodes[2]
+        starts = [(q, x0) for t, q, x0 in solved if t is third.target]
+        assert third.floor == INNER_TOL
+        # q = 1, the start (the floor and a third of the slack), the floor
+        assert [q for q, _ in starts[:3]] == [
+            1.0, pytest.approx((1.0 - 0.13 - 2 * INNER_TOL) / 3 + INNER_TOL), INNER_TOL]
+        assert starts[3][0] > INNER_TOL
+        assert starts[3][1] is third.fixed_points[INNER_TOL]
+        assert report.q_star.q[2] > INNER_TOL
+        costs = [pt.cost for pt in report.per_target]
+        assert max(costs) - min(costs) <= 1e-10 * report.gamma_star
 
-        def recording_solve(target, q, **kwargs):
-            starts.append((q, kwargs.get("x0")))
-            return real_solve(target, q, **kwargs)
-
-        monkeypatch.setattr(optimizer, "solve_mare", recording_solve)
-        probed, plain = oracle_of(pair[1]), oracle_of(pair[1])
-        plain.stable = False
-        for gamma in (40.0, 59.0, 80.0, 59.07):
-            assert _bisect_min_q(probed, gamma, INNER_TOL) == _bisect_min_q(
-                plain, gamma, INNER_TOL
-            )
-        # only q = 1, solved first, and the floor, with nothing below it,
-        # start from Q; the plain oracle starts cold at each new least q
-        assert probed.warm_starts == len(probed.cache) - 2 > plain.warm_starts
-        q_floor, q_mid = INNER_TOL, (INNER_TOL + 1.0) / 2
-        assert [q for q, _ in starts[:3]] == [1.0, q_floor, q_mid]
-        assert starts[2][1] is probed.fixed_points[q_floor]
-        assert probed.cache.pop(q_floor) > 80.0
-        assert sorted(probed.cache) == sorted(plain.cache)
-        assert probed.steps == plain.steps > 0
-
-    def test_priority_is_the_floor_a_stable_target_probes(self):
-        # rho(A) = 0.5: its cost falls with q, and the priority 0.3 meets 10
+    def test_priority_is_the_floor_a_stable_target_probes(self, pair):
+        # rho(A) = 0.5: its cost at the priority 0.3 is below drifty's
         t = scalar_target(0.5)
-        oracle = _CostOracle(t, 0.0, 0.3, INNER_TOL)
-        assert oracle.floor == 0.3
-        assert _bisect_min_q(oracle, 10.0, INNER_TOL) == 0.3
-        assert sorted(oracle.cache) == [0.3, 1.0]
-        assert oracle.steps == 0
-        # a budget the priority misses bisects on [0.3, 1] and lands above it
-        gamma = cost_at(t, 0.6)
-        q = _bisect_min_q(oracle, gamma, INNER_TOL)
-        assert 0.3 < q <= 0.6 + INNER_TOL
-        assert min(oracle.cache) == 0.3
+        report = solve_distribution([t, pair[1]], constraints=Constraints(priorities=[0.3, 0.0]))
+        assert report.q_star.q[0] == 0.3
+        assert report.q_star.q[1] == pytest.approx(0.7, abs=1e-12)
+        assert report.per_target[0].cost < report.gamma_star == report.per_target[1].cost
 
-    def test_marginal_and_unstable_targets_never_probe_their_floor(self, oracles):
+    def test_marginal_and_unstable_targets_never_probe_their_floor(self, nodes, solved):
         # a solve at the floor of the a = 1 chain (q = 1e-5) or just above
-        # q^c of the a = 1.3 scalar is near-critical and would warn
+        # q^c of the a = 1.3 scalar is near-critical and would warn; a step
+        # takes such a target at most halfway to its q^c
         targets = [
             expand_delay_chain(DelayChainSpec(a=1.0, Q=1.0, R=1.0, d=1)),
             scalar_target(1.3),
@@ -197,8 +155,39 @@ class TestFloorFirst:
             warnings.simplefilter("error", ConditioningWarning)
             report = solve_distribution(targets)
         assert report.feasible
-        assert [o.stable for o in oracles] == [False, False, True]
-        assert [o.floor in o.cache for o in oracles] == [False, False, True]
+        assert [o.edge for o in nodes] == [0.0, 1.0 - 1.0 / 1.3**2, -np.inf]
+        for o in nodes[:2]:
+            assert min(q for t, q, _ in solved if t is o.target) > o.edge + 1e-3
+
+
+class TestStep:
+    """One Newton step on (q, u, u') triples: the linear model of each free
+    target's u meets a common v, the others sit at their bounds, and the
+    new q sums to one."""
+
+    def test_all_free_targets_meet_one_level(self):
+        point = [(0.5, 1.0, 1.0), (0.3, 1.2, 4.0), (0.2, 1.4, 2.0)]
+        new, free, v = _step(point, [0.0, 0.0, 0.0])
+        assert free == [True, True, True]
+        assert sum(new) == pytest.approx(1.0, abs=1e-15)
+        for (q, u, du), a in zip(point, new):
+            assert u + du * (a - q) == pytest.approx(v, rel=1e-14)
+
+    def test_a_target_pushed_below_its_floor_is_clamped_exactly(self):
+        # both free, v = 1.5 would take the second target to 0; its model
+        # reaches its floor 0.1 at 1.6, so it is clamped and v falls to 1.4
+        new, free, v = _step([(0.5, 1.0, 1.0), (0.5, 2.0, 1.0)], [0.1, 0.1])
+        assert free == [True, False]
+        assert v == pytest.approx(1.4, rel=1e-15)
+        assert new[1] == 0.1
+        assert new[0] == pytest.approx(0.9, abs=1e-15)
+
+    def test_a_clamped_target_below_the_level_is_released(self):
+        # the second target sits at its floor with u = 0.5 < v = 1.25
+        new, free, v = _step([(0.9, 2.0, 1.0), (0.1, 0.5, 1.0)], [0.1, 0.1])
+        assert free == [True, True]
+        assert v == 1.25
+        assert new == pytest.approx([0.15, 0.85], abs=1e-15)
 
 
 class TestSpectrumIsComputedOnce:
@@ -244,7 +233,7 @@ class TestClosedFormIsComputedOnce:
 
     def test_rank_tests_run_once_per_target(self, monkeypatch):
         # 100 Q makes the stable target costly, which pushes the a = 1.3
-        # scalar's demand to within 1e-3 of its q^c: near-critical solves
+        # scalar's q* to within 1e-3 of its q^c: near-critical solves
         heavy = LtiTarget(A=[[0.0, 1.0], [-0.72, 1.7]], C=[[1.0, 0.0]],
                           Q=100 * np.eye(2), R=[[1.0]])
         # one output, a complex pair of unstable modes
@@ -263,9 +252,10 @@ class TestClosedFormIsComputedOnce:
             warnings.simplefilter("always", ConditioningWarning)
             report = solve_distribution(targets)
         assert report.feasible
-        assert sum(issubclass(w.category, ConditioningWarning) for w in caught) > 10
-        # an observability and a controllability test per unstable mode
-        assert len(ranks) <= 2 * unstable_modes
+        near_critical = sum(issubclass(w.category, ConditioningWarning) for w in caught)
+        # an observability and a controllability test per unstable mode,
+        # however many more near-critical solves read the closed form
+        assert len(ranks) <= 2 * unstable_modes < near_critical
         assert [pt.q_critical for pt in report.per_target[:2]] == [
             t.critical_closed_form for t in targets[:2]
         ]
@@ -301,22 +291,35 @@ class TestSolve:
         assert report.gamma_star == pytest.approx(cost_at(t, 1.0), rel=1e-9)
 
     def test_tighter_tolerance_refines(self, pair):
-        rough = solve_distribution(pair, outer_tol=0.1)
-        fine = solve_distribution(pair, outer_tol=1e-3)
-        # both certify feasible budgets, the finer one certifies a lower one
-        assert fine.gamma_star <= rough.gamma_star + 1e-12
-        assert rough.gamma_star - fine.gamma_star < 0.1 + 1e-3
+        # inner_tol sets the floors q^c + inner_tol: at 0.4 drifty's floor
+        # binds, and the tighter default can only lower the budget
+        rough = solve_distribution(pair, inner_tol=0.4)
+        fine = solve_distribution(pair)
+        assert rough.q_star.q[1] == 0.4
+        assert fine.q_star.q[1] < 0.4
+        assert fine.gamma_star < rough.gamma_star
 
-    @pytest.mark.parametrize("outer_tol", [0.0, -1.0, float("nan")])
-    @pytest.mark.parametrize(
-        "solve",
-        [solve_distribution, lambda targets, **kw: solve_distributed(targets, **kw).solution],
-        ids=["centralized", "distributed"],
-    )
-    def test_outer_tol_must_be_positive(self, pair, solve, outer_tol):
-        # at 0 or below the bisection would never end; NaN would skip it
-        with pytest.raises(ValueError, match="outer_tol must be positive"):
-            solve(pair, outer_tol=outer_tol)
+    def test_chain_critical_reaches_the_optimum_for_its_floors(self):
+        """The benchmark's five delay chains at inner_tol 2e-3. The nested
+        bisection left its worst cost at 32.6807; the optimum for these
+        floors is 32.5540, and every cost there is the closed form's."""
+        specs = [
+            DelayChainSpec(a=1.0, Q=1.0, R=1.0, d=1),
+            DelayChainSpec(a=1.0, Q=2.0, R=1.0, d=2),
+            DelayChainSpec(a=1.0, Q=5.0, R=1.0, d=2),
+            DelayChainSpec(a=1.3, Q=1.0, R=1.0, d=0),
+            DelayChainSpec(a=1.1, Q=1.0, R=1.0, d=2),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            report = solve_distribution([expand_delay_chain(s) for s in specs], inner_tol=2e-3)
+        costs = [pt.cost for pt in report.per_target]
+        assert report.gamma_star == max(costs) <= 32.5540 * (1 + 1e-9)
+        assert abs(report.q_star.q.sum() - 1.0) <= 1e-12
+        for spec, pt in zip(specs, report.per_target):
+            exact = closed_form_delay_chain(spec, pt.q)[-1, -1]
+            assert abs(pt.cost - exact) <= 1e-9 * exact
+            assert abs(pt.cost - report.gamma_star) <= 1e-10 * report.gamma_star
 
     @pytest.mark.parametrize("inner_tol", [0.0, -1.0, float("nan")])
     @pytest.mark.parametrize(
@@ -334,22 +337,36 @@ class TestSolve:
         with pytest.raises(ValueError, match="need at least one target"):
             solve_distribution([])
 
-    def test_solves_start_from_smaller_fixed_points(self, pair, oracles):
+    def test_solves_start_from_smaller_fixed_points(self, pair, nodes, solved):
         report = solve_distribution(pair)
-        # 249 bisection solves plus one floor probe per (stable) target
-        assert sum(len(o.cache) for o in oracles) == 251
-        # 1480 iterations when every solve starts from Q
-        assert sum(o.iterations for o in oracles) <= 700
-        assert sum(o.warm_starts for o in oracles) >= 1
+        # per target: q = 1, the start and four steps, one solve each
+        assert report.inner_iterations == sum(o.solves for o in nodes) == len(solved) == 12
+        assert report.outer_iterations == 4
+        for o in nodes:
+            seen = []
+            for t, q, x0 in solved:
+                if t is not o.target:
+                    continue
+                below = [p for p in seen if p < q]
+                # from the fixed point at the nearest smaller q, else cold
+                if below:
+                    assert x0 is o.fixed_points[max(below)]
+                else:
+                    assert x0 is None
+                seen.append(q)
+        # noisy rises from 0.5 and starts warm four times; drifty falls from
+        # 0.5, so each of its solves is at a new least q and starts from Q
+        assert sum(x0 is not None for _, _, x0 in solved) == 4
         # the README's printed solution
-        assert f"{report.gamma_star:.4f}" == "59.0734"
+        assert f"{report.gamma_star:.4f}" == "59.0724"
         assert [f"{q:.4f}" for q in report.q_star.q] == ["0.6740", "0.3260"]
 
     def test_costs_equalize(self, pair):
-        """At the optimum every target sits essentially on the budget."""
+        """At the optimum every target sits on the budget."""
         report = solve_distribution(pair)
         costs = [pt.cost for pt in report.per_target]
-        assert max(costs) - min(costs) < 0.05
+        assert report.gamma_star == max(costs)
+        assert max(costs) - min(costs) <= 1e-10 * report.gamma_star
 
 
 class TestConstraints:
@@ -383,9 +400,9 @@ class TestConstraints:
         floored = solve_distribution(
             pair, constraints=Constraints(priorities=[0.0, 0.45])
         )
-        assert floored.q_star.q[1] >= 0.45 - 1e-9
+        assert floored.q_star.q[1] == 0.45
         # forcing extra probability onto the second target can only hurt
-        assert floored.gamma_star >= free.gamma_star - 1e-3
+        assert floored.gamma_star >= free.gamma_star
 
     def test_loss_raises_the_budget(self, pair):
         free = solve_distribution(pair)
@@ -433,17 +450,68 @@ class TestInfeasible:
         ]
 
     @pytest.mark.filterwarnings("ignore::sensorsched.ConditioningWarning")
-    def test_floors_without_slack_warn(self, no_slack_pair):
-        with pytest.warns(InfeasibilityWarning, match="floors leave no slack"):
+    def test_floors_without_slack_are_honored_exactly(self, no_slack_pair):
+        # floors summing to 0.999996, 2e-6 apart from (0.5, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", InfeasibilityWarning)
             report = solve_distribution(no_slack_pair)
-        # the stalled bracket growth leaves nothing to bisect, and the
-        # read-out's rescale still gives a distribution within the budget
+        floor = no_slack_pair[0].critical_closed_form + INNER_TOL
         assert report.feasible
         assert report.outer_iterations == 0
-        assert report.q_star.q.tolist() == [0.5, 0.5]
+        assert abs(report.q_star.q.sum() - 1.0) <= 1e-12
         for pt in report.per_target:
-            assert pt.q_critical < pt.q
-            assert pt.cost <= report.gamma_star
+            assert pt.q >= floor
+            assert pt.cost == report.gamma_star
+        ring = solve_distributed(no_slack_pair, adjacency=ring_graph(2)).solution
+        assert np.array_equal(ring.q_star.q, report.q_star.q)
+        assert ring.gamma_star == report.gamma_star
+
+    def test_a_cost_no_probability_lowers_ends_the_solve(self, pair):
+        # C = 0: the blind target costs its Lyapunov value 100 / 0.75 at
+        # every q, above noisy's cost even at q = 1, so no step lowers the
+        # worst cost; halving the first step below 1e-12 ends the solve
+        blind = LtiTarget(A=[[0.5]], C=[[0.0]], Q=[[100.0]], R=[[1.0]])
+        report = solve_distribution([blind, pair[0]])
+        assert report.feasible
+        assert report.gamma_star == report.per_target[0].cost == pytest.approx(400.0 / 3.0)
+        assert abs(report.q_star.q.sum() - 1.0) <= 1e-12
+        assert report.outer_iterations <= 45
+
+    def test_costs_no_probability_lowers_keep_the_start(self):
+        # no target's cost responds to its probability, so no step is taken
+        blind = [LtiTarget(A=[[a]], C=[[0.0]], Q=[[1.0]], R=[[1.0]]) for a in (0.5, 0.8)]
+        report = solve_distribution(blind)
+        assert report.outer_iterations == 0
+        assert report.q_star.q.tolist() == [0.5, 0.5]
+        assert report.gamma_star == pytest.approx(1.0 / (1.0 - 0.8**2))
+
+    def test_a_failed_solve_pushes_its_target_up(self, pair, monkeypatch):
+        # drifty's solve at the start (q = 0.5) runs out of iterations; its
+        # u is then 0 with the secant slope to q = 1, and the steps after
+        # it reach the same optimum
+        real_solve, failed_at = optimizer.solve_mare, []
+
+        def failing_solve(target, q, **kwargs):
+            res = real_solve(target, q, **kwargs)
+            if target is pair[1] and q == 0.5:
+                failed_at.append(q)
+                return MareResult(MareStatus.MAX_ITERATIONS, res.X, 100_000, 1.0)
+            return res
+
+        free = solve_distribution(pair)
+        monkeypatch.setattr(optimizer, "solve_mare", failing_solve)
+        failed = solve_distribution(pair)
+        assert failed_at == [0.5]
+        assert failed.gamma_star == pytest.approx(free.gamma_star, rel=1e-10)
+        assert failed.q_star.q == pytest.approx(free.q_star.q, abs=1e-10)
+
+    def test_a_priority_clamps_to_its_floor_exactly(self, pair):
+        # drifty's priority leaves noisy 0.01 of slack above its own floor
+        floors = Constraints(priorities=[0.0, 0.99])
+        report = solve_distribution(pair, constraints=floors)
+        assert report.q_star.q[1] == 0.99
+        assert abs(report.q_star.q.sum() - 1.0) <= 1e-12
+        assert report.gamma_star == report.per_target[0].cost > report.per_target[1].cost
 
     def test_feasible_solve_emits_no_warning(self, pair):
         with warnings.catch_warnings():

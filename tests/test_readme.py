@@ -3,7 +3,7 @@
 Both `python` blocks run in one namespace, as a reader pasting them in
 order would, so a public name the README uses cannot disappear silently.
 Each `print` whose trailing comment is a value is checked against it:
-`59.073...` is a prefix of the printed number, and `[0.674 0.326]` gives
+`59.072...` is a prefix of the printed number, and `[0.674 0.326]` gives
 each printed entry rounded to the digits shown.
 """
 import contextlib

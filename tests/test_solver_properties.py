@@ -1,35 +1,47 @@
-"""The distributed solver equals the centralized one exactly.
+"""The solver's answer satisfies the optimality conditions, and the
+distributed solver equals the centralized one exactly.
 
-Both solvers run the same nested bisection and total the demand vector
-with the same sequential sum; the network floods the demands so every
-node forms that sum itself. So on any connected graph the distributed
-`gamma_star` and `q_star` must be bit-identical to the centralized ones,
-not merely close. Instances have 8-12 targets because numpy's pairwise
-summation departs from sequential summation from 8 terms on, which is
-where a second way of totalling would show.
+Each fixed-point cost strictly falls as its probability grows, so q* is
+optimal exactly when sum q* = 1, every target above its floor costs
+gamma*, and every target at its floor costs at most gamma*. The first
+property checks those conditions on random instances with loss and
+priorities, against the floors recomputed from the targets themselves.
+
+Both solvers run the same Newton loop and share every node's
+(q, u, u') by flooding, so every node forms the same sums in node order.
+So on any connected graph the distributed `gamma_star` and `q_star` must
+be bit-identical to the centralized ones, not merely close. Instances
+have 8-12 targets because numpy's pairwise summation departs from
+sequential summation from 8 terms on, which is where a second way of
+totalling would show.
 
 The centralized solve also treats targets symmetrically: permuting them
-permutes q* and leaves gamma* alone, to within the solver's tolerances
-(only the order of the demand sum changes), and two copies of one target
-get the same q bit for bit. Scaling (Q, R) by c scales every fixed point
-by c, so together with outer_tol it scales gamma* by c and leaves q*.
-A target returned at its floor meets gamma* there.
+permutes q* and leaves gamma* alone, to the stopping tolerance (only the
+order of the sums changes), and two copies of one target get the same q
+bit for bit. Scaling (Q, R) by c scales every fixed point by c, so it
+scales gamma* by c and leaves q*. A target returned at its floor meets
+gamma* there.
 """
+import warnings
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph
 from sensorsched import (
+    Constraints,
+    DelayChainSpec,
     LtiTarget,
     complete_graph,
+    critical_probability,
+    expand_delay_chain,
     line_graph,
     ring_graph,
     solve_distributed,
     solve_distribution,
     solve_mare,
 )
-from sensorsched.optimizer import _nested_bisection
 
 
 def stable_targets(rng, n: int) -> list[LtiTarget]:
@@ -80,13 +92,10 @@ def test_permuting_targets_permutes_the_solution(seed, n):
     rng = np.random.default_rng(seed)
     targets = stable_targets(rng, n)
     perm = rng.permutation(n)
-    outer_tol, inner_tol = 1e-3, 1e-5
-    base = solve_distribution(targets, outer_tol=outer_tol, inner_tol=inner_tol)
-    permuted = solve_distribution(
-        [targets[i] for i in perm], outer_tol=outer_tol, inner_tol=inner_tol
-    )
-    assert abs(permuted.gamma_star - base.gamma_star) <= outer_tol
-    assert np.abs(permuted.q_star.q - base.q_star.q[perm]).max() <= inner_tol
+    base = solve_distribution(targets)
+    permuted = solve_distribution([targets[i] for i in perm])
+    assert abs(permuted.gamma_star - base.gamma_star) <= 1e-10 * base.gamma_star
+    assert np.abs(permuted.q_star.q - base.q_star.q[perm]).max() <= 1e-10
 
 
 @settings(max_examples=6, deadline=None)
@@ -107,21 +116,12 @@ def test_duplicated_target_gets_the_same_probability(seed, n):
 def test_scaling_the_noise_scales_the_budget(seed, n, k):
     rng = np.random.default_rng(seed)
     targets = stable_targets(rng, n)
-    c, outer_tol, inner_tol = 2.0**k, 1e-3, 1e-5
+    c = 2.0**k
     scaled = [LtiTarget(A=t.A, C=t.C, Q=c * t.Q, R=c * t.R) for t in targets]
-    base = solve_distribution(targets, outer_tol=outer_tol, inner_tol=inner_tol)
-    moved = solve_distribution(scaled, outer_tol=c * outer_tol, inner_tol=inner_tol)
-    assert abs(moved.gamma_star - c * base.gamma_star) <= c * outer_tol
-    assert np.abs(moved.q_star.q - base.q_star.q).max() <= inner_tol
-
-
-class ReadOut:
-    """The centralized total, `sum`, keeping the last demand vector it
-    totalled: the read-out's, at gamma*."""
-
-    def __call__(self, qs):
-        self.qs = list(qs)
-        return sum(qs)
+    base = solve_distribution(targets)
+    moved = solve_distribution(scaled)
+    assert abs(moved.gamma_star - c * base.gamma_star) <= 1e-10 * c * base.gamma_star
+    assert np.abs(moved.q_star.q - base.q_star.q).max() <= 1e-10
 
 
 @settings(max_examples=6, deadline=None)
@@ -136,9 +136,8 @@ def test_floor_targets_meet_the_budget(seed, n):
     quiet = int(rng.integers(1, n))
     targets[:quiet] = [LtiTarget(A=t.A, C=t.C, Q=1e-3 * t.Q, R=t.R) for t in targets[:quiet]]
     inner_tol = 1e-5
-    demand = ReadOut()
-    central = _nested_bisection(targets, None, 1e-3, inner_tol, demand)
-    at_floor = [t for t, q in zip(targets, demand.qs) if q == inner_tol]
+    central = solve_distribution(targets, inner_tol=inner_tol)
+    at_floor = [t for t, q in zip(targets, central.q_star.q) if q == inner_tol]
     assert at_floor
     for t in at_floor:
         res = solve_mare(t, inner_tol)
@@ -147,3 +146,68 @@ def test_floor_targets_meet_the_budget(seed, n):
     ring = solve_distributed(targets, adjacency=ring_graph(n)).solution
     assert ring.gamma_star == central.gamma_star
     assert np.array_equal(ring.q_star.q, central.q_star.q)
+
+
+def random_target(rng) -> LtiTarget:
+    """A random 1-3 state target with spectral radius in [0.3, 1.3], or a
+    delay chain with a in [0.3, 1.6] and delay 0-2: stable, marginal and
+    unstable targets, some with a closed-form critical probability."""
+    if rng.random() < 0.5:
+        n = int(rng.integers(1, 4))
+        A = rng.normal(size=(n, n))
+        A *= rng.uniform(0.3, 1.3) / np.max(np.abs(np.linalg.eigvals(A)))
+        G = rng.normal(size=(n, n))
+        return LtiTarget(A=A, C=rng.normal(size=(1, n)), Q=G @ G.T + 0.1 * np.eye(n),
+                         R=[[rng.uniform(0.5, 2.0)]])
+    return expand_delay_chain(DelayChainSpec(
+        a=float(rng.uniform(0.3, 1.6)), Q=float(rng.uniform(0.5, 5.0)),
+        R=float(rng.uniform(0.5, 2.0)), d=int(rng.integers(0, 3))))
+
+
+# About three in four draws are feasible, so 300 draws check the
+# conditions on over 200 instances.
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    with_priorities=st.booleans(),
+    with_loss=st.booleans(),
+)
+# one target free with a nearly flat cost: (v - u) / u' must not carry the
+# rounding of v into the sum of q
+@example(seed=848485, n=3, with_priorities=False, with_loss=False)
+# two free targets steep near q^c stop with their u on either side of v
+@example(seed=430051420, n=4, with_priorities=True, with_loss=True)
+def test_solution_meets_the_optimality_conditions(seed, n, with_priorities, with_loss):
+    """At q*: sum q* = 1, each q_i at or above its floor, every target
+    above its floor at gamma* (the solve stops with each free u within
+    1e-10 relative of v, so two free costs differ by at most 2e-10
+    relative), every target at its floor at most gamma*, and gamma* the
+    largest per-target cost."""
+    rng = np.random.default_rng(seed)
+    targets = [random_target(rng) for _ in range(n)]
+    # a floor on about half the targets, and loss on about half
+    priorities = (rng.dirichlet(np.ones(n)) * rng.uniform(0.0, 0.6)
+                  * (rng.random(n) < 0.5)) if with_priorities else None
+    loss = rng.uniform(0.0, 0.4, n) * (rng.random(n) < 0.5) if with_loss else None
+    constraints = Constraints(priorities=priorities, loss=loss)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = solve_distribution(targets, constraints=constraints)
+        floors = [max(constraints.priority(i), min(
+            critical_probability(t, tol=1e-5) / (1.0 - constraints.loss_rate(i)) + 1e-5, 1.0))
+            for i, t in enumerate(targets)]
+        hopeless = [not solve_mare(t, 1.0 - constraints.loss_rate(i)).converged
+                    for i, t in enumerate(targets)]
+    if sum(floors) > 1.0 or any(hopeless):
+        assert not report.feasible
+        return
+    gamma = report.gamma_star
+    assert abs(report.q_star.q.sum() - 1.0) <= 1e-12
+    assert gamma == max(pt.cost for pt in report.per_target)
+    for pt, floor in zip(report.per_target, floors):
+        assert pt.q >= floor
+        if pt.q > floor:
+            assert abs(pt.cost - gamma) <= 2e-10 * gamma
+        else:
+            assert pt.cost <= gamma
