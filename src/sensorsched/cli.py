@@ -172,6 +172,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as e:
+        raise ConfigError(f"cannot read config {path}: {e.strerror}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from None
     if not isinstance(raw, dict):
@@ -356,9 +358,12 @@ def cmd_schedule(scn: Scenario, args) -> int:
     return 0
 
 
-def _tile_to(seq_steps: np.ndarray, T: int) -> np.ndarray:
-    reps = -(-T // seq_steps.size)
-    return np.tile(seq_steps, reps)[:T]
+def _evaluate_tiled(scn: Scenario, q: ScheduleDistribution, kind: str):
+    """Cost of the `kind` schedule (minconsec at length L, csma for T
+    periods) tiled to the horizon T."""
+    length = scn.T if kind == "csma" else scn.L
+    base = _build_sequence(q, kind, length, scn.schedule_seed)
+    return evaluate_schedule(scn.targets, ScheduleSequence(np.resize(base.steps, scn.T), len(q)))
 
 
 def cmd_simulate(scn: Scenario, args) -> int:
@@ -376,11 +381,7 @@ def cmd_simulate(scn: Scenario, args) -> int:
             )
         print(f"max expected cost = {exp.max_over_targets:.4f}")
     else:
-        length = scn.T if args.kind == "csma" else scn.L
-        base = _build_sequence(q, args.kind, length, scn.schedule_seed)
-        steps = _tile_to(base.steps, scn.T)
-        seq = ScheduleSequence(steps=steps, n_targets=len(q))
-        report = evaluate_schedule(scn.targets, seq)
+        report = _evaluate_tiled(scn, q, args.kind)
         series = report.trace_series
         print(f"{args.kind} schedule, T = {scn.T}")
         for i, t in enumerate(scn.targets):
@@ -406,9 +407,7 @@ def cmd_compare(scn: Scenario, args) -> int:
                  f"{scn.runs} runs of T={scn.T}"])
 
     try:
-        base = build_min_consecutive_schedule(q, scn.L)
-        tiled = ScheduleSequence(_tile_to(base.steps, scn.T), len(q))
-        det = evaluate_schedule(scn.targets, tiled)
+        det = _evaluate_tiled(scn, q, "minconsec")
         rows.append(["minconsec", _fmt(det.max_over_targets), "",
                      f"L={scn.L} tiled to T={scn.T}"])
     except ValueError as e:
@@ -465,8 +464,10 @@ def main(argv: list[str] | None = None) -> int:
         window = getattr(args, "window", None)
         if window is not None and window < 1:
             raise ConfigError(f"--window: must be at least 1, got {window}")
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"--out: cannot create directory {args.out}: {e.strerror}") from None
         return args.fn(scn, args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

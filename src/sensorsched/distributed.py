@@ -121,8 +121,6 @@ def solve_distributed(
     knows only targets[i], its constraint entries, inner_tol and n; the
     floors are shared during setup.
     """
-    if not targets:
-        raise ValueError("need at least one target")
     n = len(targets)
     adj, diameter = _check_adjacency(complete_graph(n) if adjacency is None else adjacency)
     if adj.shape[0] != n:

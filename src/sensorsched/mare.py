@@ -146,8 +146,10 @@ def _riccati_step(
     (Lyapunov) update without forming the gain. A boolean q is a mask of
     the observed matrices: only those form the gain, as in their own call
     at q = 1, and the others get the bits of q = 0, so an unobserved matrix
-    whose innovation covariance is singular never enters a solve. A float
-    array q scales the gain of each matrix.
+    whose innovation covariance is singular never enters a solve. A mask on
+    which all matrices agree is the scalar it means: all True is q = 1, all
+    False q = 0, open loop with no gain. A float array q scales the gain of
+    each matrix.
 
     `target` decides only how Y = B P^T B^T is formed, with B = [A; C]
     (A alone at q = 0), whose blocks are A P A^T, A P C^T, C P A^T and
@@ -176,8 +178,10 @@ def _riccati_step(
     matrices. An asymmetric P still gets the textbook update of P, rounded
     otherwise.
     """
+    seen = np.flatnonzero(q) if isinstance(q, np.ndarray) and q.dtype == bool else None
+    if seen is not None and len(seen) in (0, q.size):
+        q, seen = float(len(seen) > 0), None
     open_loop = not isinstance(q, np.ndarray) and q == 0
-    mask = isinstance(q, np.ndarray) and q.dtype == bool
     if isinstance(target, LtiTarget):
         n, rows = target.n, P.shape[2:]
         B = target.A if open_loop else target.AC_T.T
@@ -192,14 +196,13 @@ def _riccati_step(
         Y = (np.ascontiguousarray(P.T) @ Bt).swapaxes(1, 2) @ Bt
         Y = np.ascontiguousarray(Y.T)
     out = Y[:n, :n] + Q
-    if mask:
-        seen = np.flatnonzero(q)
+    if seen is not None:
         out[..., seen] = out.take(seen, axis=-1) - _correction(
             Y.take(seen, axis=-1), R if R.ndim == 2 else R.take(seen, axis=-1), n)
     elif not open_loop:
         q = q.reshape(-1) if isinstance(q, np.ndarray) else q
         out = out - q * _correction(Y, R, n)
-    return (out + out.swapaxes(0, 1)) / 2
+    return symmetrize(out)
 
 
 def _correction(Y: np.ndarray, R: np.ndarray, n: int) -> np.ndarray:

@@ -180,26 +180,15 @@ def _weighted_trace(X: np.ndarray, weights: np.ndarray | None) -> float | np.nda
     give each plane's trace bit for bit."""
     n = len(X)
     d = X.reshape(n * n, *X.shape[2:])[::n + 1]  # d[i]: entry (i, i) of every plane
-    return _pairwise_sum(d if weights is None else d * weights)
-
-
-def _pairwise_sum(d: np.ndarray) -> np.ndarray:
-    """d.sum(0) in the order numpy sums a contiguous vector of len(d):
-    sequentially below 8 terms, else in 8 running partial sums joined as a
-    tree, then the remainder, with halves of blocks of 8 above 128 terms."""
-    n = len(d)
+    if weights is not None:
+        d = d * weights
+    # numpy adds fewer than 8 terms in order, as d.sum(0) does across the
+    # planes; from 8 up it sums pairwise along a contiguous axis, which needs
+    # each plane's diagonal innermost. The copy that takes costs about 20 us
+    # against 2 us for d.sum(0) on 1000 2x2 planes, so small n skips it.
     if n < 8:
         return d.sum(0)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(d[:half]) + _pairwise_sum(d[half:])
-    r = d[:8]
-    for i in range(8, n - n % 8, 8):
-        r = r + d[i:i + 8]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for i in range(n - n % 8, n):
-        total = total + d[i]
-    return total
+    return np.ascontiguousarray(np.moveaxis(d, 0, -1)).sum(-1)
 
 
 @dataclass(frozen=True)
@@ -266,9 +255,12 @@ class ValidationReport:
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
-    """Average away the antisymmetric part accumulated by floating point
-    (over the last two axes, so each matrix of a stack separately)."""
-    return (M + M.swapaxes(-1, -2)) / 2
+    """Average away the antisymmetric part accumulated by floating point.
+
+    M is one matrix [n, n] or planes [n, n, *rows] (see
+    `mare._riccati_step`); each plane is symmetrized on its own.
+    """
+    return (M + M.swapaxes(0, 1)) / 2
 
 
 def check_covariance(X: np.ndarray, name: str = "X") -> np.ndarray:

@@ -91,13 +91,6 @@ def covariance_step(target: LtiTarget, P: np.ndarray, observed: bool) -> np.ndar
     return _riccati_step(target, np.asarray(P, dtype=float), 1.0 if observed else 0.0)
 
 
-def _mask_or_scalar(seen: np.ndarray) -> float | np.ndarray:
-    """The kernel's q for rows observed where `seen` holds: the mask, or a
-    scalar when every row agrees (q = 0 then skips the gain)."""
-    n_seen = np.count_nonzero(seen)
-    return seen if 0 < n_seen < len(seen) else float(n_seen > 0)
-
-
 def _cost_paths(targets: list[LtiTarget], steps: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Every target's costs along given schedules, one target at a time.
 
@@ -117,10 +110,10 @@ def _cost_paths(targets: list[LtiTarget], steps: np.ndarray) -> Iterator[tuple[i
     call per step. One run never splits, so a single schedule stays in
     the stack throughout.
 
-    Every run reads exactly the bits it would on its own: a slice of a
-    stacked call has the bits of the call on that slice alone (a scalar
-    q = 0 or 1 those of the mask), and `cost_of` sums each plane on its
-    own. The stack keeps one cost per row and step and one copy of the
+    Every run reads exactly the bits it would on its own: each call takes
+    the rows' observation bits as its mask, a slice of a stacked call has
+    the bits of the call on that slice alone, and `cost_of` sums each plane
+    on its own. The stack keeps one cost per row and step and one copy of the
     grouping per stretch of steps without a split, at most `runs` rows per
     target. A target that leaves takes its planes [n, n, runs] by a column
     gather of the stack.
@@ -161,7 +154,7 @@ def _cost_paths(targets: list[LtiTarget], steps: np.ndarray) -> Iterator[tuple[i
                 row_system = Bt[owner], Qs[..., owner], Rs[..., owner]
                 row_weights = weights[:, owner]
             stretches[-1][2].append(_weighted_trace(P, row_weights))
-            P = _riccati_step(row_system, P, _mask_or_scalar(seen))
+            P = _riccati_step(row_system, P, seen)
         stretches = [(k, rows, np.array(c)) for k, rows, c in stretches]
         for j, (i, t) in enumerate(zip(members, ts)):
             costs = np.empty((runs, T))
@@ -173,7 +166,7 @@ def _cost_paths(targets: list[LtiTarget], steps: np.ndarray) -> Iterator[tuple[i
                 start, P = left.pop(j)
                 for k in range(start, T):
                     costs[:, k] = t.cost_of(P)
-                    P = _riccati_step(t, P, _mask_or_scalar(steps[k] == i))
+                    P = _riccati_step(t, P, steps[k] == i)
             yield i, costs
 
 

@@ -52,6 +52,21 @@ class TestConfigValidation:
         assert rc == cli.EXIT_CONFIG
         assert "not found" in err
 
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        rc, out, err = run(capsys, "solve", "--config", str(tmp_path), "--out", str(tmp_path))
+        assert rc == cli.EXIT_CONFIG
+        assert err.startswith("config error: cannot read config") and err.count("\n") == 1
+        assert "Traceback" not in out + err
+
+    def test_out_is_a_file(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        rc, out, err = run(capsys, "solve", "--config", str(config), "--out", str(taken))
+        assert rc == cli.EXIT_CONFIG
+        assert err.startswith("config error: --out") and err.count("\n") == 1
+        assert out == "" and taken.read_text() == ""
+
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -349,10 +349,11 @@ def test_stacked_step_equals_step_per_slice(seed, stack, n, p, kind):
         assert np.array_equal(_weighted_trace(out, per_row), costs)
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 128, 129, 130, 300])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 130, 255, 256, 257, 300])
 def test_plane_costs_sum_in_numpys_order(n):
     """Scoring planes reproduces numpy's pairwise summation of one
-    diagonal, across its block and halving thresholds."""
+    diagonal, across its block and halving thresholds, and so does scoring
+    one matrix, C- or F-ordered, as the optimizer scores its fixed points."""
     rng = np.random.default_rng(n)
     target = LtiTarget(A=np.eye(n), C=np.ones((1, n)), Q=np.eye(n), R=[[1.0]])
     weighted = LtiTarget(A=target.A, C=target.C, Q=target.Q, R=target.R,
@@ -361,6 +362,8 @@ def test_plane_costs_sum_in_numpys_order(n):
     for t in (target, weighted):
         costs = t.cost_of(P)
         assert all(costs[b] == own_cost(t, P[..., b]) for b in range(5))
+        for X in (np.ascontiguousarray(P[..., b]) for b in range(5)):
+            assert t.cost_of(X) == own_cost(t, X) == t.cost_of(np.asfortranarray(X))
 
 
 @pytest.mark.parametrize("weighted", [False, True])

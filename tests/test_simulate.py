@@ -204,6 +204,11 @@ class TestEvaluateSchedule:
             assert np.linalg.matrix_rank(t.C @ P[..., r] @ t.C.T + t.R) == 1 + seen[r]
             assert np.array_equal(P[..., r], covariance_step(t, covariance_step(
                 t, covariance_step(t, t.Q, seen[r]), seen[r]), seen[r]))
+        # a mask that observes no row is q = 0 in the kernel itself: no
+        # solve with the singular rows, each row its own open-loop step
+        blank = _riccati_step(_system_rows(owners), P, np.zeros(4, dtype=bool))
+        for r, t in enumerate(owners):
+            assert np.array_equal(blank[..., r], covariance_step(t, P[..., r], False))
 
     def test_rejects_mismatched_sequence(self, pair):
         seq = ScheduleSequence(np.zeros(10, dtype=np.int64), 3)
