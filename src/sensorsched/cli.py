@@ -472,6 +472,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as e:
+        if e.filename is None:  # not a file the command opens, e.g. a closed stdout
+            raise
+        print(f"config error: {e.filename}: {e.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
     except InfeasibleError as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -166,14 +166,61 @@ def simulate_csma_schedule(q: ScheduleDistribution, duration: int, seed: int) ->
     frequency approaches q_i. The timers need no time unit: a win always
     takes one whole period, and scaling every timer and the resolution by
     the same unit leaves every race with the same winner.
+
+    Until the first collision, target i wins at the idle times m / q_i
+    (m = 1, 2, ...), so the schedule is the sorted merge of those lattices
+    (`_lattice_merge`). The merge is taken only when it provably names the
+    race's winners: no lattice point left out of it comes before its last
+    expiry, and every two consecutive expiries of different targets are
+    further apart than the resolution plus a bound on the race's rounding.
+    Otherwise, as at equal or rationally related probabilities, the race
+    (`_race`) runs from the first period, so both give the same sequence.
     """
     if not duration >= 1:
         raise ValueError("duration must be at least 1")
     probs = q.q
     if np.any(probs <= 0):
         raise ValueError("contention simulation needs strictly positive probabilities")
-    jitter = min(1e-3, probs.min() / 2)
     rng = np.random.default_rng(seed)
+    steps = _lattice_merge(probs, duration)
+    if steps is None:
+        steps = _race(probs, duration, rng)
+    return ScheduleSequence(steps=steps, n_targets=len(q))
+
+
+def _lattice_merge(probs: np.ndarray, duration: int) -> np.ndarray | None:
+    """The race's first `duration` winners as a merge of the expiry times
+    m / q_i, or None when a near-tie could give the race another winner.
+
+    In the race's clock (the sum of its idle times), target i's next
+    expiry after m wins is m fl(1 / q_i) plus the rounding of its
+    `remaining -= t_min` steps, at most half an ulp of max 1 / q_i each. With
+    two or more targets every time compared lies below
+    B = (duration + 1) max 1 / q_i, so the race's times and the merge's
+    m / q_i are each within eps B of the exact ones, and a gap wider than
+    the resolution plus 8 eps B (twice the 4 eps B needed) has the same
+    winner in both. One target's consecutive expiries are 1 / q_i >= 1
+    apart, so only gaps between different targets are tested.
+    """
+    n = probs.size
+    # every lattice point up to duration + 1 + n, which holds duration + 1
+    # points because the probabilities sum to one
+    counts = np.floor((duration + 1 + n) * probs).astype(np.int64) + 1
+    owner = np.repeat(np.arange(n), counts)
+    times = np.concatenate([np.arange(1, c + 1) for c in counts]) / probs[owner]
+    order = np.argsort(times, kind="stable")[:duration + 1]
+    t, who = times[order], owner[order]
+    slack = 1e-9 + 8 * np.finfo(float).eps * (duration + 1) / probs.min()
+    if np.min((counts + 1) / probs) <= t[-1] + slack:
+        return None
+    if np.any(np.diff(t)[who[1:] != who[:-1]] <= slack):
+        return None
+    return who[:duration]
+
+
+def _race(probs: np.ndarray, duration: int, rng: np.random.Generator) -> np.ndarray:
+    """The contention model itself, one period at a time."""
+    jitter = min(1e-3, probs.min() / 2)
     remaining = 1.0 / probs
     steps = np.empty(duration, dtype=np.int64)
     for k in range(duration):
@@ -192,13 +239,13 @@ def simulate_csma_schedule(q: ScheduleDistribution, duration: int, seed: int) ->
         remaining -= t_min
         remaining[winner] = 1.0 / probs[winner]
         steps[k] = winner
-    return ScheduleSequence(steps=steps, n_targets=len(q))
+    return steps
 
 
 def write_sequence(seq: ScheduleSequence, path: str | Path) -> None:
     """Plain text: a header line, then one target index per line."""
     lines = [f"# L={len(seq)} N={seq.n_targets}"]
-    lines.extend(str(int(s)) for s in seq.steps)
+    lines.extend(map(str, seq.steps.tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

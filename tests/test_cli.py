@@ -67,6 +67,20 @@ class TestConfigValidation:
         assert err.startswith("config error: --out") and err.count("\n") == 1
         assert out == "" and taken.read_text() == ""
 
+    @pytest.mark.parametrize("command, artifact", [
+        ("solve", "solution.csv"),
+        ("schedule", "schedule_csma.txt"),
+    ])
+    def test_unwritable_artifact(self, tmp_path, capsys, command, artifact):
+        config = write_config(tmp_path, schedule={"duration": 50})
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+        argv = [command, "--config", str(config), "--out", str(out)]
+        rc, _, err = run(capsys, *argv, *(["--kind", "csma"] if command == "schedule" else []))
+        assert rc == cli.EXIT_CONFIG
+        assert err.startswith(f"config error: {out / artifact}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

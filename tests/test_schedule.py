@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sensorsched import (
     ScheduleDistribution,
@@ -20,11 +22,50 @@ from sensorsched import (
     simulate_csma_schedule,
     write_sequence,
 )
+from sensorsched import schedule
 from sensorsched.schedule import _apportion_counts, _interleave
 
 
 def dist(*probs: float) -> ScheduleDistribution:
     return ScheduleDistribution(np.array(probs))
+
+
+def race_reference(probs, duration: int, seed: int) -> np.ndarray:
+    """The contention race one period at a time, as the model defines it."""
+    probs = np.asarray(probs, dtype=float)
+    jitter = min(1e-3, probs.min() / 2)
+    rng = np.random.default_rng(seed)
+    remaining = 1.0 / probs
+    steps = np.empty(duration, dtype=np.int64)
+    for k in range(duration):
+        while True:
+            t_min = remaining.min()
+            contenders = np.flatnonzero(remaining - t_min <= 1e-9)
+            if contenders.size == 1:
+                break
+            eps = np.maximum(rng.uniform(0.0, jitter, size=contenders.size), jitter * 1e-12)
+            remaining[contenders] = 1.0 / (probs[contenders] - eps)
+        remaining -= t_min
+        remaining[contenders[0]] = 1.0 / probs[contenders[0]]
+        steps[k] = contenders[0]
+    return steps
+
+
+@st.composite
+def timer_probabilities(draw):
+    """Dirichlet, thousandths (rational ties), equal, or targets at a 1e-5 floor."""
+    n = draw(st.integers(2, 6))
+    shape = draw(st.sampled_from(["dirichlet", "thousandths", "equal", "floors"]))
+    if shape == "equal":
+        return (1.0 / n,) * n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.dirichlet(np.ones(n))
+    if shape == "thousandths":
+        return tuple((rng.multinomial(1000 - n, w) + 1) / 1000)
+    if shape == "floors":
+        k = draw(st.integers(1, n - 1))
+        w = np.concatenate((np.full(k, 1e-5), w[k:] * (1 - k * 1e-5) / w[k:].sum()))
+    return tuple(w)
 
 
 def brute_force_best_run(n0: int, n1: int) -> int:
@@ -225,6 +266,24 @@ class TestCsmaSchedule:
         # compared a timer with the period, so the unit cannot matter
         seq = simulate_csma_schedule(dist(*probs), 2000, seed=1)
         assert hashlib.sha256(seq.steps.tobytes()).hexdigest()[:16] == digest
+
+    @settings(max_examples=40, deadline=None)
+    @given(probs=timer_probabilities(), duration=st.integers(1, 10_000),
+           seed=st.integers(0, 2**63 - 1))
+    # 0.674 / 0.326 collide in period 499, when both timers expire at 500
+    @example(probs=(0.674, 0.326), duration=1000, seed=1)
+    def test_equals_the_race_bit_for_bit(self, probs, duration, seed):
+        seq = simulate_csma_schedule(dist(*probs), duration, seed)
+        assert np.array_equal(seq.steps, race_reference(probs, duration, seed))
+
+    def test_readme_q_star_takes_the_lattice_merge(self, monkeypatch):
+        def no_race(*args):
+            raise AssertionError("the race ran")
+
+        monkeypatch.setattr(schedule, "_race", no_race)
+        q_star = (0.6739520248317206, 0.3260479751682795)
+        seq = simulate_csma_schedule(dist(*q_star), 10_000, seed=1)
+        assert np.array_equal(seq.steps, race_reference(q_star, 10_000, seed=1))
 
     def test_rejects_zero_probability(self):
         with pytest.raises(ValueError, match="positive"):
