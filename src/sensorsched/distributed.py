@@ -8,12 +8,14 @@ node, and floods what that loop shares: every node sends each
 (node, values) pair it has not yet sent to its neighbors, so after
 diameter-many rounds every node holds all n entries and knows it does.
 Each node floods three values once at setup: its floor, its critical
-probability unless it is strictly stable, and its cost under constant
-observation. It floods its (q_i, u_i, u_i') once per evaluated point, and
-its cost at q* once for the read-out. Every node then runs the same
-clamp-and-release update with the same sequential sums in node order, so
-all nodes take the same steps and the distribution comes out
-bit-identical to the centralized one.
+probability unless it is strictly stable, and whether constant
+observation stabilizes its target, which takes a solve at q = 1 only
+when rho(A) > 1 or a mode on the unit circle is unobservable. It floods
+its (q_i, u_i, u_i') once per evaluated point, and its cost at q* once
+for the read-out. Every node then runs the same clamp-and-release update
+with the same sequential sums in node order, so all nodes take the same
+steps and the distribution comes out bit-identical to the centralized
+one.
 
 No exact total takes fewer rounds on a graph of diameter D, since the
 two nodes D hops apart must hear from each other. Averaging does not
@@ -96,7 +98,7 @@ class DistributedReport:
     `solution` has the same shape a centralized solve returns.
     consensus_rounds lists the message rounds each Newton step spent
     sharing its evaluated point: one flood, diameter rounds. total_rounds
-    adds the other floods: one at setup (floors, q^c, costs at q = 1),
+    adds the other floods: one at setup (floors, q^c, stabilizability),
     one for the starting point and one for the read-out, so it is
     (3 + steps) * diameter on a feasible solve.
     """

@@ -19,7 +19,10 @@ hold exactly, and a clamped target with u_i < v is released. A marginal
 or unstable target moves at most halfway to its q^c per step: its tangent
 overrates u far below q, and solves near q^c are slow. The solve stops
 when the step is below 1e-12 and every free u_i is within 1e-10 relative
-of v; gamma* is the largest cost at q*.
+of v; gamma* is the largest cost at q*. Setup solves a target at q = 1,
+cold, only to learn whether constant observation stabilizes it, and only
+when rho(A) > 1 or a mode on the unit circle is unobservable: any other
+target has q^c = 0, and no step starts from a fixed point at q = 1.
 
 A step that does not lower the worst cost is halved until it does, which
 a short enough step must: the worst target lies below v, so its q grows.
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -127,12 +131,17 @@ class _Node:
     """One target's solver state: what node i knows in the distributed solve.
 
     `q_critical` is on the assigned scale (at most 1), `floor` the larger
-    of the priority and q_critical + inner_tol (at most 1), `cost_one` the
-    cost at q = 1 (inf without a fixed point), and `edge` q_critical, or
-    -inf for a strictly stable target, whose cost is finite down to q = 0.
-    `fixed_points` maps each solved q to X; a solve starts from X at the
-    largest smaller q (g_q falls with q, so g_q(X) <= X: Newton's
-    certificate).
+    of the priority and q_critical + inner_tol (at most 1), `edge`
+    q_critical, or -inf for a strictly stable target, whose cost is finite
+    down to q = 0, and `stabilizable` whether constant observation gives
+    the target a fixed point. That needs no solve when rho(A) <= 1 and
+    every mode on the unit circle is observable (`validate_target`'s
+    detectability): q^c is 0 then. Every other target is solved at q = 1
+    at setup. `cost_one` is the cost at q = 1 (inf without a fixed
+    point), solved on first read and from Q, so its bits do not depend on
+    when that is. `fixed_points` maps each solved q to X; a solve starts
+    from X at the largest smaller q (g_q falls with q, so g_q(X) <= X:
+    Newton's certificate), so a fixed point at q = 1 never starts one.
     """
 
     def __init__(self, target: LtiTarget, loss: float, priority: float, inner_tol: float):
@@ -141,11 +150,19 @@ class _Node:
         qc_eff = critical_probability(target, tol=inner_tol)
         self.q_critical = min(qc_eff / (1.0 - loss), 1.0)
         self.floor = max(priority, min(self.q_critical + inner_tol, 1.0))
-        self.edge = -np.inf if target.rho < 1.0 - _UNIT_CIRCLE_TOL else self.q_critical
+        stable = target.rho < 1.0 - _UNIT_CIRCLE_TOL
+        self.edge = -np.inf if stable else self.q_critical
         self.fixed_points: dict[float, np.ndarray] = {}
         self.solves = 0
-        self.solve(1.0)
-        self.cost_one = self.cost(1.0)
+        on_circle = np.abs(target.eigs) >= 1.0 - _UNIT_CIRCLE_TOL
+        qc_zero = target.rho <= 1.0 and (stable or target.pbh_modes[on_circle, 0].all())
+        self.stabilizable = bool(qc_zero or np.isfinite(self.cost_one))
+
+    @cached_property
+    def cost_one(self) -> float:
+        res = solve_mare(self.target, 1.0 - self.loss)
+        self.solves += 1
+        return float(self.target.cost_of(res.X)) if res.converged else float("inf")
 
     def solve(self, q: float) -> bool:
         """Solve the MARE at assigned probability q; True when it converged."""
@@ -164,7 +181,7 @@ class _Node:
 
     def point(self, q: float) -> tuple[float, float, float]:
         """(q, u, u') with u = 1 / cost at q. Without a fixed point u is 0,
-        and u' the secant slope to q = 1, which pushes q up."""
+        and u' the secant slope to (1, 1 / cost_one), which pushes q up."""
         if not self.solve(q):
             return q, 0.0, 1.0 / (self.cost_one * (1.0 - q))
         c = self.cost(q)
@@ -231,7 +248,8 @@ def _newton(targets, constraints, inner_tol, flood) -> SolveReport:
     """The solver shared by solve_distribution and solve_distributed.
 
     `flood(values)` shares one entry per target with every node and returns
-    them in node order: once at setup (floor, q^c, cost at q = 1), once
+    them in node order: once at setup (floor, q^c, whether constant
+    observation stabilizes the target: see `_Node`), once
     per evaluated point (q, u, u') and once for the read-out (costs at q*).
     The centralized solver passes the entries through, the distributed one
     also counts its floods, so their reports are bit-identical.
@@ -248,7 +266,7 @@ def _newton(targets, constraints, inner_tol, flood) -> SolveReport:
 
     nodes = [_Node(t, cons.loss_rate(i), cons.priority(i), inner_tol)
              for i, t in enumerate(targets)]
-    floors, edges, costs_one = zip(*flood([(o.floor, o.edge, o.cost_one) for o in nodes]))
+    floors, edges, stabilizable = zip(*flood([(o.floor, o.edge, o.stabilizable) for o in nodes]))
     floor_total = sum(floors)
 
     # A target whose loss-adjusted critical probability reaches 1 cannot be
@@ -259,7 +277,7 @@ def _newton(targets, constraints, inner_tol, flood) -> SolveReport:
             f"cannot be stabilized: with loss {o.loss:.6g}, even constant observation "
             f"delivers it probability {1.0 - o.loss:.6g}, at or below its critical probability"
             if o.loss > 0 else "diverges even under constant observation")
-        for i, (o, c) in enumerate(zip(nodes, costs_one)) if not np.isfinite(c)
+        for i, (o, s) in enumerate(zip(nodes, stabilizable)) if not s
     ]
     if floor_total > 1.0 or unstabilizable:
         reason = "; ".join(unstabilizable) or (

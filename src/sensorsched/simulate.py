@@ -294,12 +294,10 @@ def sliding_window_schedule(
     subtree = n ** (window - 1)
     for k in range(1 - window, T):
         # leaf b branches into leaves b * n + c, c the target observed next;
-        # target i is open loop on every branch but c = i
+        # target i is observed on branch c = i and open loop on the others
+        leaves = np.arange(n * stacks[0].shape[-1])
         for i, t in enumerate(targets):
-            seen, unseen = (_riccati_step(t, stacks[i], q) for q in (1.0, 0.0))
-            stacks[i] = np.stack(
-                [seen if c == i else unseen for c in range(n)], axis=-1
-            ).reshape(t.n, t.n, -1)
+            stacks[i] = _riccati_step(t, np.repeat(stacks[i], n, axis=-1), leaves % n == i)
         if k < 0:
             continue  # still building the first tree
         scores = np.max([t.cost_of(s) for t, s in zip(targets, stacks)], axis=0)

@@ -125,11 +125,12 @@ class TestFloorFirst:
         third = nodes[2]
         starts = [(q, x0) for t, q, x0 in solved if t is third.target]
         assert third.floor == INNER_TOL
-        # q = 1, the start (the floor and a third of the slack), the floor
-        assert [q for q, _ in starts[:3]] == [
-            1.0, pytest.approx((1.0 - 0.13 - 2 * INNER_TOL) / 3 + INNER_TOL), INNER_TOL]
-        assert starts[3][0] > INNER_TOL
-        assert starts[3][1] is third.fixed_points[INNER_TOL]
+        # rho = 0.875 makes no solve at q = 1: the start (the floor and a
+        # third of the slack), then the floor
+        assert [q for q, _ in starts[:2]] == [
+            pytest.approx((1.0 - 0.13 - 2 * INNER_TOL) / 3 + INNER_TOL), INNER_TOL]
+        assert starts[2][0] > INNER_TOL
+        assert starts[2][1] is third.fixed_points[INNER_TOL]
         assert report.q_star.q[2] > INNER_TOL
         costs = [pt.cost for pt in report.per_target]
         assert max(costs) - min(costs) <= 1e-10 * report.gamma_star
@@ -261,6 +262,76 @@ class TestClosedFormIsComputedOnce:
         ]
 
 
+class TestSetup:
+    """Setup solves a target at q = 1 only when no fact of the target says
+    whether constant observation stabilizes it."""
+
+    @pytest.mark.parametrize("target", [
+        scalar_target(0.5),
+        LtiTarget(A=[[0.0, 1.0], [-0.49, 1.4]], C=[[1.0, 0.0]], Q=5 * np.eye(2), R=[[0.5]]),
+        expand_delay_chain(DelayChainSpec(a=1.0, Q=2.0, R=1.0, d=2)),
+        scalar_target(-1.0),
+    ], ids=["stable-scalar", "noisy", "marginal-chain", "marginal-scalar"])
+    @pytest.mark.parametrize("loss", [0.0, 0.3])
+    def test_rho_at_most_one_makes_no_solve(self, target, loss, solved):
+        assert target.rho <= 1.0
+        node = _Node(target, loss, 0.0, INNER_TOL)
+        assert node.stabilizable
+        assert node.solves == 0 and solved == []
+        assert "cost_one" not in vars(node)
+
+    @pytest.mark.parametrize("target", [
+        expand_delay_chain(DelayChainSpec(a=1.1, Q=1.0, R=1.0, d=2)),
+        # two outputs and two unstable modes: no closed form; with C = I its
+        # q^c is the bound 1 - 1/1.2^2, so the bisection is short
+        LtiTarget(A=np.diag([1.2, 1.1]), C=np.eye(2), Q=np.eye(2), R=np.eye(2)),
+    ], ids=["closed-form-chain", "bisected"])
+    def test_unstable_target_is_solved_cold_at_one(self, target, solved):
+        assert target.rho > 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            node = _Node(target, 0.0, 0.0, 1e-3)
+        assert node.solves == 1
+        assert [(q, x0) for _, q, x0 in solved] == [(1.0, None)]
+        assert node.stabilizable
+        assert node.cost_one == cost_at(target, 1.0)
+
+    def test_unobservable_mode_on_the_unit_circle_is_solved_at_one(self, solved, monkeypatch):
+        # rho = 1, but C misses the mode at 1: no fact says constant
+        # observation helps, so the solve at q = 1 decides (answered here
+        # without its 100 000 iterations)
+        target = LtiTarget(A=np.diag([1.0, 0.5]), C=[[0.0, 1.0]], Q=np.eye(2), R=[[1.0]])
+        monkeypatch.setattr(optimizer, "solve_mare", lambda t, q, **kwargs: solved.append(
+            (t, q, kwargs.get("x0"))) or MareResult(MareStatus.MAX_ITERATIONS, t.Q, 100_000, 1.0))
+        node = _Node(target, 0.0, 0.0, INNER_TOL)
+        assert [(q, x0) for _, q, x0 in solved] == [(1.0, None)]
+        assert not node.stabilizable
+
+    def test_fallback_solves_q_one_cold_on_first_use(self, pair, solved, monkeypatch):
+        # noisy (rho = 0.7) with loss: the solve at 0.6 runs out of
+        # iterations after the one at 0.3 converged; the secant slope then
+        # needs the cost at q = 1, solved from Q although a fixed point at
+        # a smaller q is at hand
+        target, loss = pair[0], 0.2
+        recording = optimizer.solve_mare
+
+        def out_of_budget_at_six(t, q, **kwargs):
+            res = recording(t, q, **kwargs)
+            if q != 0.6 * (1.0 - loss):
+                return res
+            return MareResult(MareStatus.MAX_ITERATIONS, res.X, 100_000, 1.0)
+
+        monkeypatch.setattr(optimizer, "solve_mare", out_of_budget_at_six)
+        node = _Node(target, loss, 0.0, INNER_TOL)
+        assert node.point(0.3)[1] > 0.0
+        q, u, du = node.point(0.6)
+        assert [(q, x0 is None) for _, q, x0 in solved] == [
+            (0.3 * (1.0 - loss), True), (0.6 * (1.0 - loss), False), (1.0 - loss, True)]
+        assert node.cost_one == target.cost_of(solve_mare(target, 1.0 - loss).X)
+        assert (q, u, du) == (0.6, 0.0, 1.0 / (node.cost_one * (1.0 - 0.6)))
+        assert node.solves == 3
+
+
 class TestSolve:
     def test_pair_solution(self, pair):
         report = solve_distribution(pair)
@@ -339,8 +410,9 @@ class TestSolve:
 
     def test_solves_start_from_smaller_fixed_points(self, pair, nodes, solved):
         report = solve_distribution(pair)
-        # per target: q = 1, the start and four steps, one solve each
-        assert report.inner_iterations == sum(o.solves for o in nodes) == len(solved) == 12
+        # per target: the start and four steps, one solve each; both are
+        # strictly stable, so neither is solved at q = 1
+        assert report.inner_iterations == sum(o.solves for o in nodes) == len(solved) == 10
         assert report.outer_iterations == 4
         for o in nodes:
             seen = []

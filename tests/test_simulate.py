@@ -523,10 +523,10 @@ class TestSlidingWindow:
 
     def test_one_new_level_per_step(self, chain_trio, monkeypatch):
         """The first window - 1 levels are built once; each step then adds
-        one level (an observed and an open-loop update per target), and the
-        report re-evaluates the committed schedule (one update per
-        dimension class and step: the trio's chains have two and three
-        states)."""
+        one level (one update per target, observed on its own branch and
+        open loop on the others), and the report re-evaluates the committed
+        schedule (one update per dimension class and step: the trio's
+        chains have two and three states)."""
         calls = []
 
         def counted(target, P, q):
@@ -536,7 +536,31 @@ class TestSlidingWindow:
         monkeypatch.setattr("sensorsched.simulate._riccati_step", counted)
         n, classes, window, T = 3, 2, 3, 5
         sliding_window_schedule(chain_trio, window=window, T=T)
-        assert len(calls) == 2 * n * (window - 1 + T) + classes * T == 52
+        assert len(calls) == n * (window - 1 + T) + classes * T == 31
+
+    def test_each_leaf_has_the_bits_of_its_own_update(self, pair, chain_trio, two_sensor,
+                                                        monkeypatch):
+        """A level is one masked call per target on its stack repeated
+        n-fold; each leaf must equal its parent's own observed (q = 1) or
+        open-loop (q = 0) update, bit for bit, as when those were two
+        calls."""
+        calls = []
+
+        def recorded(target, P, q):
+            out = _riccati_step(target, P, q)
+            calls.append((target, P, q, out))
+            return out
+
+        monkeypatch.setattr("sensorsched.simulate._riccati_step", recorded)
+        monkeypatch.setattr("sensorsched.simulate.evaluate_schedule", lambda *args: None)
+        for targets, window in ((pair, 3), (chain_trio, 2), ([two_sensor, pair[0]], 3)):
+            sliding_window_schedule(targets, window=window, T=4)
+        assert len(calls) == 2 * 6 + 3 * 5 + 2 * 6
+        for target, P, q, out in calls:
+            assert q.dtype == bool and q.shape == P.shape[-1:]
+            for leaf in range(P.shape[-1]):
+                own = _riccati_step(target, np.ascontiguousarray(P[..., leaf]), float(q[leaf]))
+                assert np.array_equal(out[..., leaf], own)
 
     def test_report_matches_reevaluation(self, pair):
         seq, rep = sliding_window_schedule(pair, window=2, T=30)

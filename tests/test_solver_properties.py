@@ -15,6 +15,11 @@ have 8-12 targets because numpy's pairwise summation departs from
 sequential summation from 8 terms on, which is where a second way of
 totalling would show.
 
+Setup solves a target at q = 1 only when rho(A) > 1 (or a mode on the
+unit circle is unobservable), since no step starts from that fixed
+point: solving every target there, as the solver once did, must give the
+same answer bit for bit.
+
 The centralized solve also treats targets symmetrically: permuting them
 permutes q* and leaves gamma* alone, to the stopping tolerance (only the
 order of the sums changes), and two copies of one target get the same q
@@ -23,6 +28,7 @@ scales gamma* by c and leaves q*. A target returned at its floor meets
 gamma* there.
 """
 import warnings
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -42,6 +48,7 @@ from sensorsched import (
     solve_distribution,
     solve_mare,
 )
+from sensorsched import optimizer
 
 
 def stable_targets(rng, n: int) -> list[LtiTarget]:
@@ -211,3 +218,73 @@ def test_solution_meets_the_optimality_conditions(seed, n, with_priorities, with
             assert abs(pt.cost - gamma) <= 2e-10 * gamma
         else:
             assert pt.cost <= gamma
+
+
+class EagerNode(optimizer._Node):
+    """A target state that solves q = 1 at setup whatever its spectrum, as
+    every target once did: cold, kept among its fixed points."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        if "cost_one" not in vars(self):
+            self.solve(1.0)
+            self.cost_one = self.cost(1.0)
+
+
+def mixed_target(rng, kind: str) -> LtiTarget:
+    """A random target of the given kind: a 1-3 state system or a delay
+    chain, strictly stable, marginal (a = +-1 chain or an eigenvalue of A
+    exactly 1) or unstable (rho(A) in [1.05, 1.4])."""
+    if kind == "marginal":
+        if rng.random() < 0.5:
+            return expand_delay_chain(DelayChainSpec(
+                a=float(rng.choice([-1.0, 1.0])), Q=float(rng.uniform(0.5, 5.0)),
+                R=float(rng.uniform(0.5, 2.0)), d=int(rng.integers(0, 3))))
+        return LtiTarget(A=np.diag([1.0, rng.uniform(-0.9, 0.9)]), C=rng.normal(size=(1, 2)),
+                         Q=np.diag(rng.uniform(0.5, 2.0, 2)), R=[[rng.uniform(0.5, 2.0)]])
+    rho = rng.uniform(0.3, 0.95) if kind == "stable" else rng.uniform(1.05, 1.4)
+    if rng.random() < 0.5:
+        return expand_delay_chain(DelayChainSpec(
+            a=float(rho * rng.choice([-1.0, 1.0])), Q=float(rng.uniform(0.5, 5.0)),
+            R=float(rng.uniform(0.5, 2.0)), d=int(rng.integers(0, 3))))
+    n = int(rng.integers(1, 4))
+    A = rng.normal(size=(n, n))
+    A *= rho / np.max(np.abs(np.linalg.eigvals(A)))
+    G = rng.normal(size=(n, n))
+    return LtiTarget(A=A, C=rng.normal(size=(1, n)), Q=G @ G.T + 0.1 * np.eye(n),
+                     R=[[rng.uniform(0.5, 2.0)]])
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(["stable", "marginal", "unstable"]), min_size=2, max_size=6),
+    with_priorities=st.booleans(),
+    with_loss=st.booleans(),
+)
+def test_solving_every_target_at_one_changes_no_bit(seed, kinds, with_priorities, with_loss):
+    """q*, gamma*, every per-target cost and the feasibility verdict equal
+    those of a solver that solves every target at q = 1 during setup,
+    centralized and on a ring."""
+    rng = np.random.default_rng(seed)
+    targets = [mixed_target(rng, kind) for kind in kinds]
+    n = len(targets)
+    priorities = (rng.dirichlet(np.ones(n)) * rng.uniform(0.0, 0.6)
+                  * (rng.random(n) < 0.5)) if with_priorities else None
+    loss = rng.uniform(0.0, 0.3, n) * (rng.random(n) < 0.5) if with_loss else None
+    constraints = Constraints(priorities=priorities, loss=loss)
+    solvers = [lambda: solve_distribution(targets, constraints=constraints),
+               lambda: solve_distributed(targets, ring_graph(n), constraints).solution]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lazy = [solve() for solve in solvers]
+        with mock.patch.object(optimizer, "_Node", EagerNode):
+            eager = [solve() for solve in solvers]
+    for a, b in zip(lazy, eager):
+        assert a.feasible == b.feasible
+        assert a.gamma_star == b.gamma_star
+        assert [pt.cost for pt in a.per_target] == [pt.cost for pt in b.per_target]
+        if a.feasible:
+            assert np.array_equal(a.q_star.q, b.q_star.q)
+        # the eager solver makes one more solve per target that needs none
+        assert a.inner_iterations <= b.inner_iterations
