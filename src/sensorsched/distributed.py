@@ -10,9 +10,9 @@ diameter-many rounds every node holds all n entries and knows it does.
 Each node floods three values once at setup: its floor, its critical
 probability unless it is strictly stable, and whether constant
 observation stabilizes its target, which takes a solve at q = 1 only
-when rho(A) > 1 or a mode on the unit circle is unobservable. It floods
-its (q_i, u_i, u_i') once per evaluated point, and its cost at q* once
-for the read-out. Every node then runs the same clamp-and-release update
+when the target's spectrum leaves that open. It floods its
+(q_i, u_i, u_i') once per evaluated point, and its cost at q* once for
+the read-out. Every node then runs the same clamp-and-release update
 with the same sequential sums in node order, so all nodes take the same
 steps and the distribution comes out bit-identical to the centralized
 one.

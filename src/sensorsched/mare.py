@@ -23,18 +23,15 @@ place of the plain step whenever the Newton iterate is certified: g_q is
 monotone and concave on the positive semidefinite cone, so a positive
 semidefinite Y with g_q(Y) <= Y proves that a fixed point exists below Y,
 and Newton steps from such a Y descend to it quadratically. Every solve
-stops at one step tolerance, 1e-9 relative to the iterate. For a target
-with one output whose eigenvalues on or outside the unit circle all lie
-strictly outside it, are observable and are driven by the process noise,
-the critical probability is exactly 1 - 1/M(A)^2, with M(A) the product
-of their moduli; with more outputs the same holds for a single real
-unstable eigenvalue. The closed form is a fact of the target
-(`LtiTarget.critical_closed_form`), computed once, and it decides
-existence: at or below it a solve returns DIVERGED without iterating
-(no fixed point exists there; Sinopoli et al., IEEE TAC 2004). Other
-unstable targets are iterated until their trace passes a cap, and their
-critical probability is bisected from the lower bound 1 - 1/rho(A)^2 to
-the feasible end of the bracket, so their value errs upward.
+stops at one step tolerance, 1e-9 relative to the iterate. Whether a
+fixed point exists at all is a fact of the target's spectrum wherever
+that decides it (`LtiTarget.critical_closed_form`, computed once; Sinopoli
+et al., IEEE TAC 2004): at or below it a solve returns DIVERGED without
+iterating, and the critical probability is that fact, or 0 for a
+strictly stable target. Targets the fact leaves open are iterated until
+their trace passes a cap, and their critical probability is bisected from
+the lower bound 1 - 1/rho(A)^2 to the feasible end of the bracket, so
+their value errs upward.
 
 Covariance matrices are plain numpy arrays; `model.check_covariance`,
 re-exported here, enforces their invariants where inputs enter the public
@@ -48,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _UNIT_CIRCLE_TOL, DelayChainSpec, LtiTarget, check_covariance, symmetrize
+from .model import DelayChainSpec, LtiTarget, check_covariance, symmetrize
 
 __all__ = [
     "MareStatus",
@@ -63,11 +60,11 @@ __all__ = [
     "TRACE_DIVERGENCE_CAP",
 ]
 
-# For a target without a closed-form critical probability, a trajectory
-# whose trace passes this cap is declared diverged. This is a heuristic, not
-# a proof: a fixed point with a larger trace would be reported as diverged.
-# Targets with a closed form are decided by it instead, and the cap then
-# bounds only the certified Newton candidates.
+# For a target whose spectrum leaves existence open, a trajectory whose
+# trace passes this cap is declared diverged. This is a heuristic, not a
+# proof: a fixed point with a larger trace would be reported as diverged.
+# Every other target is decided by its fact, and the cap then bounds only
+# the certified Newton candidates.
 TRACE_DIVERGENCE_CAP = 1e12
 # A Newton iterate Y is accepted when its eigenvalues, and those of
 # g_q(Y) - Y, clear 0 from the certified side by at most this much
@@ -230,24 +227,6 @@ def _system_rows(targets: list[LtiTarget]) -> tuple[np.ndarray, np.ndarray, np.n
     )
 
 
-def _near_critical_check(target: LtiTarget, q: float, closed: float | None) -> None:
-    # Strictly stable targets have a bounded fixed point at every q, so only
-    # modes on or outside the unit circle can make a solve near-critical.
-    # The reference point is the closed-form critical probability `closed`
-    # when there is one, else the lower bound 1 - 1/rho^2.
-    if target.rho < 1.0 - _UNIT_CIRCLE_TOL:
-        return
-    ref = 1.0 - 1.0 / target.rho**2 if closed is None else closed
-    if 0.0 < q - ref < 1e-3:
-        warnings.warn(
-            f"q = {q:.6g} is within 1e-3 above the critical probability (or, "
-            f"without a closed form, its lower bound) {ref:.6g}; the fixed point "
-            "may be large",
-            ConditioningWarning,
-            stacklevel=3,
-        )
-
-
 def _kron_self(M: np.ndarray) -> np.ndarray:
     """M kron M, so that (M kron M) vec(H) = vec(M H M^T) for row-major vec."""
     n = M.shape[0]
@@ -322,14 +301,15 @@ def solve_mare(
     q = 1 - 1/rho(A)^2 no Newton step is tried, since for positive
     definite Q no certificate exists there. The solve stops when the step
     ||X_next - X||_F falls below 1e-9 * (1 + ||X||_F).
-    Existence is the target's own fact when it has a closed-form critical
-    probability q^c (`LtiTarget.critical_closed_form`, read only when
-    rho(A) > 1): at q <= q^c no fixed point exists and DIVERGED returns at
-    0 iterations, and above it one exists, so only `max_iter` ends the
-    loop. A target without a closed form is declared diverged when its
-    trace passes TRACE_DIVERGENCE_CAP. Exceeding `max_iter` returns
-    MAX_ITERATIONS with the last iterate; callers that need a certificate
-    treat that as "no fixed point found", never as convergence.
+    Existence is the target's own fact when its spectrum decides it
+    (`LtiTarget.critical_closed_form`): at q at or below that fact no fixed
+    point exists and DIVERGED returns at 0 iterations, and above it one
+    exists, so only `max_iter` ends the loop. A target the fact leaves open
+    is declared diverged when its trace passes TRACE_DIVERGENCE_CAP.
+    Exceeding `max_iter` returns MAX_ITERATIONS with the last iterate;
+    callers that need a certificate treat that as "no fixed point found",
+    never as convergence. A ConditioningWarning fires within 1e-3 above the
+    fact, or above 1 - 1/rho(A)^2 when the fact is None.
 
     The iteration converges from any positive semidefinite start when a
     fixed point exists, so x0 only affects the iteration count. A
@@ -338,10 +318,18 @@ def solve_mare(
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q!r}")
-    closed = target.critical_closed_form if target.rho > 1.0 else None
-    _near_critical_check(target, q, closed)
+    fact = target.critical_closed_form
+    ref = 1.0 - 1.0 / target.rho**2 if fact is None else fact
+    if 0.0 < q - ref < 1e-3:
+        warnings.warn(
+            f"q = {q:.6g} is within 1e-3 above the critical probability (or, "
+            f"without a closed form, its lower bound) {ref:.6g}; the fixed point "
+            "may be large",
+            ConditioningWarning,
+            stacklevel=2,
+        )
     X = check_covariance(target.Q, "Q") if x0 is None else check_covariance(x0, "x0")
-    if closed is not None and q <= closed:
+    if fact is not None and q <= fact:
         return MareResult(MareStatus.DIVERGED, None, 0, float("inf"))
     # A super-solution Y >= (1-q) A Y A^T + Q needs (1-q) rho(A)^2 < 1
     # (for positive definite Q), so below that bound every step is plain.
@@ -352,7 +340,7 @@ def solve_mare(
     for k in range(1, max_iter + 1):
         step = None if base is None else _newton_step(target, q, base, X, G)
         Xn, Gn = step or (G, None)
-        if closed is None and float(np.trace(Xn)) > TRACE_DIVERGENCE_CAP:
+        if fact is None and float(np.trace(Xn)) > TRACE_DIVERGENCE_CAP:
             return MareResult(MareStatus.DIVERGED, None, k, float("inf"))
         if Gn is None:
             Gn = g_q(target, q, Xn, validate=False)
@@ -403,33 +391,19 @@ def closed_form_delay_chain(spec: DelayChainSpec, q: float) -> np.ndarray | None
 def critical_probability(target: LtiTarget, tol: float = 1e-4) -> float:
     """Infimum of the observation probabilities with a fixed point.
 
-    Stable and marginally stable targets (spectral radius <= 1) return 0.0
-    exactly. For one output (p = 1) the exact infimum is 1 - 1/M(A)^2,
-    with M(A) the product of |lambda| over the eigenvalues on or outside
-    the unit circle, when each of them lies strictly outside it, is
-    observable and is driven by the process noise (Sinopoli et al., IEEE
-    TAC 2004; the dual of Elia, Systems & Control Letters 2005). With more
-    outputs the same value is returned for a single real such eigenvalue
-    (Mo & Sinopoli, IEEE TAC 2012). At the infimum itself no fixed point
-    exists; every q above it has one. That value is the target's own
-    `critical_closed_form`, computed once per target and read here and by
-    every solve's near-critical check.
-
-    Every other target is bisected on q from the lower bound
-    1 - 1/rho(A)^2 (Sinopoli et al.), with solve_mare convergence as the
-    predicate, to width `tol`, and the feasible endpoint is returned: the
-    result errs upward, never below the true critical probability by more
-    than the solver can certify. If even q = 1 fails to converge the
-    target cannot be scheduled at all: returns 1.0 and emits a
+    Where the spectrum decides it, this is max(fact, 0) for the target's
+    fact `critical_closed_form` (Sinopoli et al., IEEE TAC 2004; Mo &
+    Sinopoli, IEEE TAC 2012), with no solve. Every other target is bisected
+    on q from the lower bound 1 - 1/rho(A)^2, with solve_mare convergence
+    as the predicate, to width `tol`, and the feasible endpoint is
+    returned, so the result errs upward. A target with no fixed point even
+    at q = 1 cannot be scheduled at all: returns 1.0 and emits a
     RuntimeWarning.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if target.rho <= 1.0:
-        return 0.0
-    if target.critical_closed_form is not None:
-        return target.critical_closed_form
-    if not solve_mare(target, 1.0).converged:
+    fact = target.critical_closed_form
+    if fact == 1.0 or fact is None and not solve_mare(target, 1.0).converged:
         warnings.warn(
             f"target {target.label or '?'}: no fixed point even at q = 1; "
             "it cannot be stabilized by any schedule",
@@ -437,6 +411,8 @@ def critical_probability(target: LtiTarget, tol: float = 1e-4) -> float:
             stacklevel=2,
         )
         return 1.0
+    if fact is not None:
+        return max(fact, 0.0)
     lo, hi = 1.0 - 1.0 / target.rho**2, 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2

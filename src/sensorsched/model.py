@@ -8,9 +8,10 @@ target gets the sensor at each step, or with what probability.
 
 The facts every layer reads about a target are decided here, once: its
 spectrum (`LtiTarget.eigs`, `rho`), whether each mode is observable and
-driven by the noise (`LtiTarget.pbh_modes`), its closed-form critical
-probability (`LtiTarget.critical_closed_form`), the unit-circle band and
-the rule a noise covariance obeys (`check_covariance`).
+driven by the noise (`LtiTarget.pbh_modes`), the largest observation
+probability without a fixed point wherever the spectrum decides it
+(`LtiTarget.critical_closed_form`), the unit-circle band and the rule a
+noise covariance obeys (`check_covariance`).
 """
 from __future__ import annotations
 
@@ -65,7 +66,7 @@ class LtiTarget:
     once here and frozen too; `rho` is the spectral radius, `AC_T` the
     stacked [A; C]^T that every Riccati update multiplies by, `pbh_modes`
     whether each mode is observable and driven, and `critical_closed_form`
-    the closed-form critical probability, each derived on first read.
+    the one existence fact every layer reads, each derived on first read.
     """
 
     A: np.ndarray
@@ -135,18 +136,26 @@ class LtiTarget:
 
     @cached_property
     def critical_closed_form(self) -> float | None:
-        """1 - 1/M^2, with M the product of |lambda| over A's eigenvalues on
-        or outside the unit circle, when each of them lies strictly outside
-        it, is observable and is driven by the process noise (`pbh_modes`),
-        and either the target has one output or lambda is a single real
-        eigenvalue; None otherwise (see `mare.critical_probability`)."""
+        """The largest q at which g_q has no fixed point, from the modes of A
+        on or outside the unit circle (Sinopoli et al., IEEE TAC 2004): -inf
+        without such a mode (no PBH test is run then), 1.0 when one is
+        unobservable (`pbh_modes`), 0.0 when all lie on the circle, and
+        1 - 1/M^2, M the product of their moduli, when all lie strictly
+        outside it and are driven by the process noise and either the target
+        has one output or the mode is a single real eigenvalue. None when
+        only a bisection can tell (see `mare.critical_probability`)."""
         unstable = np.abs(self.eigs) >= 1.0 - _UNIT_CIRCLE_TOL
-        outside = self.eigs[unstable]
-        if np.any(np.abs(outside) <= 1.0) or not self.pbh_modes[unstable].all():
+        if not unstable.any():
+            return -np.inf
+        modes, (observable, driven) = self.eigs[unstable], self.pbh_modes[unstable].T
+        if not observable.all():
+            return 1.0
+        on = np.abs(modes) <= 1.0
+        if on.all():
+            return 0.0
+        if on.any() or not driven.all() or self.p > 1 and (len(modes) != 1 or modes[0].imag):
             return None
-        if self.p > 1 and (len(outside) != 1 or outside[0].imag != 0.0):
-            return None
-        return 1.0 - 1.0 / float(np.prod(np.abs(outside))) ** 2
+        return 1.0 - 1.0 / float(np.prod(np.abs(modes))) ** 2
 
     @cached_property
     def pbh_modes(self) -> np.ndarray:

@@ -20,9 +20,8 @@ or unstable target moves at most halfway to its q^c per step: its tangent
 overrates u far below q, and solves near q^c are slow. The solve stops
 when the step is below 1e-12 and every free u_i is within 1e-10 relative
 of v; gamma* is the largest cost at q*. Setup solves a target at q = 1,
-cold, only to learn whether constant observation stabilizes it, and only
-when rho(A) > 1 or a mode on the unit circle is unobservable: any other
-target has q^c = 0, and no step starts from a fixed point at q = 1.
+cold, only when its spectrum leaves open whether constant observation
+stabilizes it; no step starts from a fixed point at q = 1.
 
 A step that does not lower the worst cost is halved until it does, which
 a short enough step must: the worst target lies below v, so its q grows.
@@ -44,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .mare import _fixed_point_slope, critical_probability, solve_mare
-from .model import _UNIT_CIRCLE_TOL, LtiTarget, ScheduleDistribution
+from .model import LtiTarget, ScheduleDistribution
 
 __all__ = [
     "Constraints",
@@ -134,14 +133,13 @@ class _Node:
     of the priority and q_critical + inner_tol (at most 1), `edge`
     q_critical, or -inf for a strictly stable target, whose cost is finite
     down to q = 0, and `stabilizable` whether constant observation gives
-    the target a fixed point. That needs no solve when rho(A) <= 1 and
-    every mode on the unit circle is observable (`validate_target`'s
-    detectability): q^c is 0 then. Every other target is solved at q = 1
-    at setup. `cost_one` is the cost at q = 1 (inf without a fixed
-    point), solved on first read and from Q, so its bits do not depend on
-    when that is. `fixed_points` maps each solved q to X; a solve starts
-    from X at the largest smaller q (g_q falls with q, so g_q(X) <= X:
-    Newton's certificate), so a fixed point at q = 1 never starts one.
+    the target a fixed point: q_critical < 1 when the target's spectrum
+    decides existence (`LtiTarget.critical_closed_form`), else a solve at
+    q = 1. `cost_one` is the cost at q = 1 (inf without a fixed point),
+    solved on first read and from Q, so its bits do not depend on when
+    that is. `fixed_points` maps each solved q to X; a solve starts from X
+    at the largest smaller q (g_q falls with q, so g_q(X) <= X: Newton's
+    certificate), so a fixed point at q = 1 never starts one.
     """
 
     def __init__(self, target: LtiTarget, loss: float, priority: float, inner_tol: float):
@@ -150,13 +148,12 @@ class _Node:
         qc_eff = critical_probability(target, tol=inner_tol)
         self.q_critical = min(qc_eff / (1.0 - loss), 1.0)
         self.floor = max(priority, min(self.q_critical + inner_tol, 1.0))
-        stable = target.rho < 1.0 - _UNIT_CIRCLE_TOL
-        self.edge = -np.inf if stable else self.q_critical
+        fact = target.critical_closed_form
+        self.edge = -np.inf if fact == -np.inf else self.q_critical
         self.fixed_points: dict[float, np.ndarray] = {}
         self.solves = 0
-        on_circle = np.abs(target.eigs) >= 1.0 - _UNIT_CIRCLE_TOL
-        qc_zero = target.rho <= 1.0 and (stable or target.pbh_modes[on_circle, 0].all())
-        self.stabilizable = bool(qc_zero or np.isfinite(self.cost_one))
+        self.stabilizable = bool(
+            self.q_critical < 1.0 if fact is not None else np.isfinite(self.cost_one))
 
     @cached_property
     def cost_one(self) -> float:

@@ -402,17 +402,19 @@ class TestSolveCommand:
         assert not (tmp_path / "o" / "solution.csv").exists()
 
     def test_infeasible_line_holds_the_diagnosis_alone(self, tmp_path, capsys):
-        # the a = 2 chain's loss-adjusted floor lies within 1e-3 of its q^c,
-        # so its probe warns of conditioning before the demand check fails
+        # two outputs and two unstable modes leave q^c to the bisection,
+        # whose probes within 1e-3 above the lower bound 1 - 1/1.2^2 warn of
+        # conditioning before the demand check fails
+        eye = [[1.0, 0.0], [0.0, 1.0]]
         cfg = tmp_path / "inf.json"
         cfg.write_text(
             json.dumps(
                 {
                     "targets": [
-                        {"chain": {"a": 2, "Q": 1, "R": 1}},
-                        {"chain": {"a": 1.25, "Q": 1, "R": 1}},
+                        {"A": [[1.2, 0.0], [0.0, 1.1]], "C": eye, "Q": eye, "R": eye},
+                        {"chain": {"a": 0.5, "Q": 1, "R": 1}},
                     ],
-                    "constraints": {"loss": [0.2495, 0]},
+                    "constraints": {"priorities": [0, 0.8]},
                 }
             )
         )
@@ -421,11 +423,13 @@ class TestSolveCommand:
         lines = err.splitlines()
         assert lines[-1] == (
             "infeasible: priorities and loss-adjusted critical probabilities "
-            "demand total probability 1.35935 > 1"
+            "demand total probability 1.10557 > 1"
         )
         assert err.count("demand total probability") == 1
-        conditioning = [line for line in lines if "within 1e-3 above" in line]
-        assert len(conditioning) == 1 and conditioning[0].startswith("warning: q = 0.7505")
+        conditioning = lines[:-1]
+        assert len(conditioning) == 8
+        assert all(line.startswith("warning: q = 0.30") and "lower bound) 0.305556;" in line
+                   for line in conditioning)
 
     def test_infeasible_line_names_the_lossy_target(self, tmp_path, capsys):
         # q = 1 delivers 0.7 of fast's slots, below its q^c = 0.75; slow is stable

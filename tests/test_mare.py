@@ -286,6 +286,23 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             closed_form_delay_chain(DelayChainSpec(a=1.0, Q=1.0, R=1.0), 1.5)
 
+    @pytest.mark.parametrize("d", [0, 2])
+    @pytest.mark.parametrize("a", [-1.0, 0.5, 1.0, 1.3])
+    def test_oracle_exists_exactly_where_the_solve_does_not_diverge(self, a, d):
+        # the oracle decides by a^2 (1 - q) < 1, the solve by the target's
+        # fact; q^c = 1 - 1/1.3^2 itself is on the list
+        spec = DelayChainSpec(a=a, Q=1.7, R=0.6, d=d)
+        target = expand_delay_chain(spec)
+        for q in (0.0, 1e-3, 0.2, 1.0 - 1.0 / 1.3**2, 0.41, 0.7, 1.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConditioningWarning)
+                res = solve_mare(target, q)
+            X = closed_form_delay_chain(spec, q)
+            assert (X is None) == (res.status is MareStatus.DIVERGED)
+            if X is not None:
+                assert res.converged
+                np.testing.assert_allclose(res.X, X, rtol=1e-6, atol=1e-9 * np.abs(X).max())
+
 
 class TestFixedPointSlope:
     """dX/dq from the implicit function theorem, (I - L_X) X' = -K S K^T,

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from sensorsched import (
     DelayChainSpec,
     LtiTarget,
+    MareStatus,
     ScheduleDistribution,
     critical_probability,
     expand_delay_chain,
     solve_distribution,
+    solve_mare,
     validate_target,
 )
 
@@ -245,13 +247,15 @@ class TestModalFacts:
         uncontrollable = [w for w in report.warnings if "not controllable" in w]
         assert len(unobservable) == np.count_nonzero(unstable & ~observable)
         assert bool(uncontrollable) == (not driven.all())
-        # the closed form holds exactly when every growing mode is
-        # observable and driven, by the verdicts validation reports
+        # the fact is 1.0 exactly when validation reports an unobservable
+        # growing mode, -inf exactly when no mode grows, None exactly when
+        # a growing mode is undriven, and the closed form otherwise
         closed = t.critical_closed_form
-        assert (closed is None) == (not t.pbh_modes[unstable].all())
-        if unobservable:
-            assert closed is None
-        if not unobservable and not uncontrollable:
+        assert (closed == 1.0) == bool(unobservable)
+        assert (closed == -np.inf) == (not unstable.any())
+        assert (closed is None) == (unstable.any() and observable[unstable].all()
+                                    and not driven[unstable].all())
+        if unstable.any() and not unobservable and not uncontrollable:
             assert closed == 1.0 - 1.0 / float(np.prod(np.abs(t.eigs[unstable]))) ** 2
 
     def test_an_undriven_growing_mode_is_undriven_in_any_basis(self):
@@ -276,3 +280,37 @@ class TestModalFacts:
             assert critical_probability(t) == 1.0 - 1.0 / 1.3**2
             solved = solve_distribution([pair[0], t])
         assert solved.per_target[1].q_critical == 1.0 - 1.0 / 1.3**2
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lams=st.lists(st.one_of(st.floats(-2.5, 2.5), st.sampled_from([-1.0, 1.0])),
+                      min_size=1, max_size=3),
+        c=st.lists(st.sampled_from([0.0, 1e-3, 1.0, -0.7]), min_size=6, max_size=6),
+        d=st.lists(st.sampled_from([0.0, 1e-10, 1.0]), min_size=3, max_size=3),
+        seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+        p=st.sampled_from([1, 2]),
+    )
+    @example(lams=[1.0, 0.5], c=[0.0, 1.0] * 3, d=[1.0] * 3, seed=None, p=1)  # undetectable
+    @example(lams=[1.0], c=[1.0] * 6, d=[1.0] * 3, seed=None, p=1)  # the scalar a = 1
+    @example(lams=[-1.0, 0.3], c=[1.0] * 6, d=[0.0, 1.0, 1.0], seed=7, p=2)  # undriven
+    @example(lams=[1.3, 0.5], c=[1.0] * 6, d=[1.0] * 3, seed=3, p=2)  # closed form
+    def test_every_layer_reads_the_fact(self, lams, c, d, seed, p):
+        # Whenever the spectrum decides existence, a solve diverges at 0
+        # iterations exactly at q <= fact, and the critical probability is
+        # max(fact, 0). The rotation is shared, so a second output stays in
+        # the modal basis of the first.
+        t = modal_target(lams, c, d, seed)
+        if p == 2:
+            second = modal_target(lams, c[3:], d, seed)
+            t = LtiTarget(A=t.A, C=np.vstack([t.C, second.C]), Q=t.Q, R=np.eye(2))
+        fact = t.critical_closed_form
+        if fact is None:
+            return
+        qs = {0.0, 0.5, 1.0} | ({fact, (1.0 + fact) / 2} if 0.0 <= fact <= 1.0 else set())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for q in sorted(qs):
+                res = solve_mare(t, q, max_iter=50)
+                assert (res.status is MareStatus.DIVERGED) == (q <= fact)
+                assert res.iterations == 0 or res.status is not MareStatus.DIVERGED
+            assert critical_probability(t) == max(fact, 0.0)

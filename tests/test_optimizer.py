@@ -27,7 +27,7 @@ from sensorsched import (
     solve_distribution,
     solve_mare,
 )
-from sensorsched import model, optimizer
+from sensorsched import mare, model, optimizer
 from sensorsched.optimizer import _Node, _step
 
 PAIR_GAMMA = 59.0724
@@ -263,8 +263,9 @@ class TestClosedFormIsComputedOnce:
 
 
 class TestSetup:
-    """Setup solves a target at q = 1 only when no fact of the target says
-    whether constant observation stabilizes it."""
+    """Setup solves a target at q = 1 only when its spectrum leaves open
+    whether constant observation stabilizes it (`critical_closed_form` is
+    None)."""
 
     @pytest.mark.parametrize("target", [
         scalar_target(0.5),
@@ -280,14 +281,26 @@ class TestSetup:
         assert node.solves == 0 and solved == []
         assert "cost_one" not in vars(node)
 
+    @pytest.mark.parametrize("spec, loss", [
+        (DelayChainSpec(a=1.1, Q=1.0, R=1.0, d=2), 0.0),
+        # q^c = 0.75 lies above the 0.7 that constant observation delivers
+        (DelayChainSpec(a=2.0, Q=1.0, R=1.0), 0.3),
+    ], ids=["closed-form-chain", "lossy-chain"])
+    def test_closed_form_target_makes_no_solve(self, spec, loss, solved):
+        # the closed form says what the solve at q = 1 - loss would
+        target = expand_delay_chain(spec)
+        node = _Node(target, loss, 0.0, 1e-3)
+        assert node.solves == 0 and solved == []
+        assert "cost_one" not in vars(node)
+        assert node.stabilizable == (closed_form_delay_chain(spec, 1.0 - loss) is not None)
+
     @pytest.mark.parametrize("target", [
-        expand_delay_chain(DelayChainSpec(a=1.1, Q=1.0, R=1.0, d=2)),
         # two outputs and two unstable modes: no closed form; with C = I its
         # q^c is the bound 1 - 1/1.2^2, so the bisection is short
         LtiTarget(A=np.diag([1.2, 1.1]), C=np.eye(2), Q=np.eye(2), R=np.eye(2)),
-    ], ids=["closed-form-chain", "bisected"])
+    ], ids=["bisected"])
     def test_unstable_target_is_solved_cold_at_one(self, target, solved):
-        assert target.rho > 1.0
+        assert target.critical_closed_form is None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConditioningWarning)
             node = _Node(target, 0.0, 0.0, 1e-3)
@@ -296,16 +309,14 @@ class TestSetup:
         assert node.stabilizable
         assert node.cost_one == cost_at(target, 1.0)
 
-    def test_unobservable_mode_on_the_unit_circle_is_solved_at_one(self, solved, monkeypatch):
-        # rho = 1, but C misses the mode at 1: no fact says constant
-        # observation helps, so the solve at q = 1 decides (answered here
-        # without its 100 000 iterations)
+    def test_unobservable_mode_on_the_unit_circle_needs_no_solve(self, solved):
+        # rho = 1, but C misses the mode at 1: its fact is 1.0, so no
+        # schedule stabilizes it, and no solve is needed to say so
         target = LtiTarget(A=np.diag([1.0, 0.5]), C=[[0.0, 1.0]], Q=np.eye(2), R=[[1.0]])
-        monkeypatch.setattr(optimizer, "solve_mare", lambda t, q, **kwargs: solved.append(
-            (t, q, kwargs.get("x0"))) or MareResult(MareStatus.MAX_ITERATIONS, t.Q, 100_000, 1.0))
-        node = _Node(target, 0.0, 0.0, INNER_TOL)
-        assert [(q, x0) for _, q, x0 in solved] == [(1.0, None)]
-        assert not node.stabilizable
+        with pytest.warns(RuntimeWarning, match="no fixed point even at q = 1"):
+            node = _Node(target, 0.0, 0.0, INNER_TOL)
+        assert node.solves == 0 and solved == []
+        assert not node.stabilizable and node.q_critical == 1.0
 
     def test_fallback_solves_q_one_cold_on_first_use(self, pair, solved, monkeypatch):
         # noisy (rho = 0.7) with loss: the solve at 0.6 runs out of
@@ -330,6 +341,48 @@ class TestSetup:
         assert node.cost_one == target.cost_of(solve_mare(target, 1.0 - loss).X)
         assert (q, u, du) == (0.6, 0.0, 1.0 / (node.cost_one * (1.0 - 0.6)))
         assert node.solves == 3
+
+
+class TestSpectrumDecidesExistence:
+    """Targets whose existence question the spectrum answers take no MARE
+    iteration to answer it, in any layer."""
+
+    UNDETECTABLE = LtiTarget(A=np.diag([1.0, 0.5]), C=[[0.0, 1.0]], Q=np.eye(2), R=[[1.0]])
+
+    @pytest.fixture()
+    def iterations(self, monkeypatch) -> list[int]:
+        """The iteration count of every solve_mare call, from any module."""
+        counts = []
+        real_solve = mare.solve_mare
+
+        def counting_solve(target, q, **kwargs):
+            res = real_solve(target, q, **kwargs)
+            counts.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(mare, "solve_mare", counting_solve)
+        monkeypatch.setattr(optimizer, "solve_mare", counting_solve)
+        return counts
+
+    def test_undetectable_target_is_infeasible_without_a_solve(self, pair, iterations):
+        # the solve at q = 1 took 100 000 iterations to say so
+        with pytest.warns(InfeasibilityWarning, match="target 1 diverges even under constant"):
+            report = solve_distribution([pair[0], self.UNDETECTABLE])
+        assert not report.feasible
+        assert report.per_target[1].q_critical == 1.0
+        assert iterations == []
+
+    def test_undetectable_target_has_critical_probability_one(self, iterations):
+        # it was 0.0, read from rho(A) <= 1 alone
+        with pytest.warns(RuntimeWarning, match="no fixed point even at q = 1"):
+            assert critical_probability(self.UNDETECTABLE) == 1.0
+        assert iterations == []
+
+    def test_marginal_scalar_at_zero_diverges_without_iterating(self, iterations):
+        # it ran into its 100 000-iteration budget
+        res = mare.solve_mare(scalar_target(1.0), 0.0)
+        assert (res.status, res.iterations) == (MareStatus.DIVERGED, 0)
+        assert iterations == [0]
 
 
 class TestSolve:

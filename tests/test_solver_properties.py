@@ -15,10 +15,10 @@ have 8-12 targets because numpy's pairwise summation departs from
 sequential summation from 8 terms on, which is where a second way of
 totalling would show.
 
-Setup solves a target at q = 1 only when rho(A) > 1 (or a mode on the
-unit circle is unobservable), since no step starts from that fixed
-point: solving every target there, as the solver once did, must give the
-same answer bit for bit.
+Setup solves a target at q = 1 only when its spectrum leaves open
+whether constant observation stabilizes it, since no step starts from
+that fixed point: solving every target there, as the solver once did,
+must give the same answer bit for bit.
 
 The centralized solve also treats targets symmetrically: permuting them
 permutes q* and leaves gamma* alone, to the stopping tolerance (only the
