@@ -28,9 +28,10 @@ fixed point exists at all is a fact of the target's spectrum wherever
 that decides it (`LtiTarget.critical_closed_form`, computed once; Sinopoli
 et al., IEEE TAC 2004): at or below it a solve returns DIVERGED without
 iterating, and the critical probability is that fact, or 0 for a
-strictly stable target. Targets the fact leaves open are iterated until
-their trace passes a cap, and their critical probability is bisected from
-the lower bound 1 - 1/rho(A)^2 to the feasible end of the bracket, so
+strictly stable target. Targets the fact leaves open (an undriven mode,
+or several unstable ones) are iterated until their trace passes a cap,
+and their critical probability is the lower bound 1 - 1/rho(A)^2 when
+that is 0, else bisected from it to the feasible end of the bracket, so
 their value errs upward.
 
 Covariance matrices are plain numpy arrays; `model.check_covariance`,
@@ -393,12 +394,13 @@ def critical_probability(target: LtiTarget, tol: float = 1e-4) -> float:
 
     Where the spectrum decides it, this is max(fact, 0) for the target's
     fact `critical_closed_form` (Sinopoli et al., IEEE TAC 2004; Mo &
-    Sinopoli, IEEE TAC 2012), with no solve. Every other target is bisected
-    on q from the lower bound 1 - 1/rho(A)^2, with solve_mare convergence
-    as the predicate, to width `tol`, and the feasible endpoint is
-    returned, so the result errs upward. A target with no fixed point even
-    at q = 1 cannot be scheduled at all: returns 1.0 and emits a
-    RuntimeWarning.
+    Sinopoli, IEEE TAC 2012), with no solve. Every other target has an
+    undriven mode or several unstable ones. A target with no fixed point
+    even at q = 1 cannot be scheduled at all: returns 1.0 and emits a
+    RuntimeWarning. Else the lower bound 1 - 1/rho(A)^2 is exact when it is
+    not positive (rho(A) = 1 returns 0.0), and above it q is bisected, with
+    solve_mare convergence as the predicate, to width `tol`; the feasible
+    endpoint is returned, so the result errs upward.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -411,8 +413,9 @@ def critical_probability(target: LtiTarget, tol: float = 1e-4) -> float:
             stacklevel=2,
         )
         return 1.0
-    if fact is not None:
-        return max(fact, 0.0)
+    # with a fixed point at q = 1, rho(A) <= 1 makes the bound 1 - 1/rho^2 exact
+    if fact is not None or target.rho <= 1.0:
+        return 0.0 if fact is None else max(fact, 0.0)
     lo, hi = 1.0 - 1.0 / target.rho**2, 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2

@@ -138,22 +138,23 @@ class LtiTarget:
     def critical_closed_form(self) -> float | None:
         """The largest q at which g_q has no fixed point, from the modes of A
         on or outside the unit circle (Sinopoli et al., IEEE TAC 2004): -inf
-        without such a mode (no PBH test is run then), 1.0 when one is
-        unobservable (`pbh_modes`), 0.0 when all lie on the circle, and
-        1 - 1/M^2, M the product of their moduli, when all lie strictly
-        outside it and are driven by the process noise and either the target
-        has one output or the mode is a single real eigenvalue. None when
-        only a bisection can tell (see `mare.critical_probability`)."""
+        without such a mode (no PBH test is run then). When every such mode
+        is driven by the process noise (`pbh_modes`): 1.0 when one is
+        unobservable, 0.0 when all lie on the circle, and 1 - 1/M^2, M the
+        product of their moduli, when all lie strictly outside it and either
+        the target has one output or the mode is a single real eigenvalue.
+        None otherwise: an undriven mode stays at 0 from Q, so only solving
+        (`mare.critical_probability`) can tell."""
         unstable = np.abs(self.eigs) >= 1.0 - _UNIT_CIRCLE_TOL
         if not unstable.any():
             return -np.inf
         modes, (observable, driven) = self.eigs[unstable], self.pbh_modes[unstable].T
-        if not observable.all():
-            return 1.0
+        if not (driven.all() and observable.all()):
+            return 1.0 if driven.all() else None
         on = np.abs(modes) <= 1.0
         if on.all():
             return 0.0
-        if on.any() or not driven.all() or self.p > 1 and (len(modes) != 1 or modes[0].imag):
+        if on.any() or self.p > 1 and (len(modes) != 1 or modes[0].imag):
             return None
         return 1.0 - 1.0 / float(np.prod(np.abs(modes))) ** 2
 
@@ -163,9 +164,12 @@ class LtiTarget:
         only: PBH rank tests of [A - lambda I; C] and [A - lambda I, Q^(1/2)],
         the one rank rule of `validate_target` and `critical_closed_form`."""
         Qh = _psd_sqrt(self.Q)
+        # rounding leaves ~n eps |A| in A - lambda I where it is 0 (A = lambda I
+        # in a rotated basis); with C or Q zero that noise alone would rank n
+        floor = 10 * self.n * np.finfo(float).eps * np.abs(self.A).max()
         modes = np.array([
-            (_pbh_rank(np.vstack([self.A - lam * np.eye(self.n), self.C])) == self.n,
-             _pbh_rank(np.hstack([self.A - lam * np.eye(self.n), Qh])) == self.n)
+            (_pbh_rank(np.vstack([self.A - lam * np.eye(self.n), self.C]), floor) == self.n,
+             _pbh_rank(np.hstack([self.A - lam * np.eye(self.n), Qh]), floor) == self.n)
             for lam in self.eigs
         ])
         modes.flags.writeable = False
@@ -300,11 +304,11 @@ def _psd_sqrt(Q: np.ndarray) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(vals)) @ vecs.T
 
 
-def _pbh_rank(M: np.ndarray) -> int:
+def _pbh_rank(M: np.ndarray, floor: float = 0.0) -> int:
     s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
+    if s.size == 0 or s[0] <= floor:
         return 0
-    return int(np.sum(s > _PBH_RTOL * s[0]))
+    return int(np.sum(s > max(_PBH_RTOL * s[0], floor)))
 
 
 def validate_target(target: LtiTarget) -> ValidationReport:
@@ -318,7 +322,8 @@ def validate_target(target: LtiTarget) -> ValidationReport:
     theory tolerates but full-rank process noise would not require.
 
     Rank decisions are the target's `pbh_modes`: PBH tests with singular
-    values thresholded at 1e-8 relative to the largest one.
+    values thresholded at 1e-8 relative to the largest one, and never below
+    the rounding in A - lambda I.
     """
     failures: list[str] = []
     warns: list[str] = []

@@ -7,12 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sensorsched import (
+    ConditioningWarning,
     DelayChainSpec,
     LtiTarget,
     MareStatus,
     ScheduleDistribution,
     critical_probability,
     expand_delay_chain,
+    g_q,
     solve_distribution,
     solve_mare,
     validate_target,
@@ -220,6 +222,20 @@ def modal_target(lams, c, d, seed) -> LtiTarget:
                      Q=S @ np.diag(d[:n]) @ S.T, R=[[1.0]])
 
 
+def plain_traces(t: LtiTarget, q: float, steps: int = 2000) -> list[float]:
+    """trace(g_q^k(Q)) for k = 0..steps, stopping once it passes 1e12 or
+    rises by less than 1e-13 of itself: plain iteration, which reads no
+    fact of the target. The iterates rise monotonically from Q, to the
+    least fixed point when one exists and without bound otherwise."""
+    X, traces = t.Q, [float(np.trace(t.Q))]
+    for _ in range(steps):
+        X = g_q(t, q, X, validate=False)
+        traces.append(float(np.trace(X)))
+        if traces[-1] > 1e12 or traces[-1] - traces[-2] <= 1e-13 * traces[-1]:
+            break
+    return traces
+
+
 # A = diag(1.3, 0.5), noise 1e-10 on the growing mode: cond(Q) = 1e10, so
 # ranking Q itself would call that mode undriven while Q^(1/2) drives it
 WEAK = dict(lams=[1.3, 0.5], c=[1.0, 1.0], d=[1e-10, 1.0], seed=None)
@@ -247,15 +263,15 @@ class TestModalFacts:
         uncontrollable = [w for w in report.warnings if "not controllable" in w]
         assert len(unobservable) == np.count_nonzero(unstable & ~observable)
         assert bool(uncontrollable) == (not driven.all())
-        # the fact is 1.0 exactly when validation reports an unobservable
-        # growing mode, -inf exactly when no mode grows, None exactly when
-        # a growing mode is undriven, and the closed form otherwise
-        closed = t.critical_closed_form
-        assert (closed == 1.0) == bool(unobservable)
+        # the fact is -inf exactly when no mode grows, None exactly when a
+        # growing mode is undriven, 1.0 exactly when validation reports an
+        # unobservable growing mode and none is undriven, and the closed
+        # form otherwise
+        closed, all_driven = t.critical_closed_form, driven[unstable].all()
         assert (closed == -np.inf) == (not unstable.any())
-        assert (closed is None) == (unstable.any() and observable[unstable].all()
-                                    and not driven[unstable].all())
-        if unstable.any() and not unobservable and not uncontrollable:
+        assert (closed is None) == (not all_driven)
+        assert (closed == 1.0) == (bool(unobservable) and all_driven)
+        if unstable.any() and all_driven and not unobservable:
             assert closed == 1.0 - 1.0 / float(np.prod(np.abs(t.eigs[unstable]))) ** 2
 
     def test_an_undriven_growing_mode_is_undriven_in_any_basis(self):
@@ -267,6 +283,16 @@ class TestModalFacts:
             assert not t.pbh_modes[np.argmax(np.abs(t.eigs)), 1]
             assert t.critical_closed_form is None
             assert any("not controllable" in w for w in validate_target(t).warnings)
+
+    def test_rounding_in_a_rotated_multiple_of_the_identity_has_rank_zero(self):
+        # A = 2 I in a rotated basis, C = 0, Q = 0: A - 2 I is ~1e-16 of
+        # rounding, which ranked n against its own largest singular value,
+        # so the mode read observable and driven with a closed form of 0.9375
+        t = modal_target([2.0, 2.0], [0.0] * 3, [0.0] * 3, seed=0)
+        assert np.abs(t.A - 2.0 * np.eye(2)).max() > 0.0
+        assert not t.pbh_modes.any()
+        assert t.critical_closed_form is None
+        assert len([f for f in validate_target(t).failures if "unobservable" in f]) == 2
 
     def test_weak_noise_on_a_growing_mode_has_the_exact_closed_form(self, pair):
         t = modal_target(**WEAK)
@@ -283,22 +309,26 @@ class TestModalFacts:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        lams=st.lists(st.one_of(st.floats(-2.5, 2.5), st.sampled_from([-1.0, 1.0])),
+        lams=st.lists(st.one_of(st.floats(-2.5, 2.5).filter(lambda x: abs(abs(x) - 1.0) > 0.05),
+                                st.sampled_from([-1.0, 1.0])),
                       min_size=1, max_size=3),
         c=st.lists(st.sampled_from([0.0, 1e-3, 1.0, -0.7]), min_size=6, max_size=6),
-        d=st.lists(st.sampled_from([0.0, 1e-10, 1.0]), min_size=3, max_size=3),
+        d=st.lists(st.sampled_from([0.0, 1e-3, 1.0]), min_size=3, max_size=3),
         seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
         p=st.sampled_from([1, 2]),
     )
     @example(lams=[1.0, 0.5], c=[0.0, 1.0] * 3, d=[1.0] * 3, seed=None, p=1)  # undetectable
     @example(lams=[1.0], c=[1.0] * 6, d=[1.0] * 3, seed=None, p=1)  # the scalar a = 1
+    @example(lams=[1.0, 0.5], c=[1.0] * 6, d=[0.0, 1.0, 1.0], seed=None, p=1)  # undriven
     @example(lams=[-1.0, 0.3], c=[1.0] * 6, d=[0.0, 1.0, 1.0], seed=7, p=2)  # undriven
     @example(lams=[1.3, 0.5], c=[1.0] * 6, d=[1.0] * 3, seed=3, p=2)  # closed form
-    def test_every_layer_reads_the_fact(self, lams, c, d, seed, p):
+    def test_the_fact_is_where_iteration_stops_converging(self, lams, c, d, seed, p):
         # Whenever the spectrum decides existence, a solve diverges at 0
-        # iterations exactly at q <= fact, and the critical probability is
-        # max(fact, 0). The rotation is shared, so a second output stays in
-        # the modal basis of the first.
+        # iterations exactly at q <= fact and the critical probability is
+        # max(fact, 0); and plain iteration from Q stays bounded exactly at
+        # q > fact (it settles at q <= fact only if a fixed point exists
+        # there). The rotation is shared, so a second output stays in the
+        # modal basis of the first.
         t = modal_target(lams, c, d, seed)
         if p == 2:
             second = modal_target(lams, c[3:], d, seed)
@@ -313,4 +343,26 @@ class TestModalFacts:
                 res = solve_mare(t, q, max_iter=50)
                 assert (res.status is MareStatus.DIVERGED) == (q <= fact)
                 assert res.iterations == 0 or res.status is not MareStatus.DIVERGED
+                traces = plain_traces(t, q)
+                if q > fact:
+                    assert traces[-1] <= 1e12
+                else:  # past the cap, or still rising in the second half
+                    assert traces[-1] - traces[len(traces) // 2] > 1e-9 * traces[-1]
             assert critical_probability(t) == max(fact, 0.0)
+
+    @pytest.mark.parametrize("a, c", [(1.0, 1.0), (1.0, 0.0), (2.0, 0.0)],
+                             ids=["observable-on-circle", "unobservable-on-circle",
+                                  "unobservable-outside"])
+    def test_an_undriven_growing_mode_leaves_the_fact_open(self, a, c):
+        # no noise reaches the mode at a, so from Q it stays 0 and a fixed
+        # point exists even at q = 0, whether or not C sees that mode; the
+        # critical probability is the bound 1 - 1/rho^2 when that is 0, and
+        # bisected above it (0.75 at rho = 2) otherwise
+        t = LtiTarget(A=np.diag([a, 0.5]), C=[[c, 1.0]], Q=np.diag([0.0, 1.0]), R=[[1.0]])
+        assert t.critical_closed_form is None
+        res = solve_mare(t, 0.0)
+        assert res.converged
+        np.testing.assert_allclose(res.X, np.diag([0.0, 4.0 / 3.0]), atol=1e-8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            assert critical_probability(t) == (0.0 if a == 1.0 else 0.75006103515625)

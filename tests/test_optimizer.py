@@ -248,7 +248,7 @@ class TestClosedFormIsComputedOnce:
         for name, module in list(sys.modules.items()):
             if name.startswith("sensorsched") and vars(module).get("_pbh_rank") is real_rank:
                 monkeypatch.setattr(module, "_pbh_rank",
-                                    lambda M: ranks.append(M) or real_rank(M))
+                                    lambda M, *floor: ranks.append(M) or real_rank(M, *floor))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ConditioningWarning)
             report = solve_distribution(targets)
