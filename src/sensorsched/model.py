@@ -306,9 +306,7 @@ def _psd_sqrt(Q: np.ndarray) -> np.ndarray:
 
 def _pbh_rank(M: np.ndarray, floor: float = 0.0) -> int:
     s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] <= floor:
-        return 0
-    return int(np.sum(s > max(_PBH_RTOL * s[0], floor)))
+    return int(np.sum(s > max(_PBH_RTOL * s.max(initial=0.0), floor)))
 
 
 def validate_target(target: LtiTarget) -> ValidationReport:

@@ -309,8 +309,7 @@ class TestModalFacts:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        lams=st.lists(st.one_of(st.floats(-2.5, 2.5).filter(lambda x: abs(abs(x) - 1.0) > 0.05),
-                                st.sampled_from([-1.0, 1.0])),
+        lams=st.lists(st.one_of(st.floats(-2.5, 2.5), st.sampled_from([-1.0, 1.0])),
                       min_size=1, max_size=3),
         c=st.lists(st.sampled_from([0.0, 1e-3, 1.0, -0.7]), min_size=6, max_size=6),
         d=st.lists(st.sampled_from([0.0, 1e-3, 1.0]), min_size=3, max_size=3),
@@ -327,8 +326,10 @@ class TestModalFacts:
         # iterations exactly at q <= fact and the critical probability is
         # max(fact, 0); and plain iteration from Q stays bounded exactly at
         # q > fact (it settles at q <= fact only if a fixed point exists
-        # there). The rotation is shared, so a second output stays in the
-        # modal basis of the first.
+        # there). Noise of 1e-10 on a marginal mode would rise below the
+        # rounding of a trace of 1e6, so the least noise drawn is 1e-3. The
+        # rotation is shared, so a second output stays in the modal basis of
+        # the first.
         t = modal_target(lams, c, d, seed)
         if p == 2:
             second = modal_target(lams, c[3:], d, seed)
