@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DelayChainSpec, LtiTarget, check_covariance, symmetrize
+from .model import DelayChainSpec, LtiTarget, check_covariance, expand_delay_chain, symmetrize
 
 __all__ = [
     "MareStatus",
@@ -130,7 +130,7 @@ def g_q(target: LtiTarget, q: float, X: np.ndarray, *, validate: bool = True) ->
 
 
 def _riccati_step(
-    target: LtiTarget | tuple[np.ndarray, np.ndarray, np.ndarray],
+    systems: LtiTarget | tuple[np.ndarray, np.ndarray, np.ndarray],
     P: np.ndarray,
     q: float | np.ndarray,
 ) -> np.ndarray:
@@ -138,73 +138,88 @@ def _riccati_step(
 
     The one Riccati update of the package: g_q, the filter's covariance
     step and the batched simulations all call it. P holds planes
-    [n, n, rows], the rows innermost and contiguous; a 2-D P [n, n] is the
-    one-row case. q is a scalar or holds one value per matrix of the stack
-    (any shape of that size). A scalar q = 0 returns the open-loop
-    (Lyapunov) update without forming the gain. A boolean q is a mask of
-    the observed matrices: only those form the gain, as in their own call
-    at q = 1, and the others get the bits of q = 0, so an unobserved matrix
-    whose innovation covariance is singular never enters a solve. A mask on
-    which all matrices agree is the scalar it means: all True is q = 1, all
-    False q = 0, open loop with no gain. A float array q scales the gain of
-    each matrix.
+    [n, n, *rows], the rows innermost and contiguous; a 2-D P [n, n] is the
+    one-row case. `systems` is one LtiTarget, or k systems of one dimension
+    class (n, p) as `_system_rows` stacks them. P's rows, in C order, form
+    k equal blocks, and system j advances block j: one target's stack is
+    the case k = 1, a class stack [n, n, k, rows] gives each of k targets
+    the same number of rows, and a stack whose rows mix the targets of a
+    class has one system per row, blocks of one row.
 
-    `target` decides only how Y = B P^T B^T is formed, with B = [A; C]
-    (A alone at q = 0), whose blocks are A P A^T, A P C^T, C P A^T and
-    C P C^T for symmetric P:
+    q is a scalar or holds one value per matrix of the stack (any shape of
+    that size). A scalar q = 0 returns the open-loop (Lyapunov) update
+    without forming the gain. A boolean q is a mask of the observed
+    matrices: only those form the gain, as in their own call at q = 1, and
+    the others get the bits of q = 0, so an unobserved matrix whose
+    innovation covariance is singular never enters a solve. A mask on which
+    all matrices agree is the scalar it means: all True is q = 1, all False
+    q = 0, open loop with no gain. A float array q scales the gain of each
+    matrix.
 
-    * One LtiTarget: B P is one GEMM over all rows at once, giving
-      [c, (i, rows)]; a copy of whole row-blocks to [i, (c, rows)] and one
-      more GEMM give Y.
-    * Per-row systems (see `_system_rows`) of different targets of one
-      dimension class (n, p): B^T [rows, n, n + p], Q [n, n, rows] and
-      R [p, p, rows]. P's transposed matrices are copied to rows once, one
-      batched matmul (one BLAS call per row) gives B P B^T per row, and a
-      transposed copy back makes Y contiguous planes.
+    With B = [A; C] of a system (A alone at q = 0), a block's planes are
+    one matrix [n, (n, rows)]: B P is one GEMM, giving [c, (i, rows)], and
+    a copy of whole row-blocks to [i, (c, rows)] and one more GEMM give
+    Y = B P^T B^T, whose blocks are A P A^T, A P C^T, C P A^T and C P C^T
+    for symmetric P. One block (k = 1) takes these two GEMMs on the stack
+    as it is. Several blocks take them as one batched matmul, each with
+    the shape, and so the bits, of the block's own call: P is copied to
+    that layout first and Y back to planes [m, m, k * rows] after, so
+    blocks of one row (per-row systems) make two BLAS calls per row, and
+    each block's Q and R are repeated to its rows.
 
-    Every other step (+ Q, the gain, the masked subtract on the seen
-    columns, symmetrize) runs on length-rows vectors. For a scalar
-    measurement (p = 1) the innovation covariance S is 1x1 and the gain a
-    division; for p > 1 Y is copied to rows for `np.linalg.solve`.
+    Every other step (+ Q, + R, the gain, the masked subtract on the seen
+    columns, symmetrize) runs once on length-rows vectors over all blocks;
+    a mask's seen columns are gathered for the gain and scattered back.
+    For a scalar measurement (p = 1) the innovation covariance S is 1x1
+    and the gain a division; for p > 1 Y is copied to rows for
+    `np.linalg.solve`.
 
     Each entry of a product depends on its own matrix alone, so a slice of
-    a stacked call equals the call on that slice bit for bit, for either
-    kind of `target`, as long as BLAS rounds a matrix the same whatever the
-    row count and the call, and P is bitwise symmetric, as every P the
-    package passes is (a symmetrize output, a validated covariance or a
-    target's Q); the property tests check this for stacks of up to 2048
-    matrices. An asymmetric P still gets the textbook update of P, rounded
-    otherwise.
+    a stacked call equals the call on that slice bit for bit, whatever the
+    blocks, as long as BLAS rounds a matrix the same whatever the row count
+    and the call, and P is bitwise symmetric, as every P the package passes
+    is (a symmetrize output, a validated covariance or a target's Q); the
+    property tests check this for stacks of up to 2048 matrices. An
+    asymmetric P still gets the textbook update of P, rounded otherwise.
     """
-    seen = np.flatnonzero(q) if isinstance(q, np.ndarray) and q.dtype == bool else None
-    if seen is not None and len(seen) in (0, q.size):
-        q, seen = float(len(seen) > 0), None
+    mask = q.reshape(-1) if isinstance(q, np.ndarray) and q.dtype == bool else None
+    if mask is not None and (seen := np.count_nonzero(mask)) in (0, mask.size):
+        q, mask = float(seen > 0), None
     open_loop = not isinstance(q, np.ndarray) and q == 0
-    if isinstance(target, LtiTarget):
-        n, rows = target.n, P.shape[2:]
-        B = target.A if open_loop else target.AC_T.T
-        m = len(B)
-        PB = (B @ P.reshape(n, -1)).reshape(m, n, *rows)
-        Y = (B @ PB.swapaxes(0, 1).reshape(n, -1)).reshape(m, m, *rows)
-        Q, R = target.Q.reshape(n, n, *(1,) * len(rows)), target.R
-    else:
-        Bt, Q, R = target
-        n = len(Q)
-        Bt = Bt[..., :n] if open_loop else Bt
-        Y = (np.ascontiguousarray(P.T) @ Bt).swapaxes(1, 2) @ Bt
-        Y = np.ascontiguousarray(Y.T)
+    Bt, Q, R = (systems.AC_T, systems.Q, systems.R) if isinstance(systems, LtiTarget) else systems
+    k, n = (1 if Bt.ndim == 2 else len(Bt)), len(Q)
+    Bt = Bt[..., :n] if open_loop else Bt
+    m, b = Bt.shape[-1], P.size // (n * n * k)
+    B = Bt.swapaxes(-1, -2)  # block j's planes are one matrix [n, (n, b)]
+    if k == 1:  # the stack as it is, planes [m, m, *rows]
+        PB = (B @ P.reshape(n, -1)).reshape(m, n, -1).swapaxes(0, 1).reshape(n, -1)
+        Y = (B @ PB).reshape(m, m, *P.shape[2:])
+        Q = Q.reshape(n, n, *(1,) * (P.ndim - 2))
+    else:  # one batched matmul over the blocks, planes [m, m, k * b]
+        PB = B @ P.reshape(n, n, k, b).transpose(2, 0, 1, 3).reshape(k, n, -1)
+        Y = B @ PB.reshape(k, m, n, b).swapaxes(1, 2).reshape(k, n, -1)
+        Y = np.ascontiguousarray(Y.reshape(k, m, m, b).transpose(1, 2, 0, 3)).reshape(m, m, -1)
+        if b > 1:  # each block's Q and R, one per row
+            Q, R = np.repeat(Q, b, axis=-1), np.repeat(R, b, axis=-1)
     out = Y[:n, :n] + Q
-    if seen is not None:
-        out[..., seen] = out.take(seen, axis=-1) - _correction(
-            Y.take(seen, axis=-1), R if R.ndim == 2 else R.take(seen, axis=-1), n)
+    if mask is not None:
+        seen, flat = mask.nonzero()[0], out.reshape(n * n, -1)
+        gained = flat.take(seen, axis=1) - _correction(
+            Y.reshape(m, m, -1).take(seen, axis=-1), R if k == 1 else R.take(seen, axis=-1),
+            n).reshape(n * n, -1)
+        if len(seen) < 64:
+            flat[:, seen] = gained
+        else:  # on long rows n^2 1-D scatters take half the time of one 2-D
+            for entry, new in zip(flat, gained):
+                entry[seen] = new
     elif not open_loop:
-        q = q.reshape(-1) if isinstance(q, np.ndarray) else q
+        q = q.reshape(Y.shape[2:]) if isinstance(q, np.ndarray) else q
         out = out - q * _correction(Y, R, n)
-    return symmetrize(out)
+    return symmetrize(out if k == 1 else out.reshape(P.shape))
 
 
 def _correction(Y: np.ndarray, R: np.ndarray, n: int) -> np.ndarray:
-    """Planes of (A P C^T) S^-1 (C P A^T) from the planes Y [m, m, rows],
+    """Planes of (A P C^T) S^-1 (C P A^T) from the planes Y [m, m, *rows],
     with S = C P C^T + R and R one [p, p] or planes [p, p, rows]."""
     if len(R) == 1:  # M = Y[:n, n:], N = Y[n:, :n]: [i, j] = (M[i] / S) N[j]
         return Y[n:, :n] * (Y[:n, n:] / (Y[n:, n:] + R))
@@ -215,12 +230,9 @@ def _correction(Y: np.ndarray, R: np.ndarray, n: int) -> np.ndarray:
 
 
 def _system_rows(targets: list[LtiTarget]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """[A; C]^T of targets of one dimension class stacked as rows, and their
-    Q and R stacked as planes.
-
-    With one entry per row of a stack that mixes those targets, the three
-    are the per-row systems that `_riccati_step` takes.
-    """
+    """[A; C]^T of targets of one dimension class stacked [k, n, n + p], and
+    their Q and R stacked as planes [n, n, k] and [p, p, k]: the systems
+    that `_riccati_step` takes, one per block of rows."""
     return (
         np.stack([t.AC_T for t in targets]),
         np.stack([t.Q for t in targets], axis=-1),
@@ -368,20 +380,31 @@ def closed_form_delay_chain(spec: DelayChainSpec, q: float) -> np.ndarray | None
     and it exists exactly when a^2 (1 - q) < 1: stable chains always
     converge, a marginally stable chain (a = +-1) needs q > 0, and an
     unstable one needs q above 1 - 1/a^2. Indices above are 1-based.
+
+    Existence is read from the expanded target's fact
+    (`LtiTarget.critical_closed_form`), so the oracle and the solver agree
+    at every float q, the unit-circle band of the fact included. The
+    denominator 1 + a^2 q - a^2 is formed as 1 - a^2 (1 - q) for a^2 < 1
+    and as a^2 (q - fact) for a^2 > 1, both positive wherever q > fact, so
+    every matrix returned is finite.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1], got {q!r}")
     a, Q, R = spec.a, spec.Q, spec.R
     n = spec.d + 1
-    if a * a * (1.0 - q) >= 1.0:
+    target = expand_delay_chain(spec)
+    fact = target.critical_closed_form
+    if fact is None:  # noise below the rank test's floor still drives the mode
+        fact = 1.0 - 1.0 / target.rho**2
+    if q <= fact:
         return None
     if a * a == 1.0:
         x1 = (Q + np.sqrt(Q * Q + 4.0 * q * Q * R)) / (2.0 * q)
         xs = x1 + Q * np.arange(n)
     else:
+        den = a * a * (q - fact) if a * a > 1.0 else 1.0 - a * a * (1.0 - q)
         u = R * a * a - R + Q
-        disc = u * u - 4.0 * (a * a - 1.0 - a * a * q) * Q * R
-        x1 = (u + np.sqrt(disc)) / (2.0 * (1.0 + a * a * q - a * a))
+        x1 = (u + np.sqrt(u * u + 4.0 * den * Q * R)) / (2.0 * den)
         pw = (a * a) ** np.arange(n)  # a^(2(j-1)), safe for negative a
         xs = pw * x1 + (1.0 - pw) / (1.0 - a * a) * Q
     i = np.arange(n)

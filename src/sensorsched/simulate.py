@@ -8,15 +8,20 @@ time-average its cost (`LtiTarget.cost_of`, the trace unless the target
 selects cost weights), the quantity the optimizer bounds. One engine
 advances the covariances along given schedules: one covariance per
 distinct observation history rather than one per run, and the targets
-that share a dimension in one kernel call per step. Monte Carlo over
-sampled schedules runs it on many schedules to estimate the expected cost
-of stochastic scheduling, `evaluate_schedule` on one. A receding-horizon
-tree search, whose lookahead tree is carried from step to step, is the
-deterministic planning baseline.
+that share a dimension in one kernel call per step, in a shared stack
+while their runs' histories still merge and in one class batch once each
+run has its own. Monte Carlo over sampled schedules runs it on many
+schedules to estimate the expected cost of stochastic scheduling,
+`evaluate_schedule` on one. A receding-horizon tree search, whose
+lookahead tree is carried from step to step, is the deterministic
+planning baseline; it too advances each dimension class in one call per
+level.
 
 Every stack of covariances is held as planes [n, n, rows], rows innermost,
 so the kernel's elementwise steps run on long vectors (see
-`mare._riccati_step`), and `cost_of` scores all its planes at once.
+`mare._riccati_step`), and `cost_of` scores all its planes at once. A
+class stack [n, n, targets, rows] gives each target of a dimension class
+a block of rows of its own.
 
 Time averages drop a short burn-in prefix (min(T // 5, 200) steps) so the
 initial covariance does not bias finite-horizon readings of an asymptotic
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -91,6 +97,20 @@ def covariance_step(target: LtiTarget, P: np.ndarray, observed: bool) -> np.ndar
     return _riccati_step(target, np.asarray(P, dtype=float), 1.0 if observed else 0.0)
 
 
+def _classes(targets: list[LtiTarget]) -> Iterator[tuple[np.ndarray, tuple, np.ndarray | None]]:
+    """The dimension classes (n, p) of `targets`, in order of first
+    appearance: each class's target indices, its systems (`_system_rows`)
+    and its targets' cost weights [n, members], ones where a target has
+    none, or None when no target of the class has any."""
+    dims = [(t.n, t.p) for t in targets]
+    for dim in dict.fromkeys(dims):
+        members = np.flatnonzero([d == dim for d in dims])
+        ts = [targets[i] for i in members]
+        weights = None if all(t.cost_weights is None for t in ts) else np.stack(
+            [np.ones(t.n) if t.cost_weights is None else t.cost_weights for t in ts], axis=-1)
+        yield members, _system_rows(ts), weights
+
+
 def _cost_paths(targets: list[LtiTarget], steps: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Every target's costs along given schedules, one target at a time.
 
@@ -104,69 +124,72 @@ def _cost_paths(targets: list[LtiTarget], steps: np.ndarray) -> Iterator[tuple[i
     kernel call per step: group[j, run] is the row of that run of target
     pos[j], owner[r] the class position of row r's target. Where a row's
     runs disagree, each new row is keyed by its parent row and observation
-    bit, 2 * row + bit; the sorted distinct keys number the new rows. A
-    target whose runs all have rows of their own cannot split again: it
-    leaves the stack with its rows in run order and finishes alone, one
-    call per step. One run never splits, so a single schedule stays in
-    the stack throughout.
+    bit, 2 * row + bit; the sorted distinct keys number the new rows, so
+    the rows stay sorted by target, and the call takes one system per
+    target when every target holds as many rows (the kernel's blocks),
+    else one per row. A target whose runs all have rows of their own cannot
+    split again: it leaves the stack with its rows in run order and joins
+    the class's batch, planes [n, n, targets, runs] that one kernel call per
+    step advances, one system per target. With one run every target joins
+    at step 0, so one schedule steps each class as a batch from the start.
 
     Every run reads exactly the bits it would on its own: each call takes
     the rows' observation bits as its mask, a slice of a stacked call has
     the bits of the call on that slice alone, and `cost_of` sums each plane
-    on its own. The stack keeps one cost per row and step and one copy of the
-    grouping per stretch of steps without a split, at most `runs` rows per
-    target. A target that leaves takes its planes [n, n, runs] by a column
-    gather of the stack.
+    on its own. The stack keeps one cost per row and step and one copy of
+    the grouping per stretch of steps without a split, at most `runs` rows
+    per target; the batch keeps its targets' costs [runs, T].
     """
     T, runs = steps.shape
-    dims = [(t.n, t.p) for t in targets]
-    for dim in dict.fromkeys(dims):  # the classes in order of first appearance
-        members = np.flatnonzero([d == dim for d in dims])
-        ts = [targets[i] for i in members]
-        Bt, Qs, Rs = _system_rows(ts)
-        weights = np.stack([np.ones(t.n) if t.cost_weights is None else t.cost_weights
-                            for t in ts], axis=-1)
+    for members, (Bt, Qs, Rs), weights in _classes(targets):
         pos = owner = np.arange(len(members))
         group = np.repeat(pos[:, None], runs, axis=1)
         P = Qs  # every row starts at its target's Q
-        stretches, left = [], {}
+        stretches, joined = [], pos[:0]
+        batch, batch_costs = np.empty((*Qs.shape[:2], 0, runs)), np.empty((0, runs, T))
         for k in range(T):
-            obs = np.equal(steps[k], members[pos, None])  # obs[j, run]: pos[j] is observed
-            seen = np.zeros(P.shape[-1], dtype=bool)  # seen[r]: a run of row r is observed
-            seen[group[obs]] = True
-            disagree = seen[group] != obs
-            split = disagree.any()
-            if split:
-                # a row whose runs disagree splits in two, so a target
-                # leaves once that gives every run a row of its own
-                mixed = np.bincount(group[disagree], minlength=P.shape[-1]) > 0
-                out = np.bincount(owner, 1 + mixed, len(members))[pos] == runs
-                left.update((pos[j], (k, P[..., group[j]])) for j in np.flatnonzero(out))
-                group, obs, pos = group[~out], obs[~out], pos[~out]
-                if not len(pos):
-                    break
-                keys, group = np.unique(2 * group + obs, return_inverse=True)
-                group = group.reshape(obs.shape)
-                P, owner, seen = P[..., keys // 2], owner[keys // 2], keys % 2 == 1
-            if k == 0 or split:
-                rows = group.astype(np.min_scalar_type(P.shape[-1] - 1))
-                stretches.append((k, dict(zip(pos.tolist(), rows)), []))
-                row_system = Bt[owner], Qs[..., owner], Rs[..., owner]
-                row_weights = weights[:, owner]
-            stretches[-1][2].append(_weighted_trace(P, row_weights))
-            P = _riccati_step(row_system, P, seen)
+            if len(pos):
+                obs = np.equal(steps[k], members[pos, None])  # obs[j, run]: pos[j] is observed
+                seen = np.zeros(P.shape[-1], dtype=bool)  # seen[r]: a run of row r is observed
+                seen[group[obs]] = True
+                disagree = seen[group] != obs
+                if k == 0 or disagree.any():
+                    # a row whose runs disagree splits in two, and a target
+                    # joins the batch once that gives every run a row of its own
+                    mixed = np.bincount(group[disagree], minlength=P.shape[-1]) > 0
+                    out = np.bincount(owner, 1 + mixed, len(members))[pos] == runs
+                    if out.any():
+                        batch = np.concatenate((batch, P[..., group[out]]), axis=2)
+                        joined = np.concatenate((joined, pos[out]))
+                        batch_costs = np.concatenate((batch_costs, np.empty((out.sum(), runs, T))))
+                        batch_system = Bt[joined], Qs[..., joined], Rs[..., joined]
+                        batch_weights = None if weights is None else weights[:, joined, None]
+                        batch_ids = members[joined, None]
+                        group, obs, pos = group[~out], obs[~out], pos[~out]
+                    keys, group = np.unique(2 * group + obs, return_inverse=True)
+                    group = group.reshape(obs.shape)
+                    P, owner, seen = P[..., keys // 2], owner[keys // 2], keys % 2 == 1
+                    rows = group.astype(np.min_scalar_type(P.shape[-1] - 1))
+                    stretches.append((k, dict(zip(pos.tolist(), rows)), []))
+                    # rows stay sorted by target: equal counts make blocks
+                    sizes = np.bincount(owner)[pos]
+                    by = pos if (sizes == sizes[:1]).all() else owner
+                    row_system = Bt[by], Qs[..., by], Rs[..., by]
+                    row_weights = None if weights is None else weights[:, owner]
+                if len(pos):
+                    stretches[-1][2].append(_weighted_trace(P, row_weights))
+                    P = _riccati_step(row_system, P, seen)
+            if len(joined):
+                batch_costs[..., k] = _weighted_trace(batch, batch_weights)
+                batch = _riccati_step(batch_system, batch, steps[k] == batch_ids)
         stretches = [(k, rows, np.array(c)) for k, rows, c in stretches]
-        for j, (i, t) in enumerate(zip(members, ts)):
-            costs = np.empty((runs, T))
+        slot = {j: s for s, j in enumerate(joined.tolist())}
+        for j, i in enumerate(members):
+            costs = batch_costs[slot[j]] if j in slot else np.empty((runs, T))
             for start, rows, block in stretches:
                 if j not in rows:
-                    break  # i has left the stack
+                    break  # i has joined the batch
                 costs[:, start:start + len(block)] = block[:, rows[j]].T
-            if j in left:
-                start, P = left.pop(j)
-                for k in range(start, T):
-                    costs[:, k] = t.cost_of(P)
-                    P = _riccati_step(t, P, steps[k] == i)
             yield i, costs
 
 
@@ -175,10 +198,12 @@ def evaluate_schedule(targets: list[LtiTarget], seq: ScheduleSequence) -> CostRe
 
     Propagates every target's prediction covariance from Q across the
     sequence (observed exactly at its slots) and averages its cost after
-    burn-in: the one-run case of the Monte Carlo's propagation, so the
-    targets that share a dimension (n, p) advance together in one kernel
-    call per step. The sequence is used as given; tile it beforehand to
-    approximate long-run behavior of a periodic schedule.
+    burn-in: the one-run case of the Monte Carlo's propagation, where
+    every target has its own row from the start, so the targets that share
+    a dimension (n, p) advance as one class batch, one kernel call per
+    step, with no split bookkeeping. The sequence is used as given; tile
+    it beforehand to approximate long-run behavior of a periodic
+    schedule.
     """
     if seq.n_targets != len(targets):
         raise ValueError(f"sequence is over {seq.n_targets} targets, got {len(targets)}")
@@ -280,6 +305,11 @@ def sliding_window_schedule(
     this a self-contained baseline definition: it optimizes where the
     window ends up, not the running average inside it, and can therefore
     defer observations a running-cost criterion would take.
+
+    Each dimension class holds its tree as one class stack [n, n,
+    targets, leaves], and a level is one masked kernel call per class on
+    it repeated n-fold: a target is observed on its own branch and open
+    loop on the others.
     """
     n = len(targets)
     if window < 1:
@@ -289,20 +319,25 @@ def sliding_window_schedule(
             f"{n}^{window} window sequences is beyond the enumeration guard "
             "(1e6); use a smaller window"
         )
-    stacks = [t.Q[:, :, None] for t in targets]  # planes [n, n, leaves]
+    classes = list(_classes(targets))
+    stacks = [Qs[..., None] for _, (_, Qs, _), _ in classes]  # planes [n, n, members, leaves]
+    # leaf b branches into leaves b * n + c, c the target observed next;
+    # target i is observed on branch c = i and open loop on the others
+    branch = np.arange(n ** window) % n
+    observed = [branch == members[:, None] for members, _, _ in classes]
     committed = np.empty(T, dtype=np.int64)
     subtree = n ** (window - 1)
     for k in range(1 - window, T):
-        # leaf b branches into leaves b * n + c, c the target observed next;
-        # target i is observed on branch c = i and open loop on the others
-        leaves = np.arange(n * stacks[0].shape[-1])
-        for i, t in enumerate(targets):
-            stacks[i] = _riccati_step(t, np.repeat(stacks[i], n, axis=-1), leaves % n == i)
+        leaves = n * stacks[0].shape[-1]
+        stacks = [_riccati_step(systems, np.repeat(P, n, axis=-1), mask[:, :leaves])
+                  for (_, systems, _), P, mask in zip(classes, stacks, observed)]
         if k < 0:
             continue  # still building the first tree
-        scores = np.max([t.cost_of(s) for t, s in zip(targets, stacks)], axis=0)
+        scores = reduce(np.maximum, [
+            _weighted_trace(P, None if w is None else w[..., None]).max(axis=0)
+            for (_, _, w), P in zip(classes, stacks)])
         move = int(np.argmin(scores)) // subtree
         committed[k] = move
-        stacks = [s[..., move * subtree:(move + 1) * subtree] for s in stacks]
+        stacks = [P[..., move * subtree:(move + 1) * subtree] for P in stacks]
     seq = ScheduleSequence(steps=committed, n_targets=n)
     return seq, evaluate_schedule(targets, seq)

@@ -53,6 +53,19 @@ class TestMap:
         full = g_q(t, 1.0, X)
         np.testing.assert_allclose(half, (lyap + full) / 2, rtol=1e-12)
 
+    def test_one_ulp_above_the_critical_probability(self):
+        # a = 2 at nextafter(0.75, 1) divided by 1 + a^2 q - a^2 = 0 and
+        # returned [[inf]]; a = 1.3 one ulp above the target's fact said
+        # no fixed point exists
+        for a, qc in ((2.0, 0.75), (1.3, 1.0 - 1.0 / 1.3**2)):
+            spec = DelayChainSpec(a=a, Q=1.0, R=1.0, d=0)
+            assert expand_delay_chain(spec).critical_closed_form == qc
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                X = closed_form_delay_chain(spec, np.nextafter(qc, 2.0))
+            assert X is not None and np.isfinite(X).all() and X[0, 0] > 1e15
+            assert closed_form_delay_chain(spec, qc) is None
+
     def test_rejects_bad_probability(self):
         for q in (-0.1, 1.1):
             with pytest.raises(ValueError):

@@ -27,8 +27,12 @@ the theory guarantees, checked on random targets.
   may take other code paths as the row count grows), and so does the
   weighted cost of every slice. A stack that mixes the targets of one
   dimension class, with per-row systems and batched products, gives each
-  target's rows the bits of that target's own update.
+  target's rows the bits of that target's own update, and so does a class
+  stack that gives each target a block of rows of its own, whose costs
+  also have the bits of each target's `cost_of`.
 """
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -46,7 +50,7 @@ from sensorsched import (
 )
 from sensorsched.mare import _CERTIFY_RTOL, TRACE_DIVERGENCE_CAP, _riccati_step, _system_rows
 from sensorsched.model import _weighted_trace
-from sensorsched.simulate import covariance_step
+from sensorsched.simulate import _classes, covariance_step
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -93,6 +97,33 @@ def test_warm_start_cold_start_and_closed_form_agree(a, negative, Q, R, d, log_g
     for res in (solve_mare(target, q, x0=below.X), solve_mare(target, q)):
         assert res.converged
         assert np.abs(res.X - exact).max() <= 1e-6 * np.abs(exact).max()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    a=st.floats(1.0, 4.0, exclude_min=True),
+    negative=st.booleans(),
+    Q=st.floats(0.1, 10.0),
+    R=st.floats(0.1, 10.0),
+    d=st.integers(0, 2),
+    ulps=st.integers(-4, 4),
+)
+@example(a=2.0, negative=False, Q=1.0, R=1.0, d=0, ulps=1)
+@example(a=1.3, negative=False, Q=1.0, R=1.0, d=0, ulps=1)
+def test_closed_form_exists_exactly_where_the_fact_says(a, negative, Q, R, d, ulps):
+    """Within a few ulps of q^c the oracle returns a matrix exactly where
+    the expanded target's fact says a fixed point exists, and that matrix
+    is finite."""
+    spec = DelayChainSpec(a=-a if negative else a, Q=Q, R=R, d=d)
+    fact = expand_delay_chain(spec).critical_closed_form
+    q = fact
+    for _ in range(abs(ulps)):
+        q = np.nextafter(q, 2.0 if ulps > 0 else -1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X = closed_form_delay_chain(spec, q)
+    assert (X is None) == (q <= fact)
+    assert X is None or np.isfinite(X).all()
 
 
 def single_unstable_mode_target(seed: int) -> tuple[LtiTarget, float]:
@@ -450,3 +481,49 @@ def test_per_row_systems_equal_each_targets_step(seed, stack, n_targets, n, p, q
         for q_t in own:
             own_step = _riccati_step(target, planes(P[rows]), q_t)
             assert np.array_equal(out[..., rows], own_step)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=seeds,
+    k=st.integers(1, 4),
+    n=st.integers(1, 3),
+    p=st.integers(1, 2),
+    rows=st.sampled_from([1, 2, 256]),
+    kind=st.sampled_from(["all", "none", "mixed"]),
+)
+# the lookahead tree's pair class, and a window level of the trio's chains
+@example(seed=1, k=2, n=2, p=1, rows=256, kind="mixed")
+@example(seed=2, k=2, n=3, p=1, rows=2, kind="mixed")
+def test_class_batch_equals_each_targets_step(seed, k, n, p, rows, kind):
+    """A class stack [n, n, k, rows], whose block j holds the rows of
+    target j, gets for each target the bits of that target's own call on
+    its planes and its slice of the mask, and its costs, read with the
+    class's cost weights, have the bits of each target's `cost_of`, with
+    and without weights."""
+    rng = np.random.default_rng(seed)
+    targets = [
+        LtiTarget(
+            A=rng.normal(size=(n, n)),
+            C=rng.normal(size=(p, n)),
+            Q=random_psd(rng, n) + 0.1 * np.eye(n),
+            R=random_psd(rng, p) + 0.1 * np.eye(p),
+            cost_weights=rng.uniform(0.1, 2.0, size=n) if rng.integers(2) else None,
+        )
+        for _ in range(k)
+    ]
+    G = rng.normal(size=(k * rows, n, n))
+    P = planes(G @ G.swapaxes(1, 2)).reshape(n, n, k, rows)
+    observed = kernel_q(kind, rng, k * rows).reshape(k, rows)
+    [(members, systems, weights)] = _classes(targets)
+    assert members.tolist() == list(range(k))
+    out = _riccati_step(systems, P, observed)
+    assert out.shape == P.shape
+    for X in (P, out):
+        costs = _weighted_trace(X, None if weights is None else weights[..., None])
+        for j, target in enumerate(targets):
+            own = np.ascontiguousarray(X[:, :, j])
+            assert np.array_equal(costs[j], target.cost_of(own))
+    for j, target in enumerate(targets):
+        own = _riccati_step(target, np.ascontiguousarray(P[:, :, j]), observed[j])
+        assert np.array_equal(out[:, :, j], own)

@@ -397,11 +397,14 @@ class TestMonteCarlo:
     @example(w=[0.5, 0.01, 0.49], runs=40, T=30, seed=1)
     # two runs: a target leaves at its first split
     @example(w=[0.4, 0.3, 0.3], runs=2, T=10, seed=2)
+    # one run: every target joins its class's batch at step 0
+    @example(w=[0.4, 0.3, 0.3], runs=1, T=10, seed=3)
     def test_kernel_rows_are_the_distinct_histories(self, w, runs, T, seed):
         """Each stacked kernel call has one row per distinct observation
         history (bits up to and including its step) of every target still
-        stacked; a target leaves at the step its histories number `runs`
-        and then makes one call of its own per remaining step."""
+        stacked; a target leaves at the step its histories number `runs`,
+        and from that step on its class's batch, planes [n, n, targets,
+        runs] of every target that has left, makes one call per step."""
         noisy, drifty = make_pair()
         far = make_chain_trio()[2]
         targets = [noisy, far, drifty]  # classes (2, 1) and (3, 1)
@@ -412,7 +415,7 @@ class TestMonteCarlo:
         calls = []
 
         def counted(system, P, q):
-            calls.append(system.label if isinstance(system, LtiTarget) else (len(P), P.shape[-1]))
+            calls.append((len(P), P.shape[2:]))
             return _riccati_step(system, P, q)
 
         with mock.patch("sensorsched.simulate._riccati_step", counted):
@@ -425,31 +428,33 @@ class TestMonteCarlo:
             histories = {i: np.cumsum((steps == i) * 2 ** np.arange(T)[:, None], axis=0)
                          for i in members}
             distinct = {i: [len(np.unique(h)) for h in histories[i]] for i in members}
-            leave = {i: next((k for k, m in enumerate(distinct[i]) if m == runs and runs > 1), T)
+            leave = {i: next((k for k, m in enumerate(distinct[i]) if m == runs), T)
                      for i in members}
-            for k in range(max(leave.values())):
-                want.append((n, sum(distinct[i][k] for i in members if leave[i] > k)))
-            for i in members:
-                want += [targets[i].label] * (T - leave[i])
+            for k in range(T):
+                stacked = [i for i in members if leave[i] > k]
+                if stacked:
+                    want.append((n, (sum(distinct[i][k] for i in stacked),)))
+                if len(stacked) < len(members):
+                    want.append((n, (len(members) - len(stacked), runs)))
         assert calls == want
 
     def test_split_targets_leave_the_shared_stack(self, pair, monkeypatch):
-        """Targets whose runs all have rows of their own step alone, one
-        2-D call each per step, from the step they fully split on."""
+        """Targets whose runs all have rows of their own leave the shared
+        stack on the step they fully split and from then on step as one
+        batch of their class, one call per step."""
         calls = []
 
         def counted(system, P, q):
-            calls.append(getattr(system, "label", "shared"))
+            calls.append("shared" if P.ndim == 3 else P.shape[2:])
             return _riccati_step(system, P, q)
 
         monkeypatch.setattr("sensorsched.simulate._riccati_step", counted)
-        T = 60
-        monte_carlo_expected_cost(pair, PAIR_Q, T=T, runs=32, seed=7)
+        T, runs = 60, 32
+        monte_carlo_expected_cost(pair, PAIR_Q, T=T, runs=runs, seed=7)
         shared = calls.count("shared")
         # the pair's histories are complementary, so both leave together
         assert 0 < shared < T
-        assert calls[:shared] == ["shared"] * shared
-        assert calls.count("noisy") == calls.count("drifty") == T - shared
+        assert calls == ["shared"] * shared + [(2, runs)] * (T - shared)
 
     def test_weighted_costs_in_a_mixed_stack(self, pair, chain_trio):
         """A target with cost weights is scored by its own weights, and
@@ -523,10 +528,10 @@ class TestSlidingWindow:
 
     def test_one_new_level_per_step(self, chain_trio, monkeypatch):
         """The first window - 1 levels are built once; each step then adds
-        one level (one update per target, observed on its own branch and
-        open loop on the others), and the report re-evaluates the committed
-        schedule (one update per dimension class and step: the trio's
-        chains have two and three states)."""
+        one level (one update per dimension class, each target observed on
+        its own branch and open loop on the others), and the report
+        re-evaluates the committed schedule (one update per dimension class
+        and step: the trio's chains have two and three states)."""
         calls = []
 
         def counted(target, P, q):
@@ -534,33 +539,41 @@ class TestSlidingWindow:
             return _riccati_step(target, P, q)
 
         monkeypatch.setattr("sensorsched.simulate._riccati_step", counted)
-        n, classes, window, T = 3, 2, 3, 5
+        classes, window, T = 2, 3, 5
         sliding_window_schedule(chain_trio, window=window, T=T)
-        assert len(calls) == n * (window - 1 + T) + classes * T == 31
+        assert len(calls) == classes * (window - 1 + T) + classes * T == 24
 
     def test_each_leaf_has_the_bits_of_its_own_update(self, pair, chain_trio, two_sensor,
                                                         monkeypatch):
-        """A level is one masked call per target on its stack repeated
-        n-fold; each leaf must equal its parent's own observed (q = 1) or
-        open-loop (q = 0) update, bit for bit, as when those were two
-        calls."""
+        """A level is one masked call per dimension class on its stack
+        [n, n, targets, leaves] repeated n-fold; each target's leaf must
+        equal its parent's own observed (q = 1) or open-loop (q = 0) update,
+        bit for bit, as when those were calls of their own."""
         calls = []
 
-        def recorded(target, P, q):
-            out = _riccati_step(target, P, q)
-            calls.append((target, P, q, out))
+        def recorded(systems, P, q):
+            out = _riccati_step(systems, P, q)
+            calls.append((systems, P, q, out))
             return out
 
         monkeypatch.setattr("sensorsched.simulate._riccati_step", recorded)
         monkeypatch.setattr("sensorsched.simulate.evaluate_schedule", lambda *args: None)
+        everyone = [*pair, *chain_trio, two_sensor]
         for targets, window in ((pair, 3), (chain_trio, 2), ([two_sensor, pair[0]], 3)):
             sliding_window_schedule(targets, window=window, T=4)
-        assert len(calls) == 2 * 6 + 3 * 5 + 2 * 6
-        for target, P, q, out in calls:
-            assert q.dtype == bool and q.shape == P.shape[-1:]
-            for leaf in range(P.shape[-1]):
-                own = _riccati_step(target, np.ascontiguousarray(P[..., leaf]), float(q[leaf]))
-                assert np.array_equal(out[..., leaf], own)
+        # levels window - 1 + T per class: the pair is one class, the trio
+        # and two_sensor with noisy two each
+        assert len(calls) == 6 + 2 * 5 + 2 * 6
+        for (Bt, Q, R), P, q, out in calls:
+            assert q.dtype == bool and q.shape == P.shape[2:]
+            for j in range(P.shape[2]):
+                system = Bt[j], Q[..., j], R[..., j]
+                target = next(t for t in everyone if all(
+                    np.array_equal(a, b) for a, b in zip((t.AC_T, t.Q, t.R), system)))
+                for leaf in range(P.shape[-1]):
+                    own = _riccati_step(target, np.ascontiguousarray(P[:, :, j, leaf]),
+                                        float(q[j, leaf]))
+                    assert np.array_equal(out[:, :, j, leaf], own)
 
     def test_report_matches_reevaluation(self, pair):
         seq, rep = sliding_window_schedule(pair, window=2, T=30)
