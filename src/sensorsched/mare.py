@@ -186,16 +186,18 @@ def _riccati_step(
     if mask is not None and (seen := np.count_nonzero(mask)) in (0, mask.size):
         q, mask = float(seen > 0), None
     open_loop = not isinstance(q, np.ndarray) and q == 0
-    Bt, Q, R = (systems.AC_T, systems.Q, systems.R) if isinstance(systems, LtiTarget) else systems
-    k, n = (1 if Bt.ndim == 2 else len(Bt)), len(Q)
-    Bt = Bt[..., :n] if open_loop else Bt
-    m, b = Bt.shape[-1], P.size // (n * n * k)
-    B = Bt.swapaxes(-1, -2)  # block j's planes are one matrix [n, (n, b)]
+    if isinstance(systems, LtiTarget):  # one block, B = A or [A; C]
+        k, B, Q, R = 1, systems.A if open_loop else systems.AC_T.T, systems.Q, systems.R
+    else:  # B = [A; C] of each block, [k, m, n]
+        Bt, Q, R = systems
+        k, B = len(Bt), (Bt[..., :len(Q)] if open_loop else Bt).swapaxes(1, 2)
+    n, m = len(Q), B.shape[-2]
     if k == 1:  # the stack as it is, planes [m, m, *rows]
         PB = (B @ P.reshape(n, -1)).reshape(m, n, -1).swapaxes(0, 1).reshape(n, -1)
         Y = (B @ PB).reshape(m, m, *P.shape[2:])
         Q = Q.reshape(n, n, *(1,) * (P.ndim - 2))
     else:  # one batched matmul over the blocks, planes [m, m, k * b]
+        b = P.size // (n * n * k)  # block j's planes are one matrix [n, (n, b)]
         PB = B @ P.reshape(n, n, k, b).transpose(2, 0, 1, 3).reshape(k, n, -1)
         Y = B @ PB.reshape(k, m, n, b).swapaxes(1, 2).reshape(k, n, -1)
         Y = np.ascontiguousarray(Y.reshape(k, m, m, b).transpose(1, 2, 0, 3)).reshape(m, m, -1)
@@ -207,11 +209,8 @@ def _riccati_step(
         gained = flat.take(seen, axis=1) - _correction(
             Y.reshape(m, m, -1).take(seen, axis=-1), R if k == 1 else R.take(seen, axis=-1),
             n).reshape(n * n, -1)
-        if len(seen) < 64:
-            flat[:, seen] = gained
-        else:  # on long rows n^2 1-D scatters take half the time of one 2-D
-            for entry, new in zip(flat, gained):
-                entry[seen] = new
+        for entry, new in zip(flat, gained):  # n^2 1-D stores: faster than one 2-D on long masks
+            entry[seen] = new
     elif not open_loop:
         q = q.reshape(Y.shape[2:]) if isinstance(q, np.ndarray) else q
         out = out - q * _correction(Y, R, n)

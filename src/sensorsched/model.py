@@ -273,9 +273,7 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     M is one matrix [n, n] or planes [n, n, *rows] (see
     `mare._riccati_step`); each plane is symmetrized on its own.
     """
-    S = M + M.swapaxes(0, 1)
-    S *= 0.5  # the bits of S / 2, without a second array
-    return S
+    return (M + M.swapaxes(0, 1)) / 2
 
 
 def check_covariance(X: np.ndarray, name: str = "X") -> np.ndarray:

@@ -138,15 +138,16 @@ def _cost_paths(targets: list[LtiTarget], steps: np.ndarray) -> Iterator[tuple[i
     the bits of the call on that slice alone, and `cost_of` sums each plane
     on its own. The stack keeps one cost per row and step and one copy of
     the grouping per stretch of steps without a split, at most `runs` rows
-    per target; the batch keeps its targets' costs [runs, T].
+    per target; the batch writes its costs into one array [targets, runs,
+    T] of the class, allocated when the first target joins, so a class
+    whose targets all fully split holds all their costs at once.
     """
     T, runs = steps.shape
     for members, (Bt, Qs, Rs), weights in _classes(targets):
         pos = owner = np.arange(len(members))
         group = np.repeat(pos[:, None], runs, axis=1)
         P = Qs  # every row starts at its target's Q
-        stretches, joined = [], pos[:0]
-        batch, batch_costs = np.empty((*Qs.shape[:2], 0, runs)), np.empty((0, runs, T))
+        stretches, joined, batch = [], pos[:0], np.empty((*Qs.shape[:2], 0, runs))
         for k in range(T):
             if len(pos):
                 obs = np.equal(steps[k], members[pos, None])  # obs[j, run]: pos[j] is observed
@@ -159,9 +160,10 @@ def _cost_paths(targets: list[LtiTarget], steps: np.ndarray) -> Iterator[tuple[i
                     mixed = np.bincount(group[disagree], minlength=P.shape[-1]) > 0
                     out = np.bincount(owner, 1 + mixed, len(members))[pos] == runs
                     if out.any():
+                        if not len(joined):  # indexed by class position, allocated once
+                            batch_costs = np.empty((len(members), runs, T))
                         batch = np.concatenate((batch, P[..., group[out]]), axis=2)
                         joined = np.concatenate((joined, pos[out]))
-                        batch_costs = np.concatenate((batch_costs, np.empty((out.sum(), runs, T))))
                         batch_system = Bt[joined], Qs[..., joined], Rs[..., joined]
                         batch_weights = None if weights is None else weights[:, joined, None]
                         batch_ids = members[joined, None]
@@ -180,12 +182,11 @@ def _cost_paths(targets: list[LtiTarget], steps: np.ndarray) -> Iterator[tuple[i
                     stretches[-1][2].append(_weighted_trace(P, row_weights))
                     P = _riccati_step(row_system, P, seen)
             if len(joined):
-                batch_costs[..., k] = _weighted_trace(batch, batch_weights)
+                batch_costs[joined, :, k] = _weighted_trace(batch, batch_weights)
                 batch = _riccati_step(batch_system, batch, steps[k] == batch_ids)
         stretches = [(k, rows, np.array(c)) for k, rows, c in stretches]
-        slot = {j: s for s, j in enumerate(joined.tolist())}
         for j, i in enumerate(members):
-            costs = batch_costs[slot[j]] if j in slot else np.empty((runs, T))
+            costs = batch_costs[j] if j in joined else np.empty((runs, T))
             for start, rows, block in stretches:
                 if j not in rows:
                     break  # i has joined the batch

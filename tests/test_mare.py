@@ -53,19 +53,6 @@ class TestMap:
         full = g_q(t, 1.0, X)
         np.testing.assert_allclose(half, (lyap + full) / 2, rtol=1e-12)
 
-    def test_one_ulp_above_the_critical_probability(self):
-        # a = 2 at nextafter(0.75, 1) divided by 1 + a^2 q - a^2 = 0 and
-        # returned [[inf]]; a = 1.3 one ulp above the target's fact said
-        # no fixed point exists
-        for a, qc in ((2.0, 0.75), (1.3, 1.0 - 1.0 / 1.3**2)):
-            spec = DelayChainSpec(a=a, Q=1.0, R=1.0, d=0)
-            assert expand_delay_chain(spec).critical_closed_form == qc
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                X = closed_form_delay_chain(spec, np.nextafter(qc, 2.0))
-            assert X is not None and np.isfinite(X).all() and X[0, 0] > 1e15
-            assert closed_form_delay_chain(spec, qc) is None
-
     def test_rejects_bad_probability(self):
         for q in (-0.1, 1.1):
             with pytest.raises(ValueError):
@@ -290,10 +277,18 @@ class TestClosedForm:
         assert closed_form_delay_chain(spec, q) is None
 
     def test_existence_boundary_is_sharp(self):
-        # a^2 (1 - q) < 1 exactly
-        spec = DelayChainSpec(a=2.0, Q=1.0, R=1.0, d=0)
-        assert closed_form_delay_chain(spec, 0.75) is None
-        assert closed_form_delay_chain(spec, 0.7501) is not None
+        # the expanded target's fact decides, to the ulp: one ulp above q^c
+        # a = 2 once divided by 1 + a^2 q - a^2 = 0 and returned [[inf]],
+        # and a = 1.3 once returned None where a fixed point exists
+        assert closed_form_delay_chain(DelayChainSpec(a=2.0, Q=1.0, R=1.0, d=0), 0.7501) is not None
+        for a, qc in ((2.0, 0.75), (1.3, 1.0 - 1.0 / 1.3**2)):
+            spec = DelayChainSpec(a=a, Q=1.0, R=1.0, d=0)
+            assert expand_delay_chain(spec).critical_closed_form == qc
+            assert closed_form_delay_chain(spec, qc) is None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                X = closed_form_delay_chain(spec, np.nextafter(qc, 2.0))
+            assert X is not None and np.isfinite(X).all() and X[0, 0] > 1e15
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
@@ -302,8 +297,8 @@ class TestClosedForm:
     @pytest.mark.parametrize("d", [0, 2])
     @pytest.mark.parametrize("a", [-1.0, 0.5, 1.0, 1.3])
     def test_oracle_exists_exactly_where_the_solve_does_not_diverge(self, a, d):
-        # the oracle decides by a^2 (1 - q) < 1, the solve by the target's
-        # fact; q^c = 1 - 1/1.3^2 itself is on the list
+        # the oracle and the solve both read the target's fact; q^c =
+        # 1 - 1/1.3^2 itself is on the list
         spec = DelayChainSpec(a=a, Q=1.7, R=0.6, d=d)
         target = expand_delay_chain(spec)
         for q in (0.0, 1e-3, 0.2, 1.0 - 1.0 / 1.3**2, 0.41, 0.7, 1.0):
